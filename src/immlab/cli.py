@@ -285,13 +285,16 @@ def cli_run(command: str, config: dict) -> int:
     return 0
 
 
-def _emit_error(out_dir: str, kind: str, message: str,
+def _emit_error(out_dir: str | None, kind: str, message: str,
                 extra: dict | None = None) -> None:
+    """Print the error record to stderr; also write it as out_dir/report.json."""
     record = {"schema": SCHEMA, "status": "error",
               "error": {"type": kind, "message": message}}
     if extra is not None:
         record.update(extra)
     print(json.dumps(_jsonify(record)), file=sys.stderr)
+    if out_dir is None:
+        return
     try:
         _write_report(out_dir, record)
     except OSError:
@@ -331,7 +334,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown config keys {sorted(unknown)}")
             config.update(loaded)
         except (OSError, ValueError) as exc:
-            _emit_error(".", type(exc).__name__, str(exc))
+            # the config never loaded, so only --out names a directory
+            _emit_error(args.out, type(exc).__name__, str(exc))
             return 2
     for key in _DEFAULTS:
         val = getattr(args, key)

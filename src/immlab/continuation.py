@@ -103,12 +103,13 @@ class ContinuationTrace:
 
 
 def _residual(F: ImmersionMap, target: TargetData, tb, *,
-              class_only: bool = False) -> np.ndarray:
+              class_only: bool = False) -> tuple[np.ndarray, EpsilonData]:
+    """Codomain residual at F, and the blended data it was taken from."""
     data = apply_phi(F, target.epsilon, target.variant, liouville_tol=None)
     blended = (np.zeros_like(data.blended) if class_only
                else data.blended - target.blended)
     return project_codomain(F.grid, tb, data.class_rep - target.class_rep,
-                            blended)
+                            blended), data
 
 
 def _dealias_masks(g: SphereGrid, tb) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +191,13 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
         rows[tb.size:] = False
 
     F = F0
-    r = _residual(F, target, tb, class_only=class_only)
+    r, data = _residual(F, target, tb, class_only=class_only)
     history = [float(np.linalg.norm(r[rows]))]
     for _ in range(max_iter):
         if history[-1] <= tol:
             return F, np.array(history)
         M = assemble_linearization(F, target.epsilon, target.variant,
-                                   liouville_tol=None)
+                                   liouville_tol=None, data=data)
         matrix, rvec = M.matrix[np.ix_(rows, keep)], r[rows]
 
         accepted = None
@@ -214,13 +215,13 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
                                                       F.positions + step * X)
                     if trial.geometry.det_gamma.min() < det_floor:
                         raise ImmersionRegularityError("det gamma under floor")
-                    r_trial = _residual(trial, target, tb,
-                                        class_only=class_only)
+                    r_trial, data_trial = _residual(trial, target, tb,
+                                                    class_only=class_only)
                 except (ImmersionRegularityError, FloatingPointError):
                     step *= 0.5
                     continue
                 if np.linalg.norm(r_trial[rows]) < history[-1]:
-                    accepted = (trial, r_trial)
+                    accepted = (trial, r_trial, data_trial)
                     break
                 step *= 0.5
             if accepted is not None:
@@ -232,7 +233,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
             exc.status = "diverged" if step < 1e-2 else "stalled"
             exc.history = np.array(history)
             raise exc
-        F, r = accepted
+        F, r, data = accepted
         history.append(float(np.linalg.norm(r[rows])))
 
     if history[-1] <= tol:

@@ -376,20 +376,18 @@ def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
 
 
 def _blended_prime(data: EpsilonData, lin: LinearizedLiouville | None,
-                   gamma_prime: np.ndarray, H_prime: np.ndarray,
-                   K_prime: np.ndarray | None = None) -> np.ndarray:
+                   gamma_prime: np.ndarray, H_prime: np.ndarray) -> np.ndarray:
     """Blended-slot variation from batched metric and H variations.
 
-    K_prime, when given, feeds the linearized Liouville solve the nodal
-    curvature variation; omitted, the solve falls back to the weak
-    integrated-by-parts form generated from gamma_prime alone.
+    The conformal-factor part comes from the linearized Liouville solve on
+    gamma_prime (lin is None exactly when eps = 1).
     """
     eps, variant = data.epsilon, data.variant
     if eps == 1.0:
         if variant == "additive":
             return H_prime
         return -H_prime / data.H[:, None] ** 2
-    _, l2p = lin.solve_batch(gamma_prime, K_prime)
+    _, l2p = lin.solve_batch(gamma_prime)
     if variant == "additive":
         return (1.0 - eps) * l2p + eps * H_prime
     log_prime = ((1.0 - eps) * l2p / data.lambda2[:, None]
@@ -405,8 +403,8 @@ def _metric_gradient(geo: SurfaceGeometry) -> np.ndarray:
 
 def assemble_linearization(F: ImmersionMap, epsilon: float,
                            variant: str = "additive", *,
-                           liouville_tol: float | None = 1e-9
-                           ) -> OperatorMatrix:
+                           liouville_tol: float | None = 1e-9,
+                           data: EpsilonData | None = None) -> OperatorMatrix:
     """Assemble the dense linearization of apply_phi at an immersion.
 
     Column j is the first-variation image of basis field j: the class rows
@@ -416,10 +414,21 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     multiplicative variant).  All nodal ingredients are exact on the basis
     fields; see the module docstring for how this relates to coefficient-
     space finite differences.
+
+    data, when given, must be apply_phi(F, epsilon, variant) already
+    evaluated at this F (a Newton iterate whose residual was just taken,
+    say); it is used as is instead of uniformizing again, and
+    liouville_tol is then ignored.  Its epsilon and variant must match the
+    arguments (ValueError otherwise); that it belongs to F is not checked.
     """
     g = F.grid
     geo = F.geometry
-    data = apply_phi(F, epsilon, variant, liouville_tol=liouville_tol)
+    if data is None:
+        data = apply_phi(F, epsilon, variant, liouville_tol=liouville_tol)
+    elif (data.epsilon, data.variant) != (epsilon, variant):
+        raise ValueError(
+            f"data is for eps={data.epsilon}, {data.variant!r}; "
+            f"assembling eps={epsilon}, {variant!r}")
     lin = None
     if data.conformal is not None:
         lin = LinearizedLiouville(MetricData.from_immersion(F), data.conformal)
@@ -445,10 +454,10 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     Hp[:, vb.size:] = (-_GalerkinLaplacian(F).apply(np.eye(nc))
                        - geo.norm_A_sq[:, None] * Y)
 
+    bp = _blended_prime(data, lin, gp, Hp)
     trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)
     crp = (gp - 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
            ) / np.sqrt(geo.det_gamma)[:, None, None, None]
-    bp = _blended_prime(data, lin, gp, Hp)
 
     labels_cod = tb.labels + _scalar_labels(g)
     return OperatorMatrix(project_codomain(g, tb, crp, bp), epsilon, variant,

@@ -298,12 +298,18 @@ class LinearizedLiouville:
     phi-Jacobian are exact derivatives of the discrete residual, so the map
     composes with exact immersion linearizations without consistency loss.
 
-    The curvature derivative K' along the path may be supplied at the nodes
-    (for immersion paths, where it is computed extrinsically); if omitted it
-    is generated in weak form by integrating by parts:
+    The curvature variation enters in weak form, integrated by parts so that
+    only first and second derivatives of the band-limited test functions
+    appear (2 K' = div div h - Delta tr h - K tr h):
 
-        int K' psi dv = int [ <h, Hess psi> - tr h (Delta psi) / 2
-                              - K tr h psi / 2 ] dv / ... (see _kprime_weak)
+        int K' psi dv = 1/2 int [ <h, Hess psi> - tr h Delta psi
+                                  - K tr h psi ] dv
+
+    Every term of d_gamma r is linear in h and pairs a nodal weight with a
+    chart derivative of the test functions, so a batch of B variations
+    costs one (nc, n) @ (n, B) GEMM per derivative of Y (the value, two
+    first and three second derivatives): the grid's cached node matrices
+    against weights built from the whole batch at once.
     """
 
     metric: MetricData
@@ -311,104 +317,76 @@ class LinearizedLiouville:
     _forms: _WeakForms = field(init=False, repr=False)
     _keep: np.ndarray = field(init=False, repr=False)
     _qr: tuple = field(init=False, repr=False)
+    _dphi: np.ndarray = field(init=False, repr=False)
+    _e2p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        g = self.metric.grid
         self._forms = _WeakForms(self.metric)
-        self._keep = _degree_one_mask(self.metric.grid)
-        J = self._forms.jacobian(self.conformal.phi.coeffs)[:, self._keep]
+        self._keep = _degree_one_mask(g)
+        phi_c = self.conformal.phi.coeffs
+        J = self._forms.jacobian(phi_c)[:, self._keep]
         Q, R = qr(J, mode="economic")
         self._qr = (Q, R)
+        self._dphi = np.stack([g.synthesize(phi_c, 1, 0),
+                               g.synthesize(phi_c, 0, 1)], axis=1)
+        self._e2p = np.exp(2.0 * (self._forms.Y @ phi_c))
 
-    def _kprime_weak(self, h: np.ndarray) -> np.ndarray:
-        """Weak vector int K'(h) Y_k dv from the intrinsic curvature variation.
+    def _dresidual(self, h: np.ndarray) -> np.ndarray:
+        """Exact h-derivative (nc, B) of the discrete weak residual at phi.
 
-        2 K' = div div h - Delta (tr h) - K tr h; integrating the derivative
-        terms by parts against Y_k leaves only first and second derivatives of
-        the (band-limited) test functions, all evaluated exactly:
-
-        int K' psi dv = 1/2 int [ <h, Hess psi>_gamma - tr h Delta psi
-                                  - K tr h psi ] dv
+        d_h r = -d_h(S phi) + int [ tr h (e^{2 phi} - K) / 2 - K' ] Y dv,
+        with the stiffness variation d_h [q gamma^{ij}] = q P^{ij},
+        P = tr h gamma^{-1} / 2 - h^{##}, and K' in the weak form of the
+        class docstring.  Collected per test-function derivative, the
+        K tr h terms cancel in the Y weight and both Hessian terms
+        contract Hess psi against T = (tr h gamma^{-1} - h^{##}) / 2.
         """
-        m, f = self.metric, self._forms
-        g = m.grid
-        q = f.q
-        hup = np.einsum("nik,nkl,njl->nij", m.inv_gamma, h, m.inv_gamma)
-        trh = np.einsum("nij,nij->n", m.inv_gamma, h)
-        # Hessian of every basis function, contracted with h^{ij} on the fly
-        second = (
-            hup[:, 0, 0] * g.node_matrix(2, 0).T
-            + 2.0 * hup[:, 0, 1] * g.node_matrix(1, 1).T
-            + hup[:, 1, 1] * g.node_matrix(0, 2).T
-        )  # (nc, n) rows already weighted by h^{ij}
-        gamma_h = np.einsum("nkij,nij->nk", m.christoffel, hup)
-        first = gamma_h[:, 0] * f.dY[0].T + gamma_h[:, 1] * f.dY[1].T
-        hess_pair = (second - first) @ q
-        lap = np.einsum("nkij,nij->nk", m.christoffel, m.inv_gamma)
-        lap_pair = (
-            m.inv_gamma[:, 0, 0] * g.node_matrix(2, 0).T
-            + 2.0 * m.inv_gamma[:, 0, 1] * g.node_matrix(1, 1).T
-            + m.inv_gamma[:, 1, 1] * g.node_matrix(0, 2).T
-            - lap[:, 0] * f.dY[0].T - lap[:, 1] * f.dY[1].T
-        )
-        lap_pair = (lap_pair * (q * trh)).sum(axis=1)
-        zero_pair = f.Y.T @ (q * m.K * trh)
-        return 0.5 * (hess_pair - lap_pair - zero_pair)
+        m = self.metric
+        inv = m.inv_gamma
+        trh = np.einsum("nij,nijb->nb", inv, h)
+        hup = np.einsum("nik,nklb,njl->nijb", inv, h, inv)
+        flux = (0.5 * (inv @ self._dphi[..., None]) * trh[:, None, :]
+                - np.einsum("nijb,nj->nib", hup, self._dphi))
+        T = hup
+        T -= trh[:, None, None] * inv[..., None]
+        T *= -0.5
+        # Hess psi = d_ij psi - Gamma^k_ij d_k psi
+        grad_w = -(flux + np.einsum("nkij,nijb->nkb", m.christoffel, T))
+        weights = {(0, 0): 0.5 * trh * self._e2p[:, None],
+                   (1, 0): grad_w[:, 0], (0, 1): grad_w[:, 1],
+                   (2, 0): T[:, 0, 0], (1, 1): 2.0 * T[:, 0, 1],
+                   (0, 2): T[:, 1, 1]}
+        q = self._forms.q[:, None]
+        return sum(m.grid.node_matrix(*d).T @ (q * w)
+                   for d, w in weights.items())
 
-    def _dresidual(self, h: np.ndarray, kprime: np.ndarray | None) -> np.ndarray:
-        """Exact h-derivative of the discrete weak residual at the base phi."""
-        m, f = self.metric, self._forms
-        g = m.grid
-        phi_c = self.conformal.phi.coeffs
-        trh = np.einsum("nij,nij->n", m.inv_gamma, h)
-        hup = np.einsum("nik,nkl,njl->nij", m.inv_gamma, h, m.inv_gamma)
-        dphi = np.stack([g.synthesize(phi_c, 1, 0),
-                         g.synthesize(phi_c, 0, 1)], axis=1)
-        # stiffness term: d_h [q gamma^{ij}] = q [trh/2 gamma^{ij} - h^{ij}]
-        flux = np.einsum("nij,nj->ni", 0.5 * trh[:, None, None] * m.inv_gamma - hup,
-                         dphi)
-        d_stiff = f.dY[0].T @ (f.q * flux[:, 0]) + f.dY[1].T @ (f.q * flux[:, 1])
-        e2p = np.exp(2.0 * f.Y @ phi_c)
-        d_load = f.Y.T @ (f.q * 0.5 * trh * (e2p - m.K))
-        if kprime is not None:
-            d_load -= f.Y.T @ (f.q * kprime)
-        else:
-            d_load -= self._kprime_weak(h)
-        return -d_stiff + d_load
-
-    def solve(self, h: np.ndarray, kprime: np.ndarray | None = None
-              ) -> tuple[HarmonicField, np.ndarray]:
+    def solve(self, h: np.ndarray) -> tuple[HarmonicField, np.ndarray]:
         """phi' and (lambda^2)' at the nodes for a metric variation h (n,2,2)."""
-        phic, l2p = self.solve_batch(h[..., None],
-                                     None if kprime is None else kprime[:, None])
+        phic, l2p = self.solve_batch(h[..., None])
         return HarmonicField(self.metric.grid, phic[:, 0]), l2p[:, 0]
 
-    def solve_batch(self, h: np.ndarray, kprime: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized solve over a batch: h is (n, 2, 2, B), kprime (n, B)."""
+    def solve_batch(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized solve over a batch of variations h (n, 2, 2, B)."""
         g = self.metric.grid
-        if h.shape[:3] != (g.n_nodes, 2, 2):
+        if h.ndim != 4 or h.shape[:3] != (g.n_nodes, 2, 2):
             raise DegreeMismatchError(f"bad variation batch shape {h.shape}")
-        B = h.shape[3]
-        rhs = np.empty((g.n_coeffs, B))
-        for b in range(B):
-            kb = None if kprime is None else kprime[:, b]
-            rhs[:, b] = self._dresidual(h[..., b], kb)
         Q, R = self._qr
-        sol = solve_triangular(R, Q.T @ (-rhs))
-        phi_prime = np.zeros((g.n_coeffs, B))
+        sol = solve_triangular(R, Q.T @ (-self._dresidual(h)))
+        phi_prime = np.zeros((g.n_coeffs, h.shape[3]))
         phi_prime[self._keep] = sol
         l2 = self.conformal.lambda2
         lambda2_prime = -2.0 * l2[:, None] * (self._forms.Y @ phi_prime)
         return phi_prime, lambda2_prime
 
 
-def linearized_conformal_factor(conformal: ConformalData, h: np.ndarray,
-                                kprime: np.ndarray | None = None) -> np.ndarray:
+def linearized_conformal_factor(conformal: ConformalData,
+                                h: np.ndarray) -> np.ndarray:
     """(lambda^2)' at the nodes for a single metric variation h (n, 2, 2).
 
     Convenience wrapper over LinearizedLiouville; assembling many variations
     at one base point should construct that class once instead.
     """
     lin = LinearizedLiouville(conformal.metric, conformal)
-    _, l2p = lin.solve(h, kprime)
+    _, l2p = lin.solve(h)
     return l2p

@@ -162,7 +162,8 @@ def test_main_rejects_unknown_config_key(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["status"] == "error"
 
 
-def test_main_rejects_non_dict_config(tmp_path, capsys):
+def test_main_rejects_non_dict_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([1, 2]))
     out = tmp_path / "out"
@@ -170,6 +171,22 @@ def test_main_rejects_non_dict_config(tmp_path, capsys):
     rc = main(["symbol", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     capsys.readouterr()
+    assert read_report(out)["status"] == "error"
+    # the error lands in --out only, never in the working directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def test_main_config_error_without_out_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bogus": 1}))
+    rc = main(["symbol", "--config", str(cfg)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["status"] == "error"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_main_rejects_unknown_subcommand(tmp_path):

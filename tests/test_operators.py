@@ -251,6 +251,21 @@ def test_linearization_epsilon_lipschitz_multiplicative():
     assert 0.2 <= d1 / d2 <= 5.0
 
 
+def test_linearization_reuses_supplied_data():
+    g = grid(8)
+    F = ellipsoid_immersion(g, 1.0, 1.1, 0.9)
+    data = apply_phi(F, 0.5, liouville_tol=None)
+    M = assemble_linearization(F, 0.5, liouville_tol=None)
+    M_data = assemble_linearization(F, 0.5, data=data, liouville_tol=None)
+    # apply_phi is deterministic, so reuse changes nothing, bit for bit
+    npt.assert_array_equal(M_data.matrix, M.matrix)
+    with pytest.raises(ValueError):
+        assemble_linearization(F, 0.3, data=data, liouville_tol=None)
+    with pytest.raises(ValueError):
+        assemble_linearization(F, 0.5, "multiplicative", data=data,
+                               liouville_tol=None)
+
+
 def test_operator_matrix_metadata():
     g = grid(8)
     M = assemble_linearization(sphere_immersion(g), 0.5, liouville_tol=None)

@@ -136,6 +136,23 @@ def test_linearized_factor_pure_scaling():
     npt.assert_allclose(l2p, 0.37, atol=1e-10)
 
 
+def test_linearized_batch_matches_single_solves():
+    g = grid(8)
+    F = ellipsoid_immersion(g, 1.0, 1.1, 0.9)
+    m = MetricData.from_immersion(F)
+    lin = LinearizedLiouville(m, solve_liouville(m, tol=None))
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((g.n_nodes, 2, 2, 7))
+    h = 0.5 * (h + h.transpose(0, 2, 1, 3))
+    phi_b, l2p_b = lin.solve_batch(h)
+    for b in range(7):
+        phi, l2p = lin.solve(h[..., b])
+        npt.assert_allclose(phi.coeffs, phi_b[:, b],
+                            rtol=0, atol=1e-13 * np.abs(phi.coeffs).max())
+        npt.assert_allclose(l2p, l2p_b[:, b],
+                            rtol=0, atol=1e-13 * np.abs(l2p).max())
+
+
 def _strain_variation(g, seed, scale=0.3, n_modes=16):
     rng = np.random.default_rng(seed)
     Xc = np.zeros((3, g.n_coeffs))
