@@ -16,7 +16,13 @@ Tensor families, defined for degree l >= 2 (lower degrees vanish):
     odd:  symmetrized covariant derivative of the curl field
 
 scaled to unit L2 norm by quadrature.  The exact norm of the unscaled even
-family is sqrt(l(l+1)(l(l+1)-2)/2), which the tests use as an oracle.
+family is sqrt(l(l+1)(l(l+1)-2)/2).
+
+Each basis is built once per grid and stored on it (SphereGrid.cached), so
+every caller shares one instance: its arrays are read-only and its labels
+are tuples.  The vector basis keeps its fields with their chart
+derivatives; the tensor basis keeps only its quadrature-weighted table,
+the one that projects a tensor field onto it.
 """
 
 from dataclasses import dataclass
@@ -48,22 +54,26 @@ def _chart_gradients(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
 class VectorBasis:
     """Orthonormal tangent-field basis: all grad modes, then all curl modes.
 
-    dfields, when requested, holds chart derivatives of the components,
-    dfields[n, i, k, b] = d_i V^k of basis field b; exact analytic values,
-    needed by Lie-derivative formulas in the assembled linearization.
+    dfields holds chart derivatives of the components, dfields[n, i, k, b] =
+    d_i V^k of basis field b; exact analytic values, needed by
+    Lie-derivative formulas in the assembled linearization.
     """
 
     grid: SphereGrid
     fields: np.ndarray          # (n, 2, n_vec) contravariant chart components
-    labels: list                # (family, l, m)
-    dfields: np.ndarray | None = None
+    labels: tuple               # (family, l, m)
+    dfields: np.ndarray         # (n, 2, 2, n_vec)
 
     @property
     def size(self) -> int:
         return self.fields.shape[2]
 
 
-def vector_basis(g: SphereGrid, derivatives: bool = False) -> VectorBasis:
+def vector_basis(g: SphereGrid) -> VectorBasis:
+    return g.cached("vector_basis", lambda: _build_vector_basis(g))
+
+
+def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     ls, ms = coeff_degrees(g.L)
     sel = ls >= 1
     ll = (ls * (ls + 1.0))[sel]
@@ -80,25 +90,25 @@ def vector_basis(g: SphereGrid, derivatives: bool = False) -> VectorBasis:
     s = np.sin(g.theta)[:, None]
     fields[:, 0, k:] = -s * Gp * scale
     fields[:, 1, k:] = Gt * scale / s
-    labels = [("grad", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
-    labels += [("curl", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
+    labels = tuple([("grad", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
+                   + [("curl", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
 
-    dfields = None
-    if derivatives:
-        c = np.cos(g.theta)[:, None]
-        Yt, Yp = g.node_matrix(1, 0)[:, sel], g.node_matrix(0, 1)[:, sel]
-        Ytt = g.node_matrix(2, 0)[:, sel]
-        Ytp = g.node_matrix(1, 1)[:, sel]
-        Ypp = g.node_matrix(0, 2)[:, sel]
-        dfields = np.empty((n, 2, 2, 2 * k))
-        dfields[:, 0, 0, :k] = Ytt * scale
-        dfields[:, 1, 0, :k] = Ytp * scale
-        dfields[:, 0, 1, :k] = (Ytp - 2.0 * (c / s) * Yp) / s**2 * scale
-        dfields[:, 1, 1, :k] = Ypp / s**2 * scale
-        dfields[:, 0, 0, k:] = (-Ytp / s + c * Yp / s**2) * scale
-        dfields[:, 1, 0, k:] = -Ypp / s * scale
-        dfields[:, 0, 1, k:] = (Ytt / s - c * Yt / s**2) * scale
-        dfields[:, 1, 1, k:] = Ytp / s * scale
+    c = np.cos(g.theta)[:, None]
+    Yt, Yp = g.node_matrix(1, 0)[:, sel], g.node_matrix(0, 1)[:, sel]
+    Ytt = g.node_matrix(2, 0)[:, sel]
+    Ytp = g.node_matrix(1, 1)[:, sel]
+    Ypp = g.node_matrix(0, 2)[:, sel]
+    dfields = np.empty((n, 2, 2, 2 * k))
+    dfields[:, 0, 0, :k] = Ytt * scale
+    dfields[:, 1, 0, :k] = Ytp * scale
+    dfields[:, 0, 1, :k] = (Ytp - 2.0 * (c / s) * Yp) / s**2 * scale
+    dfields[:, 1, 1, :k] = Ypp / s**2 * scale
+    dfields[:, 0, 0, k:] = (-Ytp / s + c * Yp / s**2) * scale
+    dfields[:, 1, 0, k:] = -Ypp / s * scale
+    dfields[:, 0, 1, k:] = (Ytt / s - c * Yt / s**2) * scale
+    dfields[:, 1, 1, k:] = Ytp / s * scale
+    fields.setflags(write=False)
+    dfields.setflags(write=False)
     return VectorBasis(g, fields, labels, dfields)
 
 
@@ -116,15 +126,20 @@ def _round_hessians(g: SphereGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorBasis:
-    """Orthonormal trace-free symmetric 2-tensor basis on the round sphere."""
+    """Orthonormal trace-free symmetric 2-tensor basis on the round sphere.
+
+    Only the table that pairs a tensor field with the basis is kept:
+    weighted holds the covariant chart components (n, 2, 2, n_ten) times
+    the quadrature weights, flattened over (node, i, j).
+    """
 
     grid: SphereGrid
-    fields: np.ndarray          # (n, 2, 2, n_ten) covariant chart components
-    labels: list                # (family, l, m)
+    labels: tuple               # (family, l, m)
+    weighted: np.ndarray        # (4 n, n_ten)
 
     @property
     def size(self) -> int:
-        return self.fields.shape[3]
+        return self.weighted.shape[1]
 
 
 def round_tensor_inner(g: SphereGrid, B: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -146,6 +161,10 @@ def round_tensor_inner(g: SphereGrid, B: np.ndarray, T: np.ndarray) -> np.ndarra
 
 
 def tensor_basis(g: SphereGrid) -> TensorBasis:
+    return g.cached("tensor_basis", lambda: _build_tensor_basis(g))
+
+
+def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
     ls, ms = coeff_degrees(g.L)
     sel = ls >= 2
     ll = (ls * (ls + 1.0))[sel]
@@ -173,6 +192,8 @@ def tensor_basis(g: SphereGrid) -> TensorBasis:
     norms = np.sqrt(np.sum(
         g.weights[:, None] * round_tensor_inner(g, fields, fields), axis=0))
     fields = fields / norms
-    labels = [("even", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
-    labels += [("odd", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
-    return TensorBasis(g, fields, labels)
+    labels = tuple([("even", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
+                   + [("odd", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
+    weighted = (g.weights[:, None, None, None] * fields).reshape(-1, 2 * k)
+    weighted.setflags(write=False)
+    return TensorBasis(g, labels, weighted)

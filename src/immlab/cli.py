@@ -275,6 +275,10 @@ def cli_run(command: str, config: dict) -> int:
         _emit_error(cfg["out"], "ConvergenceError", str(exc),
                     extra=exc.payload)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a usage error
+        _emit_error(cfg["out"], "LinAlgError", str(exc))
+        return 1
     except (ShapeSpecError, DegreeMismatchError, ValueError, OSError) as exc:
         _emit_error(cfg["out"], type(exc).__name__, str(exc))
         return 2

@@ -112,7 +112,7 @@ def _residual(F: ImmersionMap, target: TargetData, tb, *,
                             blended), data
 
 
-def _dealias_masks(g: SphereGrid, tb) -> tuple[np.ndarray, np.ndarray]:
+def _dealias_masks(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     """Domain-column and codomain-row masks keeping degrees <= L - 2.
 
     The push-forward V^i d_iF + nu N of a top-degree basis field has an
@@ -124,10 +124,12 @@ def _dealias_masks(g: SphereGrid, tb) -> tuple[np.ndarray, np.ndarray]:
     discrete system; the full-spectrum mismatch is what the continuation
     defect reports.
     """
-    keep_dom = np.array([l <= g.L - 2 for _, l, _ in domain_labels(g)])
-    rows_class = np.array([l <= g.L - 2 for _, l, _ in tb.labels])
-    rows_scalar = np.array([l <= g.L - 2 for _, l, _ in _scalar_labels(g)])
-    return keep_dom, np.concatenate([rows_class, rows_scalar])
+    def build():
+        keep_dom = np.array([l <= g.L - 2 for _, l, _ in domain_labels(g)])
+        rows = np.array([l <= g.L - 2 for _, l, _ in
+                         tensor_basis(g).labels + _scalar_labels(g)])
+        return keep_dom, rows
+    return g.cached("dealias_masks", build)
 
 
 def _step_candidates(matrix: np.ndarray, r: np.ndarray,
@@ -185,7 +187,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     tb = tensor_basis(g)
     vb = vector_basis(g)
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
-    keep, rows = _dealias_masks(g, tb)
+    keep, rows = _dealias_masks(g)
     if class_only:
         rows = rows.copy()
         rows[tb.size:] = False

@@ -26,8 +26,6 @@ from .spectral import HarmonicField, SphereGrid
 __all__ = [
     "ImmersionMap",
     "SurfaceGeometry",
-    "induced_metric",
-    "second_form",
     "gauss_check",
     "darboux_residual",
     "GaussCheck",
@@ -143,18 +141,6 @@ class SurfaceGeometry:
 
         return cls(g, F, dF, d2F, gamma, inv, det, normal, A, shape_op, H, K,
                    norm_A_sq, tau, christoffel)
-
-
-def induced_metric(F: ImmersionMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First fundamental form, its inverse and determinant at the nodes."""
-    geo = F.geometry
-    return geo.gamma, geo.inv_gamma, geo.det_gamma
-
-
-def second_form(F: ImmersionMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Second fundamental form, shape operator, H and K at the nodes."""
-    geo = F.geometry
-    return geo.second, geo.shape_op, geo.H, geo.K
 
 
 # ---------------------------------------------------------------------------

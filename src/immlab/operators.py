@@ -41,25 +41,23 @@ evaluated on the fields themselves rather than on their truncations.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cholesky
 
 from .bases import TensorBasis, tensor_basis, vector_basis
 from .errors import DegreeMismatchError, ImmersionRegularityError
 from .geometry import ImmersionMap, SurfaceGeometry
 from .spectral import HarmonicField, SphereGrid, coeff_degrees
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
-                         conformal_class, solve_liouville)
+                         _WeakForms, conformal_class, solve_liouville)
 
 __all__ = [
     "EpsilonData",
     "VariationField",
-    "VariationBlocks",
     "OperatorMatrix",
     "apply_phi",
     "delta_star",
     "mean_curvature_prime",
     "metric_strain",
-    "immersion_variation",
     "assemble_linearization",
     "principal_symbol",
 ]
@@ -177,141 +175,20 @@ def mean_curvature_prime(F: ImmersionMap, V: VariationField) -> np.ndarray:
 
     Evaluates -Delta_gamma nu - |A|^2 nu + X^T(H) at the nodes.  The
     Laplacian is Galerkin (mass-matrix solve), and H is analyzed before
-    differentiation, so the result carries the spectral truncation of H;
-    exact derivatives of the discrete pipeline (immersion_variation) agree
-    with this to truncation error.
+    differentiation, so the result carries the spectral truncation of H.
     """
     g = F.grid
     geo = F.geometry
-    lap = _GalerkinLaplacian(F)
-    lap_nu = lap.apply(V.nu.coeffs[:, None])[:, 0]
+    forms = _WeakForms(MetricData.from_immersion(F))
+    lap_nu = forms.laplacian(forms.S @ V.nu.coeffs[:, None])[:, 0]
     advect = np.einsum("ni,ni->n", V.XT, _analyzed_gradient(g, geo.H))
     return -lap_nu - geo.norm_A_sq * V.nu.samples + advect
-
-
-class _GalerkinLaplacian:
-    """Weak induced-metric Laplacian over harmonic coefficients.
-
-    apply maps coefficient columns (nc, B) to nodal Delta_gamma values
-    (n, B) through a mass-matrix solve; exact for band-limited inputs when
-    the metric is round.
-    """
-
-    def __init__(self, F: ImmersionMap):
-        g = F.grid
-        metric = MetricData.from_immersion(F)
-        q = metric.vol_weights
-        Y = g.node_matrix(0, 0)
-        dY = (g.node_matrix(1, 0), g.node_matrix(0, 1))
-        S = np.zeros((g.n_coeffs, g.n_coeffs))
-        for i in range(2):
-            for j in range(2):
-                S += dY[i].T @ ((q * metric.inv_gamma[:, i, j])[:, None] * dY[j])
-        self._Y = Y
-        self._S = S
-        self._mass = cho_factor(Y.T @ (q[:, None] * Y))
-
-    def apply(self, nu_coeffs: np.ndarray) -> np.ndarray:
-        return self._Y @ cho_solve(self._mass, -(self._S @ nu_coeffs))
 
 
 def _analyzed_gradient(g: SphereGrid, f: np.ndarray) -> np.ndarray:
     """Chart gradient (n, 2) of a nodal scalar via harmonic analysis."""
     c = g.analyze(f)
     return np.stack([g.synthesize(c, 1, 0), g.synthesize(c, 0, 1)], axis=1)
-
-
-@dataclass(frozen=True)
-class VariationBlocks:
-    """Exact derivatives of the discrete geometry along ambient directions.
-
-    Each field carries a trailing batch axis, one slot per variation.
-    """
-
-    gamma_prime: np.ndarray      # (n, 2, 2, B)
-    normal_prime: np.ndarray     # (n, 3, B)
-    second_prime: np.ndarray     # (n, 2, 2, B)
-    H_prime: np.ndarray          # (n, B)
-    K_prime: np.ndarray          # (n, B)
-    class_rep_prime: np.ndarray  # (n, 2, 2, B)
-
-
-def _variation_blocks(geo: SurfaceGeometry, X, Xt, Xp, Xtt, Xtp, Xpp
-                      ) -> VariationBlocks:
-    """Core variation engine: inputs are nodal derivative stacks (n, 3, B)."""
-    dF, d2F = geo.dF, geo.d2F
-    N = geo.normal
-    dX = (Xt, Xp)
-    d2X = ((Xtt, Xtp), (Xtp, Xpp))
-
-    n, _, B = Xt.shape
-    gp = np.empty((n, 2, 2, B))
-    for i in range(2):
-        for j in range(2):
-            gp[:, i, j] = (np.einsum("nmb,nm->nb", dX[i], dF[:, j])
-                           + np.einsum("nm,nmb->nb", dF[:, i], dX[j]))
-
-    # normal: n_vec = dF_th x dF_ph, N = n_vec / sqrt(det gamma)
-    nvec_p = (np.cross(Xt, dF[:, 1][:, None, :], axisa=1, axisb=2).transpose(0, 2, 1)
-              + np.cross(dF[:, 0][:, None, :], Xp, axisa=2, axisb=1).transpose(0, 2, 1))
-    along = np.einsum("nmb,nm->nb", nvec_p, N)
-    Np = (nvec_p - along[:, None, :] * N[:, :, None]) / np.sqrt(
-        geo.det_gamma)[:, None, None]
-
-    Ap = np.empty_like(gp)
-    for i in range(2):
-        for j in range(2):
-            Ap[:, i, j] = -(np.einsum("nmb,nm->nb", d2X[i][j], N)
-                            + np.einsum("nm,nmb->nb", d2F[:, i, j], Np))
-
-    inv = geo.inv_gamma
-    # H' = tr(inv A') - tr(inv g' inv A)
-    Hp = (np.einsum("nij,njib->nb", inv, Ap)
-          - np.einsum("nij,njkb,nkl,nli->nb", inv, gp, inv, geo.second))
-    # K' from determinant derivatives: K = det A / det gamma
-    adjA = _adjugate(geo.second)
-    adjg = _adjugate(geo.gamma)
-    Kp = (np.einsum("nij,njib->nb", adjA, Ap)
-          - geo.K[:, None] * np.einsum("nij,njib->nb", adjg, gp)
-          ) / geo.det_gamma[:, None]
-    # class rep' = (g' - (tr_gamma g'/2) gamma) / sqrt(det gamma)
-    trg = np.einsum("nij,nijb->nb", inv, gp)
-    crp = (gp - 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
-           ) / np.sqrt(geo.det_gamma)[:, None, None, None]
-    return VariationBlocks(gp, Np, Ap, Hp, Kp, crp)
-
-
-def _adjugate(M: np.ndarray) -> np.ndarray:
-    out = np.empty_like(M)
-    out[:, 0, 0] = M[:, 1, 1]
-    out[:, 1, 1] = M[:, 0, 0]
-    out[:, 0, 1] = -M[:, 0, 1]
-    out[:, 1, 0] = -M[:, 1, 0]
-    return out
-
-
-def immersion_variation(F: ImmersionMap, Xcoeffs: np.ndarray) -> VariationBlocks:
-    """Exact geometric derivatives along one ambient coefficient direction.
-
-    Xcoeffs has shape (3, n_coeffs) (or (3, n_coeffs, B) for a batch): the
-    harmonic coefficients of the ambient variation's Cartesian components.
-    """
-    g = F.grid
-    Xc = np.asarray(Xcoeffs, dtype=float)
-    single = Xc.ndim == 2
-    if single:
-        Xc = Xc[..., None]
-    if Xc.shape[:2] != (3, g.n_coeffs):
-        raise DegreeMismatchError(f"variation coefficients shape {Xc.shape}")
-
-    def nodal(dth, dph):
-        M = g.node_matrix(dth, dph)
-        return np.einsum("nc,mcb->nmb", M, Xc)
-
-    blocks = _variation_blocks(F.geometry, nodal(0, 0), nodal(1, 0),
-                               nodal(0, 1), nodal(2, 0), nodal(1, 1),
-                               nodal(0, 2))
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -329,8 +206,8 @@ class OperatorMatrix:
     matrix: np.ndarray
     epsilon: float
     variant: str
-    domain_basis: list
-    codomain_basis: list
+    domain_basis: tuple
+    codomain_basis: tuple
     F: ImmersionMap
     adn_weights: dict = field(default_factory=lambda: {"class": 1, "blended": 2})
 
@@ -345,10 +222,12 @@ class OperatorMatrix:
         return self.matrix.shape[1] - self.matrix.shape[0]
 
 
-def domain_labels(g: SphereGrid) -> list:
-    ls, ms = coeff_degrees(g.L)
-    return vector_basis(g).labels + [("normal", int(l), int(m))
-                                     for l, m in zip(ls, ms)]
+def domain_labels(g: SphereGrid) -> tuple:
+    def build():
+        ls, ms = coeff_degrees(g.L)
+        return vector_basis(g).labels + tuple(
+            ("normal", int(l), int(m)) for l, m in zip(ls, ms))
+    return g.cached("domain_labels", build)
 
 
 def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
@@ -368,8 +247,7 @@ def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
     up[:, 0, 1] = class_part[:, 0, 1] / s2[:, None]
     up[:, 1, 0] = class_part[:, 1, 0] / s2[:, None]
     up[:, 1, 1] = class_part[:, 1, 1] / s2[:, None] ** 2
-    wT = (g.weights[:, None, None, None] * tb.fields).reshape(-1, tb.size)
-    rows_class = wT.T @ up.reshape(-1, up.shape[-1])
+    rows_class = tb.weighted.T @ up.reshape(-1, up.shape[-1])
     rows_scalar = g.node_matrix(0, 0).T @ (g.weights[:, None] * blended_part)
     out = np.vstack([rows_class, rows_scalar])
     return out[:, 0] if single else out
@@ -419,7 +297,7 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     evaluated at this F (a Newton iterate whose residual was just taken,
     say); it is used as is instead of uniformizing again, and
     liouville_tol is then ignored.  Its epsilon and variant must match the
-    arguments (ValueError otherwise); that it belongs to F is not checked.
+    arguments and its H must be F's own (ValueError otherwise).
     """
     g = F.grid
     geo = F.geometry
@@ -429,44 +307,56 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
         raise ValueError(
             f"data is for eps={data.epsilon}, {data.variant!r}; "
             f"assembling eps={epsilon}, {variant!r}")
-    lin = None
-    if data.conformal is not None:
-        lin = LinearizedLiouville(MetricData.from_immersion(F), data.conformal)
+    elif data.H is not geo.H:
+        raise ValueError("data was not evaluated at this immersion")
+    if data.conformal is None:
+        lin = None
+        forms = _WeakForms(MetricData.from_immersion(F))
+    else:
+        lin = LinearizedLiouville(data.conformal)
+        forms = data.conformal.forms
 
-    vb = vector_basis(g, derivatives=True)
+    vb = vector_basis(g)
     tb = tensor_basis(g)
-    nc = g.n_coeffs
-    n_dom = vb.size + nc
+    n_dom = vb.size + g.n_coeffs
     gp = np.empty((g.n_nodes, 2, 2, n_dom))
     Hp = np.empty((g.n_nodes, n_dom))
 
-    # tangential block: Lie-derivative metric variation, advected H
+    # tangential block: Lie-derivative metric variation, advected H;
+    # built in place so that no block-sized temporary outlives its use
     dgam = _metric_gradient(geo)
     mixed = np.einsum("nkj,nikb->nijb", geo.gamma, vb.dfields)
-    gp[..., :vb.size] = (np.einsum("nkb,nkij->nijb", vb.fields, dgam)
-                         + mixed + mixed.transpose(0, 2, 1, 3))
+    tangential = gp[..., :vb.size]
+    np.einsum("nkb,nkij->nijb", vb.fields, dgam, out=tangential)
+    tangential += mixed
+    tangential += mixed.transpose(0, 2, 1, 3)
+    del mixed, tangential
     Hp[:, :vb.size] = np.einsum("nkb,nk->nb", vb.fields,
                                 _analyzed_gradient(g, geo.H))
 
     # normal block: gamma' = 2 nu A, H' = -Delta nu - |A|^2 nu
     Y = g.node_matrix(0, 0)
     gp[..., vb.size:] = 2.0 * geo.second[..., None] * Y[:, None, None, :]
-    Hp[:, vb.size:] = (-_GalerkinLaplacian(F).apply(np.eye(nc))
+    Hp[:, vb.size:] = (-forms.laplacian(forms.S)
                        - geo.norm_A_sq[:, None] * Y)
 
     bp = _blended_prime(data, lin, gp, Hp)
     trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)
-    crp = (gp - 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
-           ) / np.sqrt(geo.det_gamma)[:, None, None, None]
+    crp = 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
+    np.subtract(gp, crp, out=crp)
+    crp /= np.sqrt(geo.det_gamma)[:, None, None, None]
+    del gp
 
     labels_cod = tb.labels + _scalar_labels(g)
     return OperatorMatrix(project_codomain(g, tb, crp, bp), epsilon, variant,
                           domain_labels(g), labels_cod, F)
 
 
-def _scalar_labels(g: SphereGrid) -> list:
-    ls, ms = coeff_degrees(g.L)
-    return [("scalar", int(l), int(m)) for l, m in zip(ls, ms)]
+def _scalar_labels(g: SphereGrid) -> tuple:
+    def build():
+        ls, ms = coeff_degrees(g.L)
+        return tuple(("scalar", int(l), int(m)) for l, m in zip(ls, ms))
+    return g.cached("scalar_labels", build)
 
 
 def principal_symbol(F: ImmersionMap, node: int, xi: np.ndarray,

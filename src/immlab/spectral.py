@@ -151,6 +151,11 @@ class SphereGrid:
     theta, phi : flattened node coordinates, theta-major ordering with
         n_theta = L+1 rows of n_phi = 2L+2 nodes each.
     weights : quadrature weights per node, summing to 4 pi.
+
+    Every table derived from the grid alone (node matrices, vector and
+    tensor bases, mode labels, dealias masks) is built once, on first use,
+    and stored on the grid by cached(); the stored arrays are read-only,
+    since every caller shares them.
     """
 
     L: int
@@ -159,7 +164,7 @@ class SphereGrid:
     theta: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    _mats: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, L: int) -> "SphereGrid":
@@ -195,21 +200,34 @@ class SphereGrid:
     def sin_theta(self) -> np.ndarray:
         return np.sin(self.theta)
 
-    # -- synthesis matrices (built lazily, cached) -----------------------
+    # -- grid tables (built lazily, cached) ------------------------------
+    def cached(self, key, build):
+        """The table stored under key, built by build() on its first request.
+
+        Arrays in the result (the result itself, or the items of a tuple)
+        are made read-only before they are stored.
+        """
+        if key not in self._tables:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._tables[key] = value
+        return self._tables[key]
+
     def _matrix(self, dtheta: int) -> np.ndarray:
-        if dtheta not in self._mats:
-            self._mats[dtheta] = basis_matrix(self.L, self.theta, self.phi, dtheta)
-        return self._mats[dtheta]
+        return self.cached(dtheta, lambda: basis_matrix(
+            self.L, self.theta, self.phi, dtheta))
 
     def _dphi_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if "dphi" not in self._mats:
+        def build():
             ls, ms = coeff_degrees(self.L)
             target = (ls * ls + ls - ms).astype(int)  # slot of (l, -m)
             factor = np.where(ms > 0, -ms, -ms).astype(float)
             # d/dphi cos(m ph) = -m sin(m ph): slot (l,m>0) -> (l,-m), factor -m
             # d/dphi sin(|m| ph) = |m| cos: slot (l,m<0) -> (l,|m|), factor |m| = -m
-            self._mats["dphi"] = (target, factor)
-        return self._mats["dphi"]
+            return target, factor
+        return self.cached("dphi", build)
 
     def dphi_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Exact longitude derivative acting on a coefficient vector."""
@@ -220,15 +238,12 @@ class SphereGrid:
 
     def node_matrix(self, dth: int = 0, dph: int = 0) -> np.ndarray:
         """Node values of the (dth, dph) chart derivative of every basis function."""
-        key = (dth, dph)
-        if key not in self._mats:
+        def build():
             if dph == 0:
-                M = self._matrix(dth)
-            else:
-                target, factor = self._dphi_tables()
-                M = self.node_matrix(dth, dph - 1)[:, target] * factor[None, :]
-            self._mats[key] = M
-        return self._mats[key]
+                return self._matrix(dth)
+            target, factor = self._dphi_tables()
+            return self.node_matrix(dth, dph - 1)[:, target] * factor[None, :]
+        return self.cached((dth, dph), build)
 
     def _check(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
 from .errors import ConvergenceError, DegreeMismatchError
 from .geometry import ImmersionMap
@@ -146,38 +146,6 @@ class MetricData:
         return np.einsum("nij,nij->n", self.inv_gamma, hess)
 
 
-@dataclass(frozen=True)
-class ConformalData:
-    """Result of uniformizing a metric: gamma = lambda2 * round_rep.
-
-    round_rep = e^{2 phi} gamma has Gauss curvature one; lambda2 = e^{-2 phi}
-    holds at the nodes; class_rep is the pointwise unimodular representative.
-    gauge records the Moebius normalization: the first three entries are the
-    (pinned-to-zero) degree-one coefficients of phi, the last three the
-    rotation parameters, which are not fixed (rotations are treated as an
-    equivalence in comparisons, so they are recorded as zero).
-    residual_history holds the weak residual norm per Newton iterate.
-    """
-
-    metric: MetricData
-    phi: HarmonicField
-    lambda2: np.ndarray        # (n,)
-    class_rep: np.ndarray      # (n, 2, 2)
-    strong_residual: float
-    iterations: int
-    gauge: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    residual_history: tuple = ()
-
-    @property
-    def round_rep(self) -> np.ndarray:
-        e2p = np.exp(2.0 * self.phi.samples)
-        return self.metric.gamma * e2p[:, None, None]
-
-    @property
-    def lambda2_field(self) -> HarmonicField:
-        return HarmonicField.from_samples(self.metric.grid, self.lambda2)
-
-
 def _degree_one_mask(g: SphereGrid) -> np.ndarray:
     keep = np.ones(g.n_coeffs, dtype=bool)
     keep[1:4] = False
@@ -214,6 +182,50 @@ class _WeakForms:
     def jacobian(self, phi_coeffs: np.ndarray) -> np.ndarray:
         e2p = np.exp(2.0 * (self.Y @ phi_coeffs))
         return -self.S + self.mass(2.0 * e2p)
+
+    def laplacian(self, rhs: np.ndarray) -> np.ndarray:
+        """Nodal Galerkin Laplacian: Y M^{-1} (-rhs), M the mass matrix.
+
+        rhs = S @ c (columns (nc, B)) gives Delta_gamma of the fields with
+        coefficients c; rhs = S gives it for every basis function.  Exact
+        for band-limited inputs when the metric is round.
+        """
+        return self.Y @ cho_solve(cho_factor(self.mass(1.0)), -rhs)
+
+
+@dataclass(frozen=True)
+class ConformalData:
+    """Result of uniformizing a metric: gamma = lambda2 * round_rep.
+
+    round_rep = e^{2 phi} gamma has Gauss curvature one; lambda2 = e^{-2 phi}
+    holds at the nodes; class_rep is the pointwise unimodular representative.
+    gauge records the Moebius normalization: the first three entries are the
+    (pinned-to-zero) degree-one coefficients of phi, the last three the
+    rotation parameters, which are not fixed (rotations are treated as an
+    equivalence in comparisons, so they are recorded as zero).
+    residual_history holds the weak residual norm per Newton iterate.
+    forms are the Galerkin matrices of metric that the solve used; the
+    linearization and the Galerkin Laplacian at this metric reuse them.
+    """
+
+    metric: MetricData
+    phi: HarmonicField
+    lambda2: np.ndarray        # (n,)
+    class_rep: np.ndarray      # (n, 2, 2)
+    strong_residual: float
+    iterations: int
+    forms: _WeakForms = field(compare=False, repr=False)
+    gauge: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    residual_history: tuple = ()
+
+    @property
+    def round_rep(self) -> np.ndarray:
+        e2p = np.exp(2.0 * self.phi.samples)
+        return self.metric.gamma * e2p[:, None, None]
+
+    @property
+    def lambda2_field(self) -> HarmonicField:
+        return HarmonicField.from_samples(self.metric.grid, self.lambda2)
 
 
 def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
@@ -283,7 +295,7 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     phi = HarmonicField(g, coeffs)
     lambda2 = np.exp(-2.0 * phi.samples)
     return ConformalData(metric, phi, lambda2, conformal_class(metric.gamma),
-                         strong_residual, iterations,
+                         strong_residual, iterations, forms,
                          residual_history=tuple(history))
 
 
@@ -310,27 +322,28 @@ class LinearizedLiouville:
     costs one (nc, n) @ (n, B) GEMM per derivative of Y (the value, two
     first and three second derivatives): the grid's cached node matrices
     against weights built from the whole batch at once.
+
+    The linearization is taken at the metric that conformal solved for,
+    with the Galerkin matrices of that solve.
     """
 
-    metric: MetricData
     conformal: ConformalData
-    _forms: _WeakForms = field(init=False, repr=False)
     _keep: np.ndarray = field(init=False, repr=False)
     _qr: tuple = field(init=False, repr=False)
     _dphi: np.ndarray = field(init=False, repr=False)
     _e2p: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.metric.grid
-        self._forms = _WeakForms(self.metric)
+        forms = self.conformal.forms
+        g = forms.metric.grid
         self._keep = _degree_one_mask(g)
         phi_c = self.conformal.phi.coeffs
-        J = self._forms.jacobian(phi_c)[:, self._keep]
+        J = forms.jacobian(phi_c)[:, self._keep]
         Q, R = qr(J, mode="economic")
         self._qr = (Q, R)
         self._dphi = np.stack([g.synthesize(phi_c, 1, 0),
                                g.synthesize(phi_c, 0, 1)], axis=1)
-        self._e2p = np.exp(2.0 * (self._forms.Y @ phi_c))
+        self._e2p = np.exp(2.0 * (forms.Y @ phi_c))
 
     def _dresidual(self, h: np.ndarray) -> np.ndarray:
         """Exact h-derivative (nc, B) of the discrete weak residual at phi.
@@ -342,7 +355,7 @@ class LinearizedLiouville:
         K tr h terms cancel in the Y weight and both Hessian terms
         contract Hess psi against T = (tr h gamma^{-1} - h^{##}) / 2.
         """
-        m = self.metric
+        m = self.conformal.metric
         inv = m.inv_gamma
         trh = np.einsum("nij,nijb->nb", inv, h)
         hup = np.einsum("nik,nklb,njl->nijb", inv, h, inv)
@@ -357,18 +370,18 @@ class LinearizedLiouville:
                    (1, 0): grad_w[:, 0], (0, 1): grad_w[:, 1],
                    (2, 0): T[:, 0, 0], (1, 1): 2.0 * T[:, 0, 1],
                    (0, 2): T[:, 1, 1]}
-        q = self._forms.q[:, None]
+        q = self.conformal.forms.q[:, None]
         return sum(m.grid.node_matrix(*d).T @ (q * w)
                    for d, w in weights.items())
 
     def solve(self, h: np.ndarray) -> tuple[HarmonicField, np.ndarray]:
         """phi' and (lambda^2)' at the nodes for a metric variation h (n,2,2)."""
         phic, l2p = self.solve_batch(h[..., None])
-        return HarmonicField(self.metric.grid, phic[:, 0]), l2p[:, 0]
+        return HarmonicField(self.conformal.metric.grid, phic[:, 0]), l2p[:, 0]
 
     def solve_batch(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized solve over a batch of variations h (n, 2, 2, B)."""
-        g = self.metric.grid
+        g = self.conformal.metric.grid
         if h.ndim != 4 or h.shape[:3] != (g.n_nodes, 2, 2):
             raise DegreeMismatchError(f"bad variation batch shape {h.shape}")
         Q, R = self._qr
@@ -376,7 +389,8 @@ class LinearizedLiouville:
         phi_prime = np.zeros((g.n_coeffs, h.shape[3]))
         phi_prime[self._keep] = sol
         l2 = self.conformal.lambda2
-        lambda2_prime = -2.0 * l2[:, None] * (self._forms.Y @ phi_prime)
+        Y = self.conformal.forms.Y
+        lambda2_prime = -2.0 * l2[:, None] * (Y @ phi_prime)
         return phi_prime, lambda2_prime
 
 
@@ -387,6 +401,6 @@ def linearized_conformal_factor(conformal: ConformalData,
     Convenience wrapper over LinearizedLiouville; assembling many variations
     at one base point should construct that class once instead.
     """
-    lin = LinearizedLiouville(conformal.metric, conformal)
+    lin = LinearizedLiouville(conformal)
     _, l2p = lin.solve(h)
     return l2p

@@ -1,0 +1,89 @@
+"""Grid-shared tables: vector and tensor bases, labels, masks."""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from immlab.bases import tensor_basis, vector_basis
+from immlab.continuation import TargetData, _dealias_masks, newton_solve
+from immlab.operators import (_scalar_labels, assemble_linearization,
+                              domain_labels, project_codomain)
+from immlab.shapes import ellipsoid_immersion, sphere_immersion
+from immlab.spectral import SphereGrid, grid
+
+TABLES = {
+    "vector_basis": vector_basis,
+    "tensor_basis": tensor_basis,
+    "domain_labels": domain_labels,
+    "scalar_labels": _scalar_labels,
+    "dealias_masks": _dealias_masks,
+    "node_matrix": lambda g: g.node_matrix(1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_repeat_call_returns_same_object(name):
+    g = grid(8)
+    assert TABLES[name](g) is TABLES[name](g)
+
+
+ARRAYS = {
+    "vector fields": lambda g: vector_basis(g).fields,
+    "vector dfields": lambda g: vector_basis(g).dfields,
+    "tensor weighted": lambda g: tensor_basis(g).weighted,
+    "domain mask": lambda g: _dealias_masks(g)[0],
+    "codomain mask": lambda g: _dealias_masks(g)[1],
+    "node matrix": lambda g: g.node_matrix(0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_cached_arrays_are_read_only(name):
+    a = ARRAYS[name](grid(8))
+    first = (0,) * a.ndim
+    with pytest.raises(ValueError):
+        a[first] = a[first]
+
+
+def test_labels_are_immutable():
+    g = grid(8)
+    for labels in (vector_basis(g).labels, tensor_basis(g).labels,
+                   domain_labels(g), _scalar_labels(g)):
+        assert isinstance(labels, tuple)
+
+
+def test_tensor_weighted_table_projects_the_basis():
+    # projecting each basis tensor returns its unit coordinate vector
+    g = grid(8)
+    tb = tensor_basis(g)
+    fields = tb.weighted.reshape(g.n_nodes, 2, 2, tb.size)
+    fields = fields / g.weights[:, None, None, None]
+    rows = project_codomain(g, tb, fields, np.zeros((g.n_nodes, tb.size)))
+    npt.assert_allclose(rows[:tb.size], np.eye(tb.size), atol=1e-12)
+
+
+@pytest.mark.parametrize("eps,variant", [(1.0, "additive"),
+                                         (0.5, "additive"),
+                                         (0.5, "multiplicative")])
+def test_assembly_on_warm_grid_matches_fresh_grid(eps, variant):
+    warm = grid(8)
+    vector_basis(warm), tensor_basis(warm)
+    fresh = SphereGrid.build(8)
+    M = [assemble_linearization(ellipsoid_immersion(g, 1.0, 1.08, 0.95), eps,
+                                variant, liouville_tol=None)
+         for g in (warm, fresh)]
+    assert np.array_equal(M[0].matrix, M[1].matrix)
+    assert M[0].domain_basis == M[1].domain_basis
+    assert M[0].codomain_basis == M[1].codomain_basis
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.2])
+def test_newton_on_warm_grid_matches_fresh_grid(eps):
+    out = []
+    for g in (grid(8), SphereGrid.build(8)):
+        E = ellipsoid_immersion(g, 1.02, 0.98, 1.01)
+        target = TargetData.from_immersion(E, eps, liouville_tol=None)
+        out.append(newton_solve(sphere_immersion(g), target))
+    (F0, h0), (F1, h1) = out
+    assert np.array_equal(h0, h1)
+    assert np.array_equal(F0.coeffs, F1.coeffs)

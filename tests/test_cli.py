@@ -124,6 +124,20 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert json.loads(err.strip())["error"]["type"] == "ConvergenceError"
 
 
+def test_linalg_failure_is_numerical(tmp_path, capsys, monkeypatch):
+    def no_convergence(M):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("immlab.cli.svd_report", no_convergence)
+    rc, rep = run("index", tmp_path, shape="sphere:1", epsilon=1.0)
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["error"] == {"type": "LinAlgError",
+                            "message": "SVD did not converge"}
+    err = capsys.readouterr().err
+    assert json.loads(err.strip())["error"]["type"] == "LinAlgError"
+
+
 def test_bad_shape_exit_code(tmp_path, capsys):
     rc, rep = run("index", tmp_path, shape="blob:1")
     assert rc == 2

@@ -264,6 +264,9 @@ def test_linearization_reuses_supplied_data():
     with pytest.raises(ValueError):
         assemble_linearization(F, 0.5, "multiplicative", data=data,
                                liouville_tol=None)
+    other = ellipsoid_immersion(g, 1.0, 0.9, 1.1)
+    with pytest.raises(ValueError):
+        assemble_linearization(other, 0.5, data=data, liouville_tol=None)
 
 
 def test_operator_matrix_metadata():

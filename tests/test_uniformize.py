@@ -131,7 +131,7 @@ def test_linearized_factor_pure_scaling():
     g = grid(12)
     m = MetricData.round(g)
     conf = solve_liouville(m)
-    lin = LinearizedLiouville(m, conf)
+    lin = LinearizedLiouville(conf)
     _, l2p = lin.solve(0.37 * m.gamma)
     npt.assert_allclose(l2p, 0.37, atol=1e-10)
 
@@ -140,7 +140,7 @@ def test_linearized_batch_matches_single_solves():
     g = grid(8)
     F = ellipsoid_immersion(g, 1.0, 1.1, 0.9)
     m = MetricData.from_immersion(F)
-    lin = LinearizedLiouville(m, solve_liouville(m, tol=None))
+    lin = LinearizedLiouville(solve_liouville(m, tol=None))
     rng = np.random.default_rng(5)
     h = rng.standard_normal((g.n_nodes, 2, 2, 7))
     h = 0.5 * (h + h.transpose(0, 2, 1, 3))
@@ -170,7 +170,7 @@ def test_linearized_factor_area_identity_tracefree():
     h = 2.0 * metric_strain(F, X)
     trh = np.einsum("nij,nij->n", m.inv_gamma, h)
     h_tf = h - 0.5 * trh[:, None, None] * m.gamma
-    lin = LinearizedLiouville(m, conf)
+    lin = LinearizedLiouville(conf)
     _, l2p = lin.solve(h_tf)
     # int (lambda^2)' dv_0 = (1/2) int tr_gamma h dv_gamma = 0 for trace-free h
     assert abs((g.weights * l2p).sum()) <= 1e-8
@@ -195,3 +195,4 @@ def test_linearized_factor_finite_difference():
     assert errs[1e-3] <= 1e-4
     # O(s^2): a decade in s is two decades in error
     assert errs[1e-4] <= errs[1e-3] / 50.0
+
