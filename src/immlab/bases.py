@@ -129,8 +129,10 @@ class TensorBasis:
     """Orthonormal trace-free symmetric 2-tensor basis on the round sphere.
 
     Only the table that pairs a tensor field with the basis is kept:
-    weighted holds the covariant chart components (n, 2, 2, n_ten) times
-    the quadrature weights, flattened over (node, i, j).
+    weighted holds the contravariant chart components (n, 2, 2, n_ten),
+    the covariant ones with both indices raised by the round metric, times
+    the quadrature weights, flattened over (node, i, j).  weighted.T @ T
+    for covariant components T (4 n, B) is then the round L2 pairing.
     """
 
     grid: SphereGrid
@@ -148,16 +150,21 @@ def round_tensor_inner(g: SphereGrid, B: np.ndarray, T: np.ndarray) -> np.ndarra
     B, T may carry trailing batch axes; broadcasting follows numpy rules with
     the node and index axes leading.
     """
+    Bu = _raise_indices(g, B)
+    return (Bu[:, 0, 0] * T[:, 0, 0] + Bu[:, 0, 1] * T[:, 0, 1]
+            + Bu[:, 1, 0] * T[:, 1, 0] + Bu[:, 1, 1] * T[:, 1, 1])
+
+
+def _raise_indices(g: SphereGrid, B: np.ndarray) -> np.ndarray:
+    """g0^{ik} g0^{jl} B_kl for covariant tensors B (n, 2, 2, ...)."""
     s2 = np.sin(g.theta) ** 2
     s2 = s2.reshape((-1,) + (1,) * (B.ndim - 3))
-
     Bu = np.empty_like(B)
     Bu[:, 0, 0] = B[:, 0, 0]
     Bu[:, 0, 1] = B[:, 0, 1] / s2
     Bu[:, 1, 0] = B[:, 1, 0] / s2
     Bu[:, 1, 1] = B[:, 1, 1] / s2**2
-    return (Bu[:, 0, 0] * T[:, 0, 0] + Bu[:, 0, 1] * T[:, 0, 1]
-            + Bu[:, 1, 0] * T[:, 1, 0] + Bu[:, 1, 1] * T[:, 1, 1])
+    return Bu
 
 
 def tensor_basis(g: SphereGrid) -> TensorBasis:
@@ -194,6 +201,8 @@ def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
     fields = fields / norms
     labels = tuple([("even", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
                    + [("odd", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
-    weighted = (g.weights[:, None, None, None] * fields).reshape(-1, 2 * k)
+    weighted = _raise_indices(g, fields)
+    weighted *= g.weights[:, None, None, None]
+    weighted = weighted.reshape(-1, 2 * k)
     weighted.setflags(write=False)
     return TensorBasis(g, labels, weighted)

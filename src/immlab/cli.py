@@ -16,7 +16,8 @@ import numpy as np
 
 from .continuation import (TargetData, epsilon_continuation, newton_solve,
                            procrustes_align)
-from .errors import ConvergenceError, DegreeMismatchError, ShapeSpecError
+from .errors import (ConvergenceError, DegreeMismatchError,
+                     ImmersionRegularityError, ShapeSpecError)
 from .fredholm import kernel_vs_epsilon, svd_report
 from .geometry import ImmersionMap, darboux_residual, gauss_check
 from .operators import apply_phi, assemble_linearization, principal_symbol
@@ -275,9 +276,9 @@ def cli_run(command: str, config: dict) -> int:
         _emit_error(cfg["out"], "ConvergenceError", str(exc),
                     extra=exc.payload)
         return 1
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a numerical failure, not a usage error
-        _emit_error(cfg["out"], "LinAlgError", str(exc))
+    except (np.linalg.LinAlgError, ImmersionRegularityError) as exc:
+        # ValueError subclasses, but numerical failures, not usage errors
+        _emit_error(cfg["out"], type(exc).__name__, str(exc))
         return 1
     except (ShapeSpecError, DegreeMismatchError, ValueError, OSError) as exc:
         _emit_error(cfg["out"], type(exc).__name__, str(exc))

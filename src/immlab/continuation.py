@@ -112,6 +112,10 @@ def _residual(F: ImmersionMap, target: TargetData, tb, *,
                             blended), data
 
 
+# Newton solves on the modes of degree <= L - _DEALIAS (see _dealias_masks)
+_DEALIAS = 2
+
+
 def _dealias_masks(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     """Domain-column and codomain-row masks keeping degrees <= L - 2.
 
@@ -122,11 +126,15 @@ def _dealias_masks(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     only through aliasing-corrupted channels while the iterate is far from
     the solution.  Solving on the dealiased pair is the consistent
     discrete system; the full-spectrum mismatch is what the continuation
-    defect reports.
+    defect reports.  newton_solve assembles only this block
+    (assemble_linearization with degree=L - 2, whose columns and rows are
+    the masked ones in the same order) and uses the masks to select the
+    residual rows and to scatter the step back into the full domain.
     """
     def build():
-        keep_dom = np.array([l <= g.L - 2 for _, l, _ in domain_labels(g)])
-        rows = np.array([l <= g.L - 2 for _, l, _ in
+        degree = g.L - _DEALIAS
+        keep_dom = np.array([l <= degree for _, l, _ in domain_labels(g)])
+        rows = np.array([l <= degree for _, l, _ in
                          tensor_basis(g).labels + _scalar_labels(g)])
         return keep_dom, rows
     return g.cached("dealias_masks", build)
@@ -171,9 +179,10 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     The update solves the assembled linearization by truncated-SVD least
     squares (rank from the spectral-gap detector), so the ambient-isometry
     kernel never pollutes the step.  Both sides are dealiased to degree
-    <= L - 2 (see _dealias_masks): the solve, the residual norm, and the
-    convergence test all live on that consistent discrete system, and the
-    top two degrees follow along as the iterate approaches the solution.
+    <= L - 2 (see _dealias_masks): only that block of the linearization is
+    assembled, and the solve, the residual norm, and the convergence test
+    all live on that consistent discrete system, while the top two degrees
+    follow along as the iterate approaches the solution.
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
     class_only restricts the residual and matrix to the class rows (used
@@ -191,6 +200,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     if class_only:
         rows = rows.copy()
         rows[tb.size:] = False
+    # the kept class rows lead the dealiased block, so class_only keeps a
+    # prefix of its rows
+    n_rows = int(rows.sum())
 
     F = F0
     r, data = _residual(F, target, tb, class_only=class_only)
@@ -199,12 +211,12 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
         if history[-1] <= tol:
             return F, np.array(history)
         M = assemble_linearization(F, target.epsilon, target.variant,
-                                   liouville_tol=None, data=data)
-        matrix, rvec = M.matrix[np.ix_(rows, keep)], r[rows]
+                                   liouville_tol=None, data=data,
+                                   degree=g.L - _DEALIAS)
 
         accepted = None
-        for v_kept in _step_candidates(matrix, rvec, gap_min):
-            v = np.zeros(M.matrix.shape[1])
+        for v_kept in _step_candidates(M.matrix[:n_rows], r[rows], gap_min):
+            v = np.zeros(keep.size)
             v[keep] = v_kept
             X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF,
                           v[:vb.size])

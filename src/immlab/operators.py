@@ -231,26 +231,66 @@ def domain_labels(g: SphereGrid) -> tuple:
 
 
 def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
-                     blended_part: np.ndarray) -> np.ndarray:
+                     blended_part: np.ndarray, *,
+                     degree: int | None = None) -> np.ndarray:
     """Pair a (class tensor, blended scalar) pair into codomain coordinates.
 
     class_part: (n, 2, 2) or (n, 2, 2, B); blended_part: (n,) or (n, B).
-    Rows use the round inner product and quadrature weights.
+    Rows use the round inner product and quadrature weights, so each block
+    is one product with a cached table.  With degree set, only the rows of
+    degree <= degree are formed, in codomain order.
     """
     single = class_part.ndim == 3
     if single:
         class_part = class_part[..., None]
         blended_part = blended_part[..., None]
-    s2 = np.sin(g.theta) ** 2
-    up = np.empty_like(class_part)
-    up[:, 0, 0] = class_part[:, 0, 0]
-    up[:, 0, 1] = class_part[:, 0, 1] / s2[:, None]
-    up[:, 1, 0] = class_part[:, 1, 0] / s2[:, None]
-    up[:, 1, 1] = class_part[:, 1, 1] / s2[:, None] ** 2
-    rows_class = tb.weighted.T @ up.reshape(-1, up.shape[-1])
-    rows_scalar = g.node_matrix(0, 0).T @ (g.weights[:, None] * blended_part)
-    out = np.vstack([rows_class, rows_scalar])
+    flat = class_part.reshape(-1, class_part.shape[-1])
+    cut = _degree_cut(g, degree)
+    out = np.vstack([tb.weighted[:, s].T @ flat for s in cut.tensor]
+                    + [g.node_matrix(0, 0)[:, cut.scalar].T
+                       @ (g.weights[:, None] * blended_part)])
     return out[:, 0] if single else out
+
+
+@dataclass(frozen=True)
+class _DegreeCut:
+    """The modes of degree <= some degree, as slices of the cached tables.
+
+    Each family lists its modes in (l, m) order, so a cut keeps a prefix
+    of every family.  Adjacent slices are merged: with nothing cut, each
+    table is a single slice.
+    """
+
+    vector: tuple        # slices of the vector basis columns
+    tensor: tuple        # slices of the tensor basis columns
+    scalar: slice        # normal-speed and blended modes
+    domain: tuple        # labels of the kept columns
+    codomain: tuple      # labels of the kept rows
+
+
+def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
+    """The cut at degree (None keeps every mode), built once per grid."""
+    def slices(labels):
+        out = []
+        for i, (_, l, _) in enumerate(labels):
+            if degree is not None and l > degree:
+                continue
+            if out and out[-1].stop == i:
+                out[-1] = slice(out[-1].start, i + 1)
+            else:
+                out.append(slice(i, i + 1))
+        return tuple(out)
+
+    def select(labels):
+        return sum((labels[s] for s in slices(labels)), ())
+
+    def build():
+        tb = tensor_basis(g)
+        scalar, = slices(_scalar_labels(g))
+        return _DegreeCut(slices(vector_basis(g).labels), slices(tb.labels),
+                          scalar, select(domain_labels(g)),
+                          select(tb.labels + _scalar_labels(g)))
+    return g.cached(("degree_cut", degree), build)
 
 
 def _blended_prime(data: EpsilonData, lin: LinearizedLiouville | None,
@@ -282,7 +322,8 @@ def _metric_gradient(geo: SurfaceGeometry) -> np.ndarray:
 def assemble_linearization(F: ImmersionMap, epsilon: float,
                            variant: str = "additive", *,
                            liouville_tol: float | None = 1e-9,
-                           data: EpsilonData | None = None) -> OperatorMatrix:
+                           data: EpsilonData | None = None,
+                           degree: int | None = None) -> OperatorMatrix:
     """Assemble the dense linearization of apply_phi at an immersion.
 
     Column j is the first-variation image of basis field j: the class rows
@@ -298,6 +339,12 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     say); it is used as is instead of uniformizing again, and
     liouville_tol is then ignored.  Its epsilon and variant must match the
     arguments and its H must be F's own (ValueError otherwise).
+
+    degree, when given, restricts both bases to the modes of degree
+    <= degree: only those columns and rows are computed, and the labels
+    of the result are the matching subsets, in the same order.  The
+    entries are those of the full matrix at the kept labels (up to
+    rounding).
     """
     g = F.grid
     geo = F.geometry
@@ -317,28 +364,34 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
         forms = data.conformal.forms
 
     vb = vector_basis(g)
-    tb = tensor_basis(g)
-    n_dom = vb.size + g.n_coeffs
+    cut = _degree_cut(g, degree)
+    n_vec = sum(s.stop - s.start for s in cut.vector)
+    Y = g.node_matrix(0, 0)[:, cut.scalar]
+    n_dom = n_vec + Y.shape[1]
     gp = np.empty((g.n_nodes, 2, 2, n_dom))
     Hp = np.empty((g.n_nodes, n_dom))
 
-    # tangential block: Lie-derivative metric variation, advected H;
-    # built in place so that no block-sized temporary outlives its use
+    # tangential block, one slice of the basis per family: Lie-derivative
+    # metric variation, advected H; built in place so that no block-sized
+    # temporary outlives its use
     dgam = _metric_gradient(geo)
-    mixed = np.einsum("nkj,nikb->nijb", geo.gamma, vb.dfields)
-    tangential = gp[..., :vb.size]
-    np.einsum("nkb,nkij->nijb", vb.fields, dgam, out=tangential)
-    tangential += mixed
-    tangential += mixed.transpose(0, 2, 1, 3)
-    del mixed, tangential
-    Hp[:, :vb.size] = np.einsum("nkb,nk->nb", vb.fields,
-                                _analyzed_gradient(g, geo.H))
+    dH = _analyzed_gradient(g, geo.H)
+    start = 0
+    for s in cut.vector:
+        cols = slice(start, start + s.stop - s.start)
+        mixed = np.einsum("nkj,nikb->nijb", geo.gamma, vb.dfields[..., s])
+        tangential = gp[..., cols]
+        np.einsum("nkb,nkij->nijb", vb.fields[..., s], dgam, out=tangential)
+        tangential += mixed
+        tangential += mixed.transpose(0, 2, 1, 3)
+        del mixed, tangential
+        Hp[:, cols] = np.einsum("nkb,nk->nb", vb.fields[..., s], dH)
+        start = cols.stop
 
     # normal block: gamma' = 2 nu A, H' = -Delta nu - |A|^2 nu
-    Y = g.node_matrix(0, 0)
-    gp[..., vb.size:] = 2.0 * geo.second[..., None] * Y[:, None, None, :]
-    Hp[:, vb.size:] = (-forms.laplacian(forms.S)
-                       - geo.norm_A_sq[:, None] * Y)
+    gp[..., n_vec:] = 2.0 * geo.second[..., None] * Y[:, None, None, :]
+    Hp[:, n_vec:] = (-forms.laplacian(forms.S[:, cut.scalar])
+                     - geo.norm_A_sq[:, None] * Y)
 
     bp = _blended_prime(data, lin, gp, Hp)
     trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)
@@ -347,9 +400,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     crp /= np.sqrt(geo.det_gamma)[:, None, None, None]
     del gp
 
-    labels_cod = tb.labels + _scalar_labels(g)
-    return OperatorMatrix(project_codomain(g, tb, crp, bp), epsilon, variant,
-                          domain_labels(g), labels_cod, F)
+    rows = project_codomain(g, tensor_basis(g), crp, bp, degree=degree)
+    return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain, F)
 
 
 def _scalar_labels(g: SphereGrid) -> tuple:

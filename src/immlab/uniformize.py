@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
-from .errors import ConvergenceError, DegreeMismatchError
+from .errors import (ConvergenceError, DegreeMismatchError,
+                     ImmersionRegularityError)
 from .geometry import ImmersionMap
 from .spectral import HarmonicField, SphereGrid
 
@@ -44,11 +45,16 @@ __all__ = [
 
 
 def conformal_class(gamma: np.ndarray) -> np.ndarray:
-    """Pointwise representative gamma / sqrt(det gamma) of the conformal class."""
+    """Pointwise representative gamma / sqrt(det gamma) of the conformal class.
+
+    Raises ImmersionRegularityError unless gamma is positive definite at
+    every node.
+    """
     gamma = np.asarray(gamma, dtype=float)
     det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
     if np.any(det <= 0.0) or np.any(gamma[..., 0, 0] <= 0.0):
-        raise ValueError("metric must be positive definite at every node")
+        raise ImmersionRegularityError(
+            "metric must be positive definite at every node")
     return gamma / np.sqrt(det)[..., None, None]
 
 
@@ -243,6 +249,11 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     tol=None skips the strong certificate (the residual is still recorded);
     finite-difference probes of the discrete solution map use that mode,
     since the weak solve is smooth in the metric regardless of the tail.
+
+    Each Newton step is the least-squares solution of the gauge-reduced
+    system (degree-one columns dropped), taken by economic QR and a
+    triangular solve; a QR pivot |R_ii| at or below 1e-12 of the largest
+    counts as a degenerate reduced Jacobian.
     """
     g = metric.grid
     forms = _WeakForms(metric)
@@ -264,12 +275,15 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     for _ in range(max_iter):
         if rnorm <= floor:
             break
-        J = forms.jacobian(coeffs)[:, keep]
-        step, _, rank, _ = np.linalg.lstsq(J, -r, rcond=1e-12)
-        if rank < J.shape[1]:
+        Q, R = qr(forms.jacobian(coeffs)[:, keep], mode="economic")
+        pivots = np.abs(np.diag(R))
+        small = int(np.sum(pivots <= 1e-12 * pivots.max()))
+        if small:
             raise ConvergenceError(
                 "gauge projection failed: reduced Liouville Jacobian is "
-                f"rank-deficient (rank {rank} of {J.shape[1]})")
+                f"rank-deficient ({small} of {R.shape[1]} pivots of its QR "
+                "below 1e-12 of the largest)")
+        step = solve_triangular(R, Q.T @ -r)
         t, improved = 1.0, False
         for _ in range(30):
             trial = coeffs.copy()

@@ -6,8 +6,9 @@ import pytest
 
 from immlab.bases import tensor_basis, vector_basis
 from immlab.continuation import TargetData, _dealias_masks, newton_solve
-from immlab.operators import (_scalar_labels, assemble_linearization,
-                              domain_labels, project_codomain)
+from immlab.operators import (_degree_cut, _scalar_labels,
+                              assemble_linearization, domain_labels,
+                              project_codomain)
 from immlab.shapes import ellipsoid_immersion, sphere_immersion
 from immlab.spectral import SphereGrid, grid
 
@@ -17,6 +18,7 @@ TABLES = {
     "domain_labels": domain_labels,
     "scalar_labels": _scalar_labels,
     "dealias_masks": _dealias_masks,
+    "degree_cut": lambda g: _degree_cut(g, g.L - 2),
     "node_matrix": lambda g: g.node_matrix(1, 1),
 }
 
@@ -53,11 +55,17 @@ def test_labels_are_immutable():
 
 
 def test_tensor_weighted_table_projects_the_basis():
-    # projecting each basis tensor returns its unit coordinate vector
+    # projecting each basis tensor returns its unit coordinate vector; the
+    # table holds the tensors with both indices raised by the round metric,
+    # times the quadrature weights, so divide both out to recover them
     g = grid(8)
     tb = tensor_basis(g)
+    s2 = np.sin(g.theta) ** 2
+    raised = np.ones((g.n_nodes, 2, 2))
+    raised[:, 0, 1] = raised[:, 1, 0] = 1.0 / s2
+    raised[:, 1, 1] = 1.0 / s2 ** 2
     fields = tb.weighted.reshape(g.n_nodes, 2, 2, tb.size)
-    fields = fields / g.weights[:, None, None, None]
+    fields = fields / (g.weights[:, None, None] * raised)[..., None]
     rows = project_codomain(g, tb, fields, np.zeros((g.n_nodes, tb.size)))
     npt.assert_allclose(rows[:tb.size], np.eye(tb.size), atol=1e-12)
 

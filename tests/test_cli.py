@@ -138,6 +138,25 @@ def test_linalg_failure_is_numerical(tmp_path, capsys, monkeypatch):
     assert json.loads(err.strip())["error"]["type"] == "LinAlgError"
 
 
+def test_degenerate_immersion_is_numerical(tmp_path, capsys, monkeypatch):
+    # the multiplicative blend needs H > 0; this shape dips below zero
+    cwd, out = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir(), out.mkdir()
+    monkeypatch.chdir(cwd)
+    rc, rep = run("index", out, shape="perturbed:1;3,0,0.3",
+                  variant="multiplicative", epsilon=0.5)
+    assert rc == 1
+    assert rep["schema"] == SCHEMA
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "ImmersionRegularityError"
+    assert "H > 0" in rep["error"]["message"]
+    err = capsys.readouterr().err
+    assert json.loads(err.strip())["error"]["type"] == \
+        "ImmersionRegularityError"
+    assert list(cwd.iterdir()) == []
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 def test_bad_shape_exit_code(tmp_path, capsys):
     rc, rep = run("index", tmp_path, shape="blob:1")
     assert rc == 2

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from immlab.bases import tensor_basis, vector_basis
+from immlab.continuation import _dealias_masks
 from immlab.errors import ImmersionRegularityError
 from immlab.fredholm import killing_modes
 from immlab.geometry import ImmersionMap
@@ -267,6 +268,37 @@ def test_linearization_reuses_supplied_data():
     other = ellipsoid_immersion(g, 1.0, 0.9, 1.1)
     with pytest.raises(ValueError):
         assemble_linearization(other, 0.5, data=data, liouville_tol=None)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.2])
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_dealiased_assembly_is_the_full_block(L, eps, variant):
+    # measured max difference <= 1.1e-16 of the largest entry at L 8 and 12
+    # (the block's products run over fewer columns, which rounds apart)
+    g = grid(L)
+    F = ellipsoid_immersion(g, 1.0, 1.08, 0.95)
+    data = apply_phi(F, eps, variant, liouville_tol=None)
+    full = assemble_linearization(F, eps, variant, data=data)
+    M = assemble_linearization(F, eps, variant, data=data, degree=L - 2)
+    keep, rows = _dealias_masks(g)
+    block = full.matrix[np.ix_(rows, keep)]
+    npt.assert_allclose(M.matrix, block, rtol=0,
+                        atol=1e-13 * np.abs(block).max())
+    assert M.domain_basis == tuple(
+        lab for lab, k in zip(full.domain_basis, keep) if k)
+    assert M.codomain_basis == tuple(
+        lab for lab, r in zip(full.codomain_basis, rows) if r)
+    assert M.structural_index == 6
+    # class_only Newton solves use the leading rows: the kept class rows
+    n_class = int(rows[:tensor_basis(g).size].sum())
+    class_rows = rows.copy()
+    class_rows[tensor_basis(g).size:] = False
+    npt.assert_allclose(M.matrix[:n_class],
+                        full.matrix[np.ix_(class_rows, keep)], rtol=0,
+                        atol=1e-13 * np.abs(block).max())
+    assert all(lab[0] in ("even", "odd")
+               for lab in M.codomain_basis[:n_class])
 
 
 def test_operator_matrix_metadata():

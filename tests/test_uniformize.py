@@ -1,10 +1,13 @@
 """Uniformization: conformal class, Liouville solve, linearized factor."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.errors import ConvergenceError
+from immlab import uniformize
+from immlab.errors import ConvergenceError, ImmersionRegularityError
 from immlab.geometry import ImmersionMap
 from immlab.operators import metric_strain
 from immlab.shapes import ellipsoid_immersion, sphere_immersion
@@ -39,9 +42,9 @@ def test_conformal_class_rejects_non_spd():
     g = grid(8)
     gamma = MetricData.round(g).gamma.copy()
     gamma[0] = [[1.0, 2.0], [2.0, 1.0]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ImmersionRegularityError):
         conformal_class(gamma)
-    with pytest.raises(ValueError):
+    with pytest.raises(ImmersionRegularityError):
         conformal_class(-MetricData.round(g).gamma)
 
 
@@ -125,6 +128,69 @@ def test_liouville_strong_certificate_raises_on_coarse_grid():
     # tol=None skips the certificate but records the residual
     conf = solve_liouville(MetricData.from_immersion(F), tol=None)
     assert conf.strong_residual > 0.0
+
+
+def _lstsq_liouville(metric, initial):
+    """The Liouville Newton loop with SVD least-squares steps (reference)."""
+    g = metric.grid
+    forms = uniformize._WeakForms(metric)
+    keep = uniformize._degree_one_mask(g)
+    coeffs = np.array(initial, dtype=float)
+    coeffs[~keep] = 0.0
+    r = forms.residual(coeffs)
+    history = [np.linalg.norm(r)]
+    floor = 1e-13 * max(1.0, np.linalg.norm(forms.Y.T @ (forms.q * metric.K)))
+    for _ in range(40):
+        if history[-1] <= floor:
+            break
+        J = forms.jacobian(coeffs)[:, keep]
+        step, _, rank, _ = np.linalg.lstsq(J, -r, rcond=1e-12)
+        assert rank == J.shape[1]
+        t = 1.0
+        for _ in range(30):
+            trial = coeffs.copy()
+            trial[keep] += t * step
+            r_trial = forms.residual(trial)
+            if np.linalg.norm(r_trial) < history[-1]:
+                break
+            t *= 0.5
+        else:
+            break
+        coeffs, r = trial, r_trial
+        history.append(np.linalg.norm(r))
+    return coeffs, np.array(history)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("start", ["default", "zeros"])
+def test_liouville_qr_step_matches_lstsq(L, start):
+    g = grid(L)
+    m = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.2, 0.85))
+    if start == "default":
+        initial = g.analyze(-0.25 * np.log(m.det_gamma / np.sin(g.theta) ** 2))
+    else:
+        initial = np.zeros(g.n_coeffs)
+    conf = solve_liouville(m, tol=None, initial=initial.copy())
+    coeffs, history = _lstsq_liouville(m, initial)
+    npt.assert_allclose(conf.phi.coeffs, coeffs, rtol=0,
+                        atol=1e-12 * np.abs(coeffs).max())
+    assert len(conf.residual_history) == len(history)
+    npt.assert_allclose(conf.residual_history, history, rtol=0,
+                        atol=1e-12 * history[0])
+
+
+def test_liouville_rank_guard(monkeypatch):
+    # the Jacobian -S + 2 e^{2 phi} M ignores K: at phi = 0 on the round
+    # metric it annihilates the degree-one modes, while K = 2 keeps the
+    # residual away from zero
+    g = grid(8)
+    m = dataclasses.replace(MetricData.round(g), K=np.full(g.n_nodes, 2.0))
+    conf = solve_liouville(m, initial=np.zeros(g.n_coeffs))
+    npt.assert_allclose(conf.lambda2, 0.5, atol=1e-12)
+    monkeypatch.setattr(uniformize, "_degree_one_mask",
+                        lambda g: np.ones(g.n_coeffs, dtype=bool))
+    with pytest.raises(ConvergenceError, match="rank-deficient"):
+        solve_liouville(m, initial=np.zeros(g.n_coeffs))
 
 
 def test_linearized_factor_pure_scaling():
