@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ImmersionRegularityError
 from .bases import tensor_basis, vector_basis
-from .fredholm import _detect_rank
+from .fredholm import _detect_rank, _svd
 from .geometry import ImmersionMap
 from .operators import (EpsilonData, _scalar_labels, apply_phi,
                         assemble_linearization, domain_labels,
@@ -153,7 +153,7 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
     the gap-truncated step cannot correct, inverting the near-null modes
     is harmless and mops up the remaining components.
     """
-    U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
+    U, s, Vt = _svd(matrix, full_matrices=False)
     floor_rank = int(np.sum(s > s[0] * 1e-8))
     rank, _, reliable = _detect_rank(s, gap_min)
     if not reliable:

@@ -18,7 +18,7 @@ ambient-isometry modes from the domain before the SVD.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr, svd
 
 from .geometry import ImmersionMap
 from .operators import OperatorMatrix, assemble_linearization
@@ -143,10 +143,24 @@ def _label_left_modes(U_null: np.ndarray, labels: list) -> list:
     return out
 
 
+def _svd(matrix: np.ndarray, full_matrices: bool = True) -> tuple:
+    """np.linalg.svd, redone with LAPACK's gesvd when it fails to converge.
+
+    np.linalg.svd uses gesdd (divide and conquer), whose convergence on a
+    well-conditioned matrix can hinge on the last bits of the input: it
+    failed on an L = 20 round-sphere linearization whose neighbour at
+    1e-16 converges.  gesvd (QR iteration) is slower and converges there.
+    """
+    try:
+        return np.linalg.svd(matrix, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        return svd(matrix, full_matrices=full_matrices, lapack_driver="gesvd")
+
+
 def _report(matrix: np.ndarray, M: OperatorMatrix, gap_min: float,
             domain_restriction: np.ndarray | None = None,
             based: bool = False) -> SpectralReport:
-    U, s, Vt = np.linalg.svd(matrix)
+    U, s, Vt = _svd(matrix)
     rank, gap, reliable = _detect_rank(s, gap_min)
     n_cod, n_dom = matrix.shape
     kernel_dim = n_dom - rank

@@ -39,6 +39,25 @@ def test_newton_recovers_ellipsoid():
     assert hist[-1] / hist[-2] <= 0.1
 
 
+def test_newton_survives_gesdd_failure(monkeypatch):
+    # the Newton step redoes a failed gesdd SVD with gesvd (see
+    # fredholm._svd) and takes the same steps
+    g = grid(8)
+    E = ellipsoid_immersion(g, 1.02, 0.98, 1.01)
+    target = TargetData.from_immersion(E, 0.2, liouville_tol=None)
+    ref, ref_hist = newton_solve(sphere_immersion(g), target)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    sol, hist = newton_solve(sphere_immersion(g), target)
+    assert len(hist) == len(ref_hist)
+    npt.assert_allclose(hist, ref_hist, rtol=0, atol=1e-12 * ref_hist[0])
+    npt.assert_allclose(sol.coeffs, ref.coeffs, rtol=0,
+                        atol=1e-12 * np.abs(ref.coeffs).max())
+
+
 def test_newton_solves_scaled_blend():
     g = grid(8)
     F = sphere_immersion(g)

@@ -57,6 +57,26 @@ def test_singular_value_tail_sorted():
     assert r.tail[3] > 1.0
 
 
+@pytest.mark.parametrize("report", [svd_report, based_report])
+def test_report_survives_gesdd_failure(report, monkeypatch):
+    # gesdd can fail to converge on a well-conditioned matrix (seen on an
+    # L = 20 round-sphere linearization); the report then redoes the SVD
+    # with gesvd and must say the same
+    M = round_matrix(8)
+    ref = report(M)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    r = report(M)
+    assert (r.kernel_dim, r.cokernel_dim, r.index, r.reliable) == \
+        (ref.kernel_dim, ref.cokernel_dim, ref.index, ref.reliable)
+    npt.assert_allclose(r.singular_values, ref.singular_values, rtol=0,
+                        atol=1e-12 * ref.singular_values[0])
+    assert r.mode_labels.keys() == ref.mode_labels.keys()
+
+
 def test_zero_matrix_degenerate():
     M = round_matrix(8)
     Z = dataclasses.replace(M, matrix=np.zeros_like(M.matrix))
