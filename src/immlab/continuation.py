@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ImmersionRegularityError
-from .bases import tensor_basis, vector_basis
+from .bases import tensor_basis
 from .fredholm import _detect_rank, _svd
 from .geometry import ImmersionMap
-from .operators import (EpsilonData, _scalar_labels, apply_phi,
-                        assemble_linearization, domain_labels,
-                        project_codomain)
+from .operators import (EpsilonData, _degree_cut, apply_phi,
+                        assemble_linearization, project_codomain,
+                        push_forward)
 from .shapes import sphere_immersion
-from .spectral import SphereGrid
 from .uniformize import MetricData, conformal_class, solve_liouville
 
 __all__ = [
@@ -112,32 +111,8 @@ def _residual(F: ImmersionMap, target: TargetData, tb, *,
                             blended), data
 
 
-# Newton solves on the modes of degree <= L - _DEALIAS (see _dealias_masks)
+# Newton solves on the modes of degree <= L - _DEALIAS (see newton_solve)
 _DEALIAS = 2
-
-
-def _dealias_masks(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Domain-column and codomain-row masks keeping degrees <= L - 2.
-
-    The push-forward V^i d_iF + nu N of a top-degree basis field has an
-    order-one fraction of its energy above the band limit, so resampling
-    truncates it and the analytic Jacobian column stops describing the
-    discrete update.  Dually, codomain rows at the top two degrees are fed
-    only through aliasing-corrupted channels while the iterate is far from
-    the solution.  Solving on the dealiased pair is the consistent
-    discrete system; the full-spectrum mismatch is what the continuation
-    defect reports.  newton_solve assembles only this block
-    (assemble_linearization with degree=L - 2, whose columns and rows are
-    the masked ones in the same order) and uses the masks to select the
-    residual rows and to scatter the step back into the full domain.
-    """
-    def build():
-        degree = g.L - _DEALIAS
-        keep_dom = np.array([l <= degree for _, l, _ in domain_labels(g)])
-        rows = np.array([l <= degree for _, l, _ in
-                         tensor_basis(g).labels + _scalar_labels(g)])
-        return keep_dom, rows
-    return g.cached("dealias_masks", build)
 
 
 def _step_candidates(matrix: np.ndarray, r: np.ndarray,
@@ -179,10 +154,19 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     The update solves the assembled linearization by truncated-SVD least
     squares (rank from the spectral-gap detector), so the ambient-isometry
     kernel never pollutes the step.  Both sides are dealiased to degree
-    <= L - 2 (see _dealias_masks): only that block of the linearization is
-    assembled, and the solve, the residual norm, and the convergence test
-    all live on that consistent discrete system, while the top two degrees
-    follow along as the iterate approaches the solution.
+    <= L - 2: only that block of the linearization is assembled
+    (assemble_linearization with degree=L - 2), and the solve, the
+    residual norm, and the convergence test all live on that consistent
+    discrete system, while the top two degrees follow along as the
+    iterate approaches the solution.  The push-forward V^i d_iF + nu N of
+    a top-degree basis field has an order-one fraction of its energy
+    above the band limit, so resampling truncates it and the analytic
+    Jacobian column stops describing the discrete update.  Dually,
+    codomain rows at the top two degrees are fed only through
+    aliasing-corrupted channels while the iterate is far from the
+    solution.  The full-spectrum mismatch is what the continuation
+    defect reports.  The degree cut's masks select the residual rows
+    and scatter the step back into the full domain.
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
     class_only restricts the residual and matrix to the class rows (used
@@ -194,9 +178,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
     g = F0.grid
     tb = tensor_basis(g)
-    vb = vector_basis(g)
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
-    keep, rows = _dealias_masks(g)
+    cut = _degree_cut(g, g.L - _DEALIAS)
+    keep, rows = cut.domain_mask, cut.codomain_mask
     if class_only:
         rows = rows.copy()
         rows[tb.size:] = False
@@ -218,10 +202,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
         for v_kept in _step_candidates(M.matrix[:n_rows], r[rows], gap_min):
             v = np.zeros(keep.size)
             v[keep] = v_kept
-            X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF,
-                          v[:vb.size])
-            X += (F.geometry.normal
-                  * (g.node_matrix(0, 0) @ v[vb.size:])[:, None])
+            X = push_forward(F, v)
             step = 1.0
             for _ in range(max_backtracks + 1):
                 try:
@@ -425,7 +406,7 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         bisections = 0
         eps_last = eps
         M = assemble_linearization(F, eps, variant, liouville_tol=None)
-        sv = np.linalg.svd(M.matrix, compute_uv=False)[::-1][:12]
+        sv = _svd(M.matrix, full_matrices=False)[1][::-1][:12]
         trace.steps.append(StepRecord(eps, iters, float(hist[-1]), sv,
                                       True, defect))
 

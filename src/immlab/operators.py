@@ -8,8 +8,8 @@ assembled here sends F to the pair
     ( class rep of gamma,  lambda^(2(1-eps)) H^(-eps) )        multiplicative
 
 for eps in [0, 1].  The blend mixes length^2 and 1/length; it is treated
-formally at unit scale (all bundled experiments run at diameter ~ 2), and
-EpsilonData records that convention.  At eps = 1 the additive blend is H and
+formally at unit scale (all bundled experiments run at diameter ~ 2), as
+the EpsilonData docstring states.  At eps = 1 the additive blend is H and
 the multiplicative blend is 1/H; the conformal factor drops out and no
 Liouville solve is performed.
 
@@ -19,12 +19,18 @@ Lie derivative 2 delta*(X^T) + 2 nu A (exact nodal values, since the basis
 fields and their chart derivatives are analytic), the mean-curvature
 variation is -Delta nu - |A|^2 nu + X^T(H) with a Galerkin Laplacian, and
 the conformal-factor variation reuses the prefactored linearized Liouville
-solve with the integrated-by-parts curvature variation.  Columns live over
-an explicit variation basis (gradient and curl vector harmonics for the
-tangential part, scalar harmonics for the normal speed); rows pair the
-class slot against trace-free tensor harmonics and analyze the blended slot
-in scalar harmonics, both with round quadrature weights.  With degrees up to
-L this gives 3(L+1)^2 - 2 domain modes and 3(L+1)^2 - 8 codomain slots; the
+solve with the integrated-by-parts curvature variation.  Each formula is
+written once, in a batched kernel for a block of tangent fields or of
+normal speeds: assemble_linearization runs the kernels on the cached basis
+tables, and delta_star and mean_curvature_prime run them on one
+VariationField, so the single-field functions the tests check are the code
+that builds the matrix.  Columns live over an explicit variation basis
+(gradient and curl vector harmonics for the tangential part, scalar
+harmonics for the normal speed; push_forward maps coordinates over it to
+the ambient field V^k d_k F + nu N); rows pair the class slot against
+trace-free tensor harmonics and analyze the blended slot in scalar
+harmonics, both with round quadrature weights.  With degrees up to L this
+gives 3(L+1)^2 - 2 domain modes and 3(L+1)^2 - 8 codomain slots; the
 structural difference 6 mirrors the continuum index.
 
 Finite differences of apply_phi probe coefficient perturbations of the
@@ -38,7 +44,7 @@ analyzes to parallel coefficient vectors -- which is why the columns are
 evaluated on the fields themselves rather than on their truncations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -46,7 +52,7 @@ from scipy.linalg import cholesky
 from .bases import TensorBasis, tensor_basis, vector_basis
 from .errors import DegreeMismatchError, ImmersionRegularityError
 from .geometry import ImmersionMap, SurfaceGeometry
-from .spectral import HarmonicField, SphereGrid, coeff_degrees
+from .spectral import SphereGrid, coeff_degrees
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
                          _WeakForms, conformal_class, solve_liouville)
 
@@ -57,7 +63,7 @@ __all__ = [
     "apply_phi",
     "delta_star",
     "mean_curvature_prime",
-    "metric_strain",
+    "push_forward",
     "assemble_linearization",
     "principal_symbol",
 ]
@@ -68,8 +74,10 @@ class EpsilonData:
     """The blended data of an immersion at a fixed eps.
 
     lambda2 and conformal are None at eps = 1, where the blend does not
-    involve the conformal factor.  formal_units documents that the additive
-    blend adds length^2 to 1/length at unit scale.
+    involve the conformal factor.  The blend is formal at unit scale: the
+    additive variant adds lambda^2 (length^2) to H (1/length), and the
+    multiplicative one multiplies their powers, with no length unit to
+    make the two slots commensurate.
     """
 
     epsilon: float
@@ -79,7 +87,6 @@ class EpsilonData:
     H: np.ndarray              # (n,)
     lambda2: np.ndarray | None
     conformal: ConformalData | None
-    formal_units: str = "unit-scale blend"
 
 
 def apply_phi(F: ImmersionMap, epsilon: float, variant: str = "additive",
@@ -118,77 +125,138 @@ class VariationField:
     """An ambient variation split as X = X^T + nu N along an immersion.
 
     XT holds contravariant chart components (V^theta, V^phi) of the
-    tangential part; nu is the normal speed.
+    tangential part and dXT their chart derivatives, dXT[n, i, k] =
+    d_i V^k (the index order of VectorBasis.dfields); nu holds the normal
+    speed at the nodes.  The split is exact at the nodes; where nu must be
+    differentiated it is analyzed first.
     """
 
     XT: np.ndarray             # (n, 2)
-    nu: HarmonicField
+    dXT: np.ndarray            # (n, 2, 2)
+    nu: np.ndarray             # (n,)
 
     @classmethod
     def from_ambient(cls, F: ImmersionMap, X: np.ndarray) -> "VariationField":
+        """Split a nodal ambient field; X is analyzed for its derivatives.
+
+        With V^k = gamma^{kl} (X . d_l F), the chain rule gives
+        d_i V^k = d_i gamma^{kl} (X . d_l F)
+                  + gamma^{kl} (d_i X . d_l F + X . d_i d_l F),
+        evaluated as gamma^{kl} (d_i (X . d_l F) - d_i gamma_lm V^m).  The
+        chart derivatives d_i X are those of X's harmonic analysis, exact
+        for band-limited fields.
+        """
+        g = F.grid
         geo = F.geometry
         X = np.asarray(X, dtype=float)
-        if X.shape != (F.grid.n_nodes, 3):
+        if X.shape != (g.n_nodes, 3):
             raise DegreeMismatchError(f"ambient field shape {X.shape}")
         cov = np.einsum("nm,nim->ni", X, geo.dF)
         XT = np.einsum("nij,nj->ni", geo.inv_gamma, cov)
-        nu = HarmonicField.from_samples(F.grid, np.einsum("nm,nm->n", X, geo.normal))
-        return cls(XT, nu)
+        Xc = np.stack([g.analyze(X[:, mu]) for mu in range(3)])
+        dX = np.stack([g.node_matrix(1, 0) @ Xc.T, g.node_matrix(0, 1) @ Xc.T],
+                      axis=1)
+        dcov = (np.einsum("nim,nlm->nil", dX, geo.dF)
+                + np.einsum("nm,nilm->nil", X, geo.d2F)
+                - np.einsum("nilm,nm->nil", _metric_gradient(geo), XT))
+        dXT = np.einsum("nkl,nil->nik", geo.inv_gamma, dcov)
+        return cls(XT, dXT, np.einsum("nm,nm->n", X, geo.normal))
 
     def to_ambient(self, F: ImmersionMap) -> np.ndarray:
         geo = F.geometry
         return (np.einsum("ni,nim->nm", self.XT, geo.dF)
-                + self.nu.samples[:, None] * geo.normal)
+                + self.nu[:, None] * geo.normal)
 
 
-def metric_strain(F: ImmersionMap, X: np.ndarray) -> np.ndarray:
-    """Half the metric variation (1/2) d/ds [ (F + sX)^* g_Eucl ] at s = 0.
+def _tangential_prime(geo: SurfaceGeometry, dgam: np.ndarray, dH: np.ndarray,
+                      V: np.ndarray, dV: np.ndarray, gp: np.ndarray,
+                      Hp: np.ndarray) -> None:
+    """First variation along tangent fields, written into gp and Hp.
 
-    X is an ambient field given at the nodes; it is analyzed to coefficients
-    so the chart derivatives are exact for band-limited fields.  The result
-    equals the tangential symmetrized strain of X^T plus nu A.
+    For fields V (n, 2, B) with chart derivatives dV (n, 2, 2, B), dV[n, i,
+    k, b] = d_i V^k, the metric varies by the Lie derivative
+    gamma'_ij = V^k d_k gamma_ij + gamma_kj d_i V^k + gamma_ik d_j V^k
+    (= 2 delta*(X^T)) and H by advection, H' = V . dH.  dgam is
+    _metric_gradient(geo) and dH the chart gradient of H; gp (n, 2, 2, B)
+    and Hp (n, B) receive the result in place.
     """
+    mixed = np.einsum("nkj,nikb->nijb", geo.gamma, dV)
+    np.einsum("nkb,nkij->nijb", V, dgam, out=gp)
+    gp += mixed
+    gp += mixed.transpose(0, 2, 1, 3)
+    np.einsum("nkb,nk->nb", V, dH, out=Hp)
+
+
+def _normal_prime(geo: SurfaceGeometry, forms: _WeakForms, nu: np.ndarray,
+                  Sc: np.ndarray, gp: np.ndarray, Hp: np.ndarray) -> None:
+    """First variation along normal speeds, written into gp and Hp.
+
+    For nodal speeds nu (n, B) with coefficients c and Galerkin right-hand
+    side Sc = forms.S @ c (nc, B): gamma' = 2 nu A and
+    H' = -Delta nu - |A|^2 nu, with the Galerkin Laplacian of forms.
+    """
+    np.multiply(2.0 * geo.second[..., None], nu[:, None, None, :], out=gp)
+    np.subtract(-forms.laplacian(Sc), geo.norm_A_sq[:, None] * nu, out=Hp)
+
+
+def _first_variation(F: ImmersionMap, V: VariationField
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma', H') of one variation: the two kernels at B = 1, summed."""
     g = F.grid
     geo = F.geometry
-    Xc = np.stack([g.analyze(np.asarray(X, dtype=float)[:, mu]) for mu in range(3)])
-    dX = np.stack([g.node_matrix(1, 0) @ Xc.T, g.node_matrix(0, 1) @ Xc.T], axis=1)
-    gp = (np.einsum("nim,njm->nij", dX, geo.dF)
-          + np.einsum("nim,njm->nij", geo.dF, dX))
-    return 0.5 * gp
+    n = g.n_nodes
+    gp, Hp = np.empty((2, n, 2, 2, 1)), np.empty((2, n, 1))
+    _tangential_prime(geo, _metric_gradient(geo), _analyzed_gradient(g, geo.H),
+                      V.XT[..., None], V.dXT[..., None], gp[0], Hp[0])
+    forms = _WeakForms(MetricData.from_immersion(F))
+    Sc = forms.S @ g.analyze(V.nu)[:, None]
+    _normal_prime(geo, forms, V.nu[:, None], Sc, gp[1], Hp[1])
+    return gp.sum(axis=0)[..., 0], Hp.sum(axis=0)[:, 0]
 
 
 def delta_star(F: ImmersionMap, V: VariationField
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Tangential symmetrized strain of a variation, plus its normal bookkeeping.
+    """Symmetrized strain of a variation, plus its normal bookkeeping.
 
-    Returns ((delta* X)^T, d nu): the (n, 2, 2) tensor equal to half the
-    induced-metric variation, and the (n, 2) chart gradient of the normal
-    speed (the normal-valued part of the full ambient strain).
+    Returns (delta*(X^T) + nu A, d nu): the (n, 2, 2) tensor equal to half
+    the induced-metric variation, and the (n, 2) chart gradient of the
+    normal speed (the normal-valued part of the full ambient strain).
     """
-    strain = metric_strain(F, V.to_ambient(F))
-    dnu = np.stack([V.nu.deriv(1, 0), V.nu.deriv(0, 1)], axis=1)
-    return strain, dnu
+    return 0.5 * _first_variation(F, V)[0], _analyzed_gradient(F.grid, V.nu)
 
 
 def mean_curvature_prime(F: ImmersionMap, V: VariationField) -> np.ndarray:
-    """Mean-curvature variation by the first-variation formula.
+    """Mean-curvature variation -Delta_gamma nu - |A|^2 nu + X^T(H), nodal.
 
-    Evaluates -Delta_gamma nu - |A|^2 nu + X^T(H) at the nodes.  The
-    Laplacian is Galerkin (mass-matrix solve), and H is analyzed before
-    differentiation, so the result carries the spectral truncation of H.
+    The Laplacian is Galerkin (mass-matrix solve) on the analyzed nu, and H
+    is analyzed before differentiation, so the result carries the spectral
+    truncation of both.
+    """
+    return _first_variation(F, V)[1]
+
+
+def push_forward(F: ImmersionMap, v: np.ndarray) -> np.ndarray:
+    """Nodal ambient field (n, 3) V^k d_k F + nu N of domain coordinates v.
+
+    v runs over the full domain basis (domain_labels): the vector-basis
+    coefficients of V, then the scalar-harmonic coefficients of nu.
     """
     g = F.grid
-    geo = F.geometry
-    forms = _WeakForms(MetricData.from_immersion(F))
-    lap_nu = forms.laplacian(forms.S @ V.nu.coeffs[:, None])[:, 0]
-    advect = np.einsum("ni,ni->n", V.XT, _analyzed_gradient(g, geo.H))
-    return -lap_nu - geo.norm_A_sq * V.nu.samples + advect
+    vb = vector_basis(g)
+    X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF, v[:vb.size])
+    X += F.geometry.normal * (g.node_matrix(0, 0) @ v[vb.size:])[:, None]
+    return X
 
 
 def _analyzed_gradient(g: SphereGrid, f: np.ndarray) -> np.ndarray:
     """Chart gradient (n, 2) of a nodal scalar via harmonic analysis."""
     c = g.analyze(f)
     return np.stack([g.synthesize(c, 1, 0), g.synthesize(c, 0, 1)], axis=1)
+
+
+# ADN row orders of the mixed-order system: order 1 for the class rows,
+# order 2 for the blended rows
+_ROW_ORDERS = {"class": 1, "blended": 2}
 
 
 @dataclass(frozen=True)
@@ -199,8 +267,7 @@ class OperatorMatrix:
     vector-harmonic modes (l >= 1), ("normal", l, m) for normal-speed scalar
     modes (all l).  Codomain labels: ("even"/"odd", l, m) for the trace-free
     tensor slots of the class row block (l >= 2), ("scalar", l, m) for the
-    blended rows.  adn_weights records the mixed-order bookkeeping: order 1
-    for class rows, order 2 for blended rows.
+    blended rows.  row_orders gives each row's ADN order (_ROW_ORDERS).
     """
 
     matrix: np.ndarray
@@ -209,12 +276,11 @@ class OperatorMatrix:
     domain_basis: tuple
     codomain_basis: tuple
     F: ImmersionMap
-    adn_weights: dict = field(default_factory=lambda: {"class": 1, "blended": 2})
 
     @property
     def row_orders(self) -> np.ndarray:
-        return np.array([self.adn_weights["blended"] if lab[0] == "scalar"
-                         else self.adn_weights["class"]
+        return np.array([_ROW_ORDERS["blended"] if lab[0] == "scalar"
+                         else _ROW_ORDERS["class"]
                          for lab in self.codomain_basis])
 
     @property
@@ -258,7 +324,8 @@ class _DegreeCut:
 
     Each family lists its modes in (l, m) order, so a cut keeps a prefix
     of every family.  Adjacent slices are merged: with nothing cut, each
-    table is a single slice.
+    table is a single slice.  The masks select the kept columns and rows
+    of the full matrix; they are read-only.
     """
 
     vector: tuple        # slices of the vector basis columns
@@ -266,14 +333,19 @@ class _DegreeCut:
     scalar: slice        # normal-speed and blended modes
     domain: tuple        # labels of the kept columns
     codomain: tuple      # labels of the kept rows
+    domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
+    codomain_mask: np.ndarray   # (n_cod,) bool over the full codomain
 
 
 def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
     """The cut at degree (None keeps every mode), built once per grid."""
+    def kept(labels):
+        return [degree is None or l <= degree for _, l, _ in labels]
+
     def slices(labels):
         out = []
-        for i, (_, l, _) in enumerate(labels):
-            if degree is not None and l > degree:
+        for i, keep in enumerate(kept(labels)):
+            if not keep:
                 continue
             if out and out[-1].stop == i:
                 out[-1] = slice(out[-1].start, i + 1)
@@ -284,12 +356,18 @@ def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
     def select(labels):
         return sum((labels[s] for s in slices(labels)), ())
 
+    def mask(labels):
+        m = np.array(kept(labels))
+        m.setflags(write=False)
+        return m
+
     def build():
         tb = tensor_basis(g)
+        codomain = tb.labels + _scalar_labels(g)
         scalar, = slices(_scalar_labels(g))
         return _DegreeCut(slices(vector_basis(g).labels), slices(tb.labels),
-                          scalar, select(domain_labels(g)),
-                          select(tb.labels + _scalar_labels(g)))
+                          scalar, select(domain_labels(g)), select(codomain),
+                          mask(domain_labels(g)), mask(codomain))
     return g.cached(("degree_cut", degree), build)
 
 
@@ -371,27 +449,17 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     gp = np.empty((g.n_nodes, 2, 2, n_dom))
     Hp = np.empty((g.n_nodes, n_dom))
 
-    # tangential block, one slice of the basis per family: Lie-derivative
-    # metric variation, advected H; built in place so that no block-sized
-    # temporary outlives its use
+    # tangential block, one slice of the basis per family
     dgam = _metric_gradient(geo)
     dH = _analyzed_gradient(g, geo.H)
     start = 0
     for s in cut.vector:
         cols = slice(start, start + s.stop - s.start)
-        mixed = np.einsum("nkj,nikb->nijb", geo.gamma, vb.dfields[..., s])
-        tangential = gp[..., cols]
-        np.einsum("nkb,nkij->nijb", vb.fields[..., s], dgam, out=tangential)
-        tangential += mixed
-        tangential += mixed.transpose(0, 2, 1, 3)
-        del mixed, tangential
-        Hp[:, cols] = np.einsum("nkb,nk->nb", vb.fields[..., s], dH)
+        _tangential_prime(geo, dgam, dH, vb.fields[..., s],
+                          vb.dfields[..., s], gp[..., cols], Hp[:, cols])
         start = cols.stop
-
-    # normal block: gamma' = 2 nu A, H' = -Delta nu - |A|^2 nu
-    gp[..., n_vec:] = 2.0 * geo.second[..., None] * Y[:, None, None, :]
-    Hp[:, n_vec:] = (-forms.laplacian(forms.S[:, cut.scalar])
-                     - geo.norm_A_sq[:, None] * Y)
+    _normal_prime(geo, forms, Y, forms.S[:, cut.scalar],
+                  gp[..., n_vec:], Hp[:, n_vec:])
 
     bp = _blended_prime(data, lin, gp, Hp)
     trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)

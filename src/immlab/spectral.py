@@ -153,7 +153,7 @@ class SphereGrid:
     weights : quadrature weights per node, summing to 4 pi.
 
     Every table derived from the grid alone (node matrices, vector and
-    tensor bases, mode labels, dealias masks) is built once, on first use,
+    tensor bases, mode labels, degree cuts) is built once, on first use,
     and stored on the grid by cached(); the stored arrays are read-only,
     since every caller shares them.
     """
@@ -195,10 +195,6 @@ class SphereGrid:
     @property
     def n_coeffs(self) -> int:
         return (self.L + 1) ** 2
-
-    @property
-    def sin_theta(self) -> np.ndarray:
-        return np.sin(self.theta)
 
     # -- grid tables (built lazily, cached) ------------------------------
     def cached(self, key, build):
@@ -270,21 +266,6 @@ class SphereGrid:
             )
         return self._matrix(0).T @ (self.weights * samples)
 
-    def integrate(self, samples: np.ndarray) -> float:
-        """Quadrature integral over the round sphere."""
-        return float(self.weights @ np.asarray(samples, dtype=float))
-
-    def grad_sphere(self, coeffs: np.ndarray) -> np.ndarray:
-        """Round-metric gradient in the orthonormal frame (e_th, e_ph).
-
-        Returns (n_nodes, 2) samples (d_th f, d_ph f / sin th).  The grid has
-        no pole nodes, so the frame is defined at every node.
-        """
-        c = self._check(coeffs)
-        gt = self._matrix(1) @ c
-        gp = (self._matrix(0) @ self.dphi_coeffs(c)) / self.sin_theta
-        return np.stack([gt, gp], axis=-1)
-
     def laplace_beltrami_round(self, coeffs: np.ndarray) -> np.ndarray:
         """Round-sphere Laplacian (div grad sign, spectrum -l(l+1))."""
         c = self._check(coeffs)
@@ -303,7 +284,7 @@ class HarmonicField:
     """A scalar field represented by its harmonic coefficients.
 
     Samples and coefficients stay consistent because instances are treated
-    as immutable; any arithmetic returns a new field.
+    as immutable.
     """
 
     grid: SphereGrid
@@ -316,10 +297,6 @@ class HarmonicField:
                 f"expected {self.grid.n_coeffs} coefficients, got {self.coeffs.shape}"
             )
 
-    @classmethod
-    def from_samples(cls, g: SphereGrid, samples: np.ndarray) -> "HarmonicField":
-        return cls(g, g.analyze(samples))
-
     @property
     def samples(self) -> np.ndarray:
         if not hasattr(self, "_samples"):
@@ -328,20 +305,3 @@ class HarmonicField:
 
     def deriv(self, dth: int = 0, dph: int = 0) -> np.ndarray:
         return self.grid.synthesize(self.coeffs, dth=dth, dph=dph)
-
-    def coefficient(self, l: int, m: int) -> float:
-        return float(self.coeffs[coeff_index(l, m)])
-
-    def degree_slice(self, l: int) -> np.ndarray:
-        return self.coeffs[l * l : (l + 1) * (l + 1)]
-
-    def __add__(self, other: "HarmonicField") -> "HarmonicField":
-        return HarmonicField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HarmonicField") -> "HarmonicField":
-        return HarmonicField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "HarmonicField":
-        return HarmonicField(self.grid, self.coeffs * float(a))
-
-    __rmul__ = __mul__

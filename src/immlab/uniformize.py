@@ -39,7 +39,6 @@ __all__ = [
     "ConformalData",
     "LinearizedLiouville",
     "conformal_class",
-    "linearized_conformal_factor",
     "solve_liouville",
 ]
 
@@ -205,11 +204,10 @@ class ConformalData:
 
     round_rep = e^{2 phi} gamma has Gauss curvature one; lambda2 = e^{-2 phi}
     holds at the nodes; class_rep is the pointwise unimodular representative.
-    gauge records the Moebius normalization: the first three entries are the
-    (pinned-to-zero) degree-one coefficients of phi, the last three the
-    rotation parameters, which are not fixed (rotations are treated as an
-    equivalence in comparisons, so they are recorded as zero).
-    residual_history holds the weak residual norm per Newton iterate.
+    The Moebius gauge pins the three degree-one coefficients of phi to
+    zero; rotations are not fixed, since comparisons treat them as an
+    equivalence.  residual_history holds the weak residual norm per Newton
+    iterate.
     forms are the Galerkin matrices of metric that the solve used; the
     linearization and the Galerkin Laplacian at this metric reuse them.
     """
@@ -221,17 +219,12 @@ class ConformalData:
     strong_residual: float
     iterations: int
     forms: _WeakForms = field(compare=False, repr=False)
-    gauge: np.ndarray = field(default_factory=lambda: np.zeros(6))
     residual_history: tuple = ()
 
     @property
     def round_rep(self) -> np.ndarray:
         e2p = np.exp(2.0 * self.phi.samples)
         return self.metric.gamma * e2p[:, None, None]
-
-    @property
-    def lambda2_field(self) -> HarmonicField:
-        return HarmonicField.from_samples(self.metric.grid, self.lambda2)
 
 
 def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
@@ -406,15 +399,3 @@ class LinearizedLiouville:
         Y = self.conformal.forms.Y
         lambda2_prime = -2.0 * l2[:, None] * (Y @ phi_prime)
         return phi_prime, lambda2_prime
-
-
-def linearized_conformal_factor(conformal: ConformalData,
-                                h: np.ndarray) -> np.ndarray:
-    """(lambda^2)' at the nodes for a single metric variation h (n, 2, 2).
-
-    Convenience wrapper over LinearizedLiouville; assembling many variations
-    at one base point should construct that class once instead.
-    """
-    lin = LinearizedLiouville(conformal)
-    _, l2p = lin.solve(h)
-    return l2p

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from immlab.bases import tensor_basis, vector_basis
-from immlab.continuation import TargetData, _dealias_masks, newton_solve
+from immlab.continuation import TargetData, newton_solve
 from immlab.operators import (_degree_cut, _scalar_labels,
                               assemble_linearization, domain_labels,
                               project_codomain)
@@ -17,7 +17,6 @@ TABLES = {
     "tensor_basis": tensor_basis,
     "domain_labels": domain_labels,
     "scalar_labels": _scalar_labels,
-    "dealias_masks": _dealias_masks,
     "degree_cut": lambda g: _degree_cut(g, g.L - 2),
     "node_matrix": lambda g: g.node_matrix(1, 1),
 }
@@ -33,8 +32,8 @@ ARRAYS = {
     "vector fields": lambda g: vector_basis(g).fields,
     "vector dfields": lambda g: vector_basis(g).dfields,
     "tensor weighted": lambda g: tensor_basis(g).weighted,
-    "domain mask": lambda g: _dealias_masks(g)[0],
-    "codomain mask": lambda g: _dealias_masks(g)[1],
+    "domain mask": lambda g: _degree_cut(g, g.L - 2).domain_mask,
+    "codomain mask": lambda g: _degree_cut(g, g.L - 2).codomain_mask,
     "node matrix": lambda g: g.node_matrix(0, 2),
 }
 

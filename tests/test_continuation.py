@@ -135,6 +135,26 @@ def test_continuation_records_fresh_singular_values():
     npt.assert_allclose(np.asarray(last.singular_values), fresh, atol=1e-9)
 
 
+def test_continuation_survives_gesdd_failure(monkeypatch):
+    # the recorded singular values come from fredholm._svd, which redoes a
+    # failed gesdd SVD with gesvd, so the path runs as it would without
+    # the failure
+    g = grid(8)
+    metric = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.02, 0.98))
+    ref = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    trace = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
+    assert trace.status == ref.status == "reached eps_min"
+    npt.assert_array_equal(trace.epsilons, ref.epsilons)
+    for step, ref_step in zip(trace.steps, ref.steps):
+        npt.assert_allclose(step.singular_values, ref_step.singular_values,
+                            rtol=0, atol=1e-12)
+
+
 def test_continuation_scaled_round_target():
     g = grid(8)
     gamma = MetricData.round(g, 2.0)

@@ -4,24 +4,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.bases import tensor_basis, vector_basis
-from immlab.continuation import _dealias_masks
+from immlab.bases import tensor_basis
 from immlab.errors import ImmersionRegularityError
 from immlab.fredholm import killing_modes
 from immlab.geometry import ImmersionMap
 from immlab.operators import (VariationField, apply_phi,
                               assemble_linearization, delta_star,
-                              domain_labels, mean_curvature_prime,
-                              principal_symbol, project_codomain)
-from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
-                           sphere_immersion)
-from immlab.spectral import HarmonicField, coeff_index, grid
+                              mean_curvature_prime, principal_symbol,
+                              project_codomain, push_forward)
+from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
+                           perturbed_sphere_immersion, sphere_immersion)
+from immlab.spectral import coeff_index, grid
 
 
 def normal_field(g, l, m, amp=1.0):
     c = np.zeros(g.n_coeffs)
     c[coeff_index(l, m)] = amp
-    return VariationField(np.zeros((g.n_nodes, 2)), HarmonicField(g, c))
+    return VariationField(np.zeros((g.n_nodes, 2)),
+                          np.zeros((g.n_nodes, 2, 2)), g.synthesize(c))
 
 
 def test_apply_phi_sphere_values():
@@ -106,12 +106,43 @@ def test_delta_star_killing_fields():
         F, np.cross(np.array([0.0, 0.0, 1.0]), F.positions))
     strain, _ = delta_star(F, rot)
     npt.assert_array_less(np.abs(strain).max(), 1e-10)
-    assert np.abs(rot.nu.samples).max() <= 1e-10
+    assert np.abs(rot.nu).max() <= 1e-10
 
     trans = VariationField.from_ambient(
         F, np.tile(np.array([0.3, -0.2, 0.9]), (g.n_nodes, 1)))
     strain, _ = delta_star(F, trans)
     npt.assert_array_less(np.abs(strain).max(), 1e-10)
+
+
+def _ambient_strain(F, X):
+    """Reference: half the metric variation, sym(d_i X . d_j F), of X.
+
+    This is (1/2) d/ds [(F + sX)^* g_Eucl] at s = 0, with X analyzed so
+    that its chart derivatives are exact for band-limited fields.
+    """
+    g = F.grid
+    Xc = np.stack([g.analyze(X[:, mu]) for mu in range(3)])
+    dX = np.stack([g.node_matrix(1, 0) @ Xc.T, g.node_matrix(0, 1) @ Xc.T],
+                  axis=1)
+    gp = (np.einsum("nim,njm->nij", dX, F.geometry.dF)
+          + np.einsum("nim,njm->nij", F.geometry.dF, dX))
+    return 0.5 * gp
+
+
+@pytest.mark.parametrize("L", [12, 16])
+@pytest.mark.parametrize("shape", ["ellipsoid:1,1.1,0.9",
+                                   "perturbed:1;3,1,0.05"])
+def test_delta_star_matches_ambient_strain(L, shape):
+    # the kernels' Lie-derivative strain equals the ambient one: measured
+    # 5e-16 of the largest entry for band-limited X
+    g = grid(L)
+    F = parse_shape_spec(shape, g)
+    Xc = np.zeros((3, g.n_coeffs))
+    Xc[:, :16] = 0.3 * np.random.default_rng(L).standard_normal((3, 16))
+    X = np.stack([g.synthesize(Xc[mu]) for mu in range(3)], axis=-1)
+    ref = _ambient_strain(F, X)
+    strain, _ = delta_star(F, VariationField.from_ambient(F, X))
+    npt.assert_allclose(strain, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_delta_star_normal_on_sphere():
@@ -120,9 +151,10 @@ def test_delta_star_normal_on_sphere():
     V = normal_field(g, 2, 0)
     strain, dnu = delta_star(F, V)
     # A = gamma on the unit sphere, so the strain is nu * gamma
-    ref = V.nu.samples[:, None, None] * F.geometry.gamma
+    ref = V.nu[:, None, None] * F.geometry.gamma
     npt.assert_array_less(np.abs(strain - ref).max(), 1e-10)
-    npt.assert_allclose(dnu[:, 0], V.nu.deriv(1, 0), atol=1e-13)
+    npt.assert_allclose(dnu[:, 0], g.node_matrix(1, 0)[:, coeff_index(2, 0)],
+                        atol=1e-13)
 
 
 def test_mean_curvature_prime_sphere():
@@ -214,11 +246,9 @@ def test_linearization_matches_finite_differences(eps, variant):
     g = grid(12)
     F = sphere_immersion(g)
     tb = tensor_basis(g)
-    vb = vector_basis(g)
     M = assemble_linearization(F, eps, variant, liouville_tol=None)
     v = _domain_direction(g, M.domain_basis, 11)
-    X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF, v[:vb.size])
-    X += F.geometry.normal * (g.node_matrix(0, 0) @ v[vb.size:])[:, None]
+    X = push_forward(F, v)
     Xc = np.stack([g.analyze(X[:, mu]) for mu in range(3)])
     col = M.matrix @ v
     err = {s: np.linalg.norm(_fd_column(F, eps, variant, Xc, s, tb) - col)
@@ -281,7 +311,8 @@ def test_dealiased_assembly_is_the_full_block(L, eps, variant):
     data = apply_phi(F, eps, variant, liouville_tol=None)
     full = assemble_linearization(F, eps, variant, data=data)
     M = assemble_linearization(F, eps, variant, data=data, degree=L - 2)
-    keep, rows = _dealias_masks(g)
+    keep = np.array([l <= L - 2 for _, l, _ in full.domain_basis])
+    rows = np.array([l <= L - 2 for _, l, _ in full.codomain_basis])
     block = full.matrix[np.ix_(rows, keep)]
     npt.assert_allclose(M.matrix, block, rtol=0,
                         atol=1e-13 * np.abs(block).max())

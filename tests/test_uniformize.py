@@ -9,12 +9,11 @@ import pytest
 from immlab import uniformize
 from immlab.errors import ConvergenceError, ImmersionRegularityError
 from immlab.geometry import ImmersionMap
-from immlab.operators import metric_strain
+from immlab.operators import VariationField, delta_star
 from immlab.shapes import ellipsoid_immersion, sphere_immersion
 from immlab.spectral import HarmonicField, coeff_index, grid
 from immlab.uniformize import (LinearizedLiouville, MetricData,
-                               conformal_class, linearized_conformal_factor,
-                               solve_liouville)
+                               conformal_class, solve_liouville)
 
 
 def test_conformal_class_round():
@@ -226,6 +225,11 @@ def _strain_variation(g, seed, scale=0.3, n_modes=16):
     return Xc
 
 
+def _metric_variation(F, X):
+    """The induced-metric variation 2 delta*(X^T) + 2 nu A of a nodal field."""
+    return 2.0 * delta_star(F, VariationField.from_ambient(F, X))[0]
+
+
 def test_linearized_factor_area_identity_tracefree():
     g = grid(16)
     F = sphere_immersion(g)
@@ -233,7 +237,7 @@ def test_linearized_factor_area_identity_tracefree():
     conf = solve_liouville(m)
     Xc = _strain_variation(g, 3)
     X = np.stack([g.synthesize(Xc[mu]) for mu in range(3)], axis=-1)
-    h = 2.0 * metric_strain(F, X)
+    h = _metric_variation(F, X)
     trh = np.einsum("nij,nij->n", m.inv_gamma, h)
     h_tf = h - 0.5 * trh[:, None, None] * m.gamma
     lin = LinearizedLiouville(conf)
@@ -248,7 +252,7 @@ def test_linearized_factor_finite_difference():
     conf = solve_liouville(MetricData.from_immersion(F), tol=None)
     Xc = _strain_variation(g, 3)
     X = np.stack([g.synthesize(Xc[mu]) for mu in range(3)], axis=-1)
-    l2p = linearized_conformal_factor(conf, 2.0 * metric_strain(F, X))
+    _, l2p = LinearizedLiouville(conf).solve(_metric_variation(F, X))
 
     def l2_at(s):
         Fs = ImmersionMap(g, F.coeffs + s * Xc)
