@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SphereGrid, coeff_degrees, coeff_index
+from .spectral import SphereGrid, coeff_degrees
 
 __all__ = [
     "VectorBasis",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ImmersionRegularityError
 from .bases import tensor_basis
-from .fredholm import _detect_rank, _svd
+from .fredholm import _SVD, _detect_rank
 from .geometry import ImmersionMap
 from .operators import (EpsilonData, _degree_cut, apply_phi,
                         assemble_linearization, project_codomain,
@@ -128,7 +128,8 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
     the gap-truncated step cannot correct, inverting the near-null modes
     is harmless and mops up the remaining components.
     """
-    U, s, Vt = _svd(matrix, full_matrices=False)
+    f = _SVD(matrix)
+    s = f.s
     floor_rank = int(np.sum(s > s[0] * 1e-8))
     rank, _, reliable = _detect_rank(s, gap_min)
     if not reliable:
@@ -136,12 +137,9 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
         if not mild:
             rank = floor_rank
 
-    def solve(k):
-        return Vt[:k].T @ ((U[:, :k].T @ -r) / s[:k])
-
-    steps = [solve(rank)]
+    steps = [f.solve(-r, rank)]
     if floor_rank > rank:
-        steps.append(solve(floor_rank))
+        steps.append(f.solve(-r, floor_rank))
     return steps
 
 
@@ -406,7 +404,7 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         bisections = 0
         eps_last = eps
         M = assemble_linearization(F, eps, variant, liouville_tol=None)
-        sv = _svd(M.matrix, full_matrices=False)[1][::-1][:12]
+        sv = _SVD(M.matrix, compute_uv=False).s[::-1][:12]
         trace.steps.append(StepRecord(eps, iters, float(hist[-1]), sv,
                                       True, defect))
 

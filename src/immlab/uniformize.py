@@ -365,7 +365,9 @@ class LinearizedLiouville:
         m = self.conformal.metric
         inv = m.inv_gamma
         trh = np.einsum("nij,nijb->nb", inv, h)
-        hup = np.einsum("nik,nklb,njl->nijb", inv, h, inv)
+        # two pairwise contractions: one three-operand einsum is twice as slow
+        hup = np.einsum("nilb,njl->nijb", np.einsum("nik,nklb->nilb", inv, h),
+                        inv)
         flux = (0.5 * (inv @ self._dphi[..., None]) * trh[:, None, :]
                 - np.einsum("nijb,nj->nib", hup, self._dphi))
         T = hup

@@ -39,19 +39,17 @@ def test_newton_recovers_ellipsoid():
     assert hist[-1] / hist[-2] <= 0.1
 
 
-def test_newton_survives_gesdd_failure(monkeypatch):
-    # the Newton step redoes a failed gesdd SVD with gesvd (see
-    # fredholm._svd) and takes the same steps
+def test_newton_survives_gesdd_failure(fail_bdsdc):
+    # the Newton step redoes an SVD whose divide and conquer fails to
+    # converge with gesvd (see fredholm._SVD) and takes the same steps
     g = grid(8)
     E = ellipsoid_immersion(g, 1.02, 0.98, 1.01)
     target = TargetData.from_immersion(E, 0.2, liouville_tol=None)
     ref, ref_hist = newton_solve(sphere_immersion(g), target)
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    failures = fail_bdsdc()
     sol, hist = newton_solve(sphere_immersion(g), target)
+    # one SVD per iteration, failed in both orientations
+    assert len(failures) == 2 * (len(hist) - 1)
     assert len(hist) == len(ref_hist)
     npt.assert_allclose(hist, ref_hist, rtol=0, atol=1e-12 * ref_hist[0])
     npt.assert_allclose(sol.coeffs, ref.coeffs, rtol=0,
@@ -135,19 +133,18 @@ def test_continuation_records_fresh_singular_values():
     npt.assert_allclose(np.asarray(last.singular_values), fresh, atol=1e-9)
 
 
-def test_continuation_survives_gesdd_failure(monkeypatch):
-    # the recorded singular values come from fredholm._svd, which redoes a
-    # failed gesdd SVD with gesvd, so the path runs as it would without
-    # the failure
+def test_continuation_survives_gesdd_failure(fail_bdsdc):
+    # the Newton steps and the recorded singular values come from
+    # fredholm._SVD, which redoes an SVD whose divide and conquer fails to
+    # converge with gesvd, so the path runs as it would without the failure
     g = grid(8)
     metric = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.02, 0.98))
     ref = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    failures = fail_bdsdc()
     trace = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
+    # a values-only SVD (compq "N"), failed in both orientations, records
+    # each accepted step
+    assert sum(f[1] == "N" for f in failures) == 2 * len(trace.steps)
     assert trace.status == ref.status == "reached eps_min"
     npt.assert_array_equal(trace.epsilons, ref.epsilons)
     for step, ref_step in zip(trace.steps, ref.steps):

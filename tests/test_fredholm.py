@@ -6,8 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.fredholm import (based_report, degree_one_families,
-                             kernel_vs_epsilon, killing_modes, svd_report)
+from scipy.linalg import qr
+
+from immlab.fredholm import (_SVD, _bind, _detect_rank, based_report,
+                             degree_one_families, kernel_vs_epsilon,
+                             killing_modes, svd_report)
 from immlab.operators import assemble_linearization
 from immlab.shapes import perturbed_sphere_immersion, sphere_immersion
 from immlab.spectral import grid
@@ -58,23 +61,71 @@ def test_singular_value_tail_sorted():
 
 
 @pytest.mark.parametrize("report", [svd_report, based_report])
-def test_report_survives_gesdd_failure(report, monkeypatch):
-    # gesdd can fail to converge on a well-conditioned matrix (seen on an
-    # L = 20 round-sphere linearization); the report then redoes the SVD
-    # with gesvd and must say the same
+def test_report_survives_gesdd_failure(report, fail_bdsdc):
+    # gesdd's divide and conquer can fail to converge on a well-conditioned
+    # matrix (seen on L = 20 round-sphere linearizations); when it fails in
+    # both orientations the report redoes the SVD with gesvd and must say
+    # the same
     M = round_matrix(8)
     ref = report(M)
-
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    failures = fail_bdsdc()
     r = report(M)
+    assert failures
     assert (r.kernel_dim, r.cokernel_dim, r.index, r.reliable) == \
         (ref.kernel_dim, ref.cokernel_dim, ref.index, ref.reliable)
     npt.assert_allclose(r.singular_values, ref.singular_values, rtol=0,
                         atol=1e-12 * ref.singular_values[0])
     assert r.mode_labels.keys() == ref.mode_labels.keys()
+
+
+def _kernel_matrices():
+    M = round_matrix(8)
+    comp = qr(killing_modes(M.domain_basis), mode="full")[0][:, 6:]
+    rng = np.random.default_rng(3)
+    return {"wide": M.matrix, "square": M.matrix @ comp, "tall": M.matrix.T,
+            "rank-deficient": rng.standard_normal((70, 25))
+            @ rng.standard_normal((25, 60))}
+
+
+@pytest.mark.parametrize("retry", ["gesdd-steps", "transposed", "gesvd"])
+@pytest.mark.parametrize("name", ["wide", "square", "tall", "rank-deficient"])
+def test_svd_kernel_matches_numpy(name, retry, request):
+    A = _kernel_matrices()[name]
+    m, n = A.shape
+    if retry != "gesdd-steps":
+        # fail gesdd's orientation, or both
+        uplo = "UL" if retry == "gesvd" else "U" if m >= n else "L"
+        failures = request.getfixturevalue("fail_bdsdc")(uplo)
+    U, s, Vt = np.linalg.svd(A)
+    f = _SVD(A)
+    npt.assert_allclose(f.s, s, rtol=0, atol=1e-14 * s[0])
+    npt.assert_allclose(_SVD(A, compute_uv=False).s, s, rtol=0,
+                        atol=1e-14 * s[0])
+    rank = _detect_rank(s, 1e3)[0]
+    assert rank < min(m, n)
+    # the null spaces, including the directions beyond min(m, n)
+    V0, U0 = f.right(range(rank, n)), f.left(range(rank, m))
+    npt.assert_allclose(V0 @ V0.T, Vt[rank:].T @ Vt[rank:], rtol=0,
+                        atol=1e-12)
+    npt.assert_allclose(U0 @ U0.T, U[:, rank:] @ U[:, rank:].T, rtol=0,
+                        atol=1e-12)
+    # singular pairs away from the null space
+    lead = [0, rank // 2, rank - 1]
+    npt.assert_allclose(A @ f.right(lead), f.left(lead) * s[lead], rtol=0,
+                        atol=1e-12 * s[0])
+    b = np.random.default_rng(0).standard_normal(m)
+    ref = Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+    x = f.solve(b, rank)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    if retry != "gesdd-steps":
+        assert len(failures) == 2 * len(uplo)
+
+
+def test_lapack_binding_checks_signatures():
+    with pytest.raises(ImportError, match="dgebrd"):
+        _bind("dgebrd", "iid")
+    with pytest.raises(ImportError, match="dgesvdq_nonesuch"):
+        _bind("dgesvdq_nonesuch", "i")
 
 
 def test_zero_matrix_degenerate():
