@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fd_weights", "theta_derivative_ops", "MeridianGrid"]
+__all__ = ["HALFWIDTH", "fd_weights", "theta_derivative_ops", "MeridianGrid"]
+
+# Stencil half-width: mirrored rows past each pole, and points each side of
+# a centered stencil (order 2 * HALFWIDTH)
+HALFWIDTH = 6
 
 
 def fd_weights(x0: float, xs: np.ndarray, maxorder: int) -> np.ndarray:
@@ -52,15 +56,15 @@ def fd_weights(x0: float, xs: np.ndarray, maxorder: int) -> np.ndarray:
     return W
 
 
-def theta_derivative_ops(theta: np.ndarray, halfwidth: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def theta_derivative_ops(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense stencil operators for d/dth and d2/dth2 on extended meridians.
 
     theta holds the interior colatitude nodes (increasing, in (0, pi)).
-    The operators act on data extended by `halfwidth` mirrored rows past
-    each pole, shape (n + 2*halfwidth, ...).
+    The operators act on data extended by HALFWIDTH mirrored rows past
+    each pole, shape (n + 2*HALFWIDTH, ...).
     """
     n = len(theta)
-    K = halfwidth
+    K = HALFWIDTH
     ext = np.concatenate([-theta[:K][::-1], theta, 2.0 * np.pi - theta[-K:][::-1]])
     W1 = np.zeros((n, n + 2 * K))
     W2 = np.zeros((n, n + 2 * K))
@@ -76,19 +80,18 @@ def theta_derivative_ops(theta: np.ndarray, halfwidth: int = 4) -> tuple[np.ndar
 class MeridianGrid:
     """Derivative machinery for (n_theta, n_phi) gridded chart fields."""
 
-    def __init__(self, theta: np.ndarray, n_phi: int, halfwidth: int = 4):
+    def __init__(self, theta: np.ndarray, n_phi: int):
         if n_phi % 2 != 0:
             raise ValueError("need an even longitude count for antipodal continuation")
         self.theta = np.asarray(theta, dtype=float)
         self.n_phi = n_phi
-        self.K = halfwidth
-        self.W1, self.W2 = theta_derivative_ops(self.theta, halfwidth)
+        self.W1, self.W2 = theta_derivative_ops(self.theta)
         k = np.fft.rfftfreq(n_phi, d=1.0 / n_phi)
         self._ik = 1j * k
 
     def extend(self, rows: np.ndarray, parity: int) -> np.ndarray:
         """Continue data across both poles with the antipodal rule."""
-        K = self.K
+        K = HALFWIDTH
         shift = self.n_phi // 2
         north = parity * np.roll(rows[:K][::-1], shift, axis=1)
         south = parity * np.roll(rows[-K:][::-1], shift, axis=1)

@@ -101,18 +101,16 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _cmd_check_gauss(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+# Each _cmd_* runs one subcommand on the parsed --shape immersion and
+# returns its report.json fields after command, shape and L (see cli_run).
+
+def _cmd_check_gauss(cfg: dict, F: ImmersionMap) -> dict:
     chk = gauss_check(F)
     print(f"max Gauss discrepancy: {chk.max_discrepancy:.6e}")
-    return {"command": "check-gauss", "shape": cfg["shape"], "L": cfg["L"],
-            "max_discrepancy": chk.max_discrepancy}
+    return {"max_discrepancy": chk.max_discrepancy}
 
 
-def _cmd_check_darboux(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+def _cmd_check_darboux(cfg: dict, F: ImmersionMap) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     dirs = [np.array([0.0, 0.0, 1.0])]
     for _ in range(2):
@@ -124,27 +122,22 @@ def _cmd_check_darboux(cfg: dict) -> dict:
         rows.append({"direction": e, "max_residual": chk.max_residual})
         print(f"e = ({e[0]:+.4f}, {e[1]:+.4f}, {e[2]:+.4f}): "
               f"max residual {chk.max_residual:.6e}")
-    return {"command": "check-darboux", "shape": cfg["shape"], "L": cfg["L"],
-            "seed": cfg["seed"], "checks": rows}
+    return {"seed": cfg["seed"], "checks": rows}
 
 
-def _cmd_uniformize(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+def _cmd_uniformize(cfg: dict, F: ImmersionMap) -> dict:
     conf = solve_liouville(MetricData.from_immersion(F), tol=cfg["tol"])
     _write_geometry(cfg["out"], F, conf.lambda2)
     print(f"uniformized in {conf.iterations} iterations, "
           f"strong residual {conf.strong_residual:.6e}")
-    return {"command": "uniformize", "shape": cfg["shape"], "L": cfg["L"],
-            "iterations": conf.iterations,
+    return {"iterations": conf.iterations,
             "strong_residual": conf.strong_residual,
             "lambda2_min": float(conf.lambda2.min()),
             "lambda2_max": float(conf.lambda2.max())}
 
 
-def _cmd_symbol(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+def _cmd_symbol(cfg: dict, F: ImmersionMap) -> dict:
+    g = F.grid
     eps = cfg["epsilon"]
     data = apply_phi(F, eps, cfg["variant"], liouville_tol=None)
     angles = 2.0 * np.pi * np.arange(cfg["directions"]) / cfg["directions"]
@@ -160,42 +153,33 @@ def _cmd_symbol(cfg: dict) -> dict:
     if characteristic and eps == 0.0:
         line += "; characteristic in all sampled directions"
     print(line)
-    return {"command": "symbol", "shape": cfg["shape"], "L": cfg["L"],
-            "epsilon": eps, "variant": cfg["variant"],
+    return {"epsilon": eps, "variant": cfg["variant"],
             "directions": cfg["directions"],
             "min_singular_value": float(smin),
             "characteristic": bool(characteristic)}
 
 
-def _cmd_index(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+def _cmd_index(cfg: dict, F: ImmersionMap) -> dict:
     rep = svd_report(assemble_linearization(F, cfg["epsilon"], cfg["variant"],
                                             liouville_tol=None))
     print(f"kernel {rep.kernel_dim}, cokernel {rep.cokernel_dim}, "
           f"index {rep.index} (gap {rep.gap_ratio:.2e}, "
           f"reliable {rep.reliable})")
-    return {"command": "index", "shape": cfg["shape"], "L": cfg["L"],
-            "report": _report_dict(rep)}
+    return {"report": _report_dict(rep)}
 
 
-def _cmd_kernel_sweep(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F = parse_shape_spec(cfg["shape"], g)
+def _cmd_kernel_sweep(cfg: dict, F: ImmersionMap) -> dict:
     eps_grid = [1.0, 0.5, 0.25, 0.1]
-    reports = kernel_vs_epsilon(F, eps_grid, cfg["variant"],
-                                liouville_tol=None)
+    reports = kernel_vs_epsilon(F, eps_grid, cfg["variant"])
     for rep in reports:
         print(f"eps {rep.epsilon:5.2f}: kernel {rep.kernel_dim}, "
               f"cokernel {rep.cokernel_dim}, index {rep.index}")
-    return {"command": "kernel-sweep", "shape": cfg["shape"], "L": cfg["L"],
-            "variant": cfg["variant"], "epsilons": eps_grid,
+    return {"variant": cfg["variant"], "epsilons": eps_grid,
             "reports": [_report_dict(r) for r in reports]}
 
 
-def _cmd_solve(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F_true = parse_shape_spec(cfg["shape"], g)
+def _cmd_solve(cfg: dict, F_true: ImmersionMap) -> dict:
+    g = F_true.grid
     target = TargetData.from_immersion(F_true, cfg["epsilon"], cfg["variant"],
                                        liouville_tol=None)
     area = MetricData.from_immersion(F_true).vol_weights.sum()
@@ -212,19 +196,17 @@ def _cmd_solve(cfg: dict) -> dict:
     save_immersion(f"{cfg['out']}/solution.json", F)
     print(f"converged in {len(history) - 1} iterations, "
           f"residual {history[-1]:.6e}, aligned node error {err:.6e}")
-    return {"command": "solve", "shape": cfg["shape"], "L": cfg["L"],
-            "epsilon": cfg["epsilon"], "variant": cfg["variant"],
+    return {"epsilon": cfg["epsilon"], "variant": cfg["variant"],
             "iterations": len(history) - 1,
             "residual_history": history,
             "procrustes_error": err}
 
 
-def _cmd_continue(cfg: dict) -> dict:
-    g = grid(cfg["L"])
-    F_true = parse_shape_spec(cfg["shape"], g)
+def _cmd_continue(cfg: dict, F_true: ImmersionMap) -> dict:
     metric = MetricData.from_immersion(F_true)
     trace = epsilon_continuation(metric, tol=cfg["tol"],
-                                 variant=cfg["variant"])
+                                 variant=cfg["variant"],
+                                 liouville_tol=cfg["tol"])
     _write_trace(cfg["out"], trace)
     if trace.F is not None:
         data = apply_phi(trace.F, trace.steps[-1].epsilon, cfg["variant"],
@@ -236,8 +218,7 @@ def _cmd_continue(cfg: dict) -> dict:
               f"residual {st.residual:.3e}, defect {st.defect:.3e}, "
               f"{'ok' if st.accepted else 'failed'}")
     print(f"status: {trace.status}")
-    payload = {"command": "continue", "shape": cfg["shape"], "L": cfg["L"],
-               "variant": cfg["variant"], "status": trace.status,
+    payload = {"variant": cfg["variant"], "status": trace.status,
                "epsilons": trace.epsilons, "defects": trace.defects,
                "final_defect": float(trace.defects[-1])}
     if trace.status != "reached eps_min":
@@ -270,11 +251,13 @@ def cli_run(command: str, config: dict) -> int:
     if command not in _COMMANDS:
         _emit_error(cfg["out"], "usage", f"unknown command {command!r}")
         return 2
+    head = {"command": command, "shape": cfg["shape"], "L": cfg["L"]}
     try:
-        payload = _COMMANDS[command](cfg)
+        F = parse_shape_spec(cfg["shape"], grid(cfg["L"]))
+        payload = {**head, **_COMMANDS[command](cfg, F)}
     except _TraceFailed as exc:
         _emit_error(cfg["out"], "ConvergenceError", str(exc),
-                    extra=exc.payload)
+                    extra={**head, **exc.payload})
         return 1
     except (np.linalg.LinAlgError, ImmersionRegularityError) as exc:
         # ValueError subclasses, but numerical failures, not usage errors

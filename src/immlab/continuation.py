@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import ConvergenceError, ImmersionRegularityError
 from .bases import tensor_basis
-from .fredholm import _SVD, _detect_rank
+from .fredholm import GAP_MIN, _SVD, _detect_rank
 from .geometry import ImmersionMap
-from .operators import (EpsilonData, _degree_cut, apply_phi,
+from .operators import (EpsilonData, _blend, _degree_cut, apply_phi,
                         assemble_linearization, project_codomain,
                         push_forward)
 from .shapes import sphere_immersion
@@ -113,17 +113,19 @@ def _residual(F: ImmersionMap, target: TargetData, tb, *,
 
 # Newton solves on the modes of degree <= L - _DEALIAS (see newton_solve)
 _DEALIAS = 2
+# Newton iterations per solve, and step halvings per candidate step
+_MAX_ITER = 25
+_MAX_BACKTRACKS = 8
 
 
-def _step_candidates(matrix: np.ndarray, r: np.ndarray,
-                     gap_min: float) -> list:
+def _step_candidates(matrix: np.ndarray, r: np.ndarray) -> list:
     """Truncated-SVD least-squares steps, best truncation first.
 
     Near a symmetric shape the spectrum carries a cluster of near-null
     modes (the deformed round-sphere kernel) whose inversion amplifies
     Jacobian truncation noise while the residual is large; the primary
     step cuts them at the largest relative gap (certified threshold
-    gap_min, else any mild gap >= 10).  The fallback keeps every mode
+    GAP_MIN, else any mild gap >= 10).  The fallback keeps every mode
     above a conditioning floor: once the residual has shrunk to the level
     the gap-truncated step cannot correct, inverting the near-null modes
     is harmless and mops up the remaining components.
@@ -131,7 +133,7 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
     f = _SVD(matrix)
     s = f.s
     floor_rank = int(np.sum(s > s[0] * 1e-8))
-    rank, _, reliable = _detect_rank(s, gap_min)
+    rank, _, reliable = _detect_rank(s, GAP_MIN)
     if not reliable:
         rank, _, mild = _detect_rank(s, 10.0)
         if not mild:
@@ -144,8 +146,7 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
 
 
 def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
-                 max_iter: int = 25, *, gap_min: float = 1e3,
-                 class_only: bool = False, max_backtracks: int = 8
+                 *, class_only: bool = False
                  ) -> tuple[ImmersionMap, np.ndarray]:
     """Gauss-Newton solve of Phi_eps(F) = target from the initial guess F0.
 
@@ -169,8 +170,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     outright if min det gamma falls below 1e-4 of its initial value.
     class_only restricts the residual and matrix to the class rows (used
     to seed continuation, where no H target exists yet).  Returns (F,
-    residual norm history); raises ConvergenceError with a status
-    attribute ("stalled" or "diverged") on failure.
+    residual norm history); raises ConvergenceError with status
+    "stalled" or "diverged" and the history so far on failure.
     """
     if target.epsilon <= 0.0:
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
@@ -189,7 +190,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     F = F0
     r, data = _residual(F, target, tb, class_only=class_only)
     history = [float(np.linalg.norm(r[rows]))]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if history[-1] <= tol:
             return F, np.array(history)
         M = assemble_linearization(F, target.epsilon, target.variant,
@@ -197,12 +198,12 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
                                    degree=g.L - _DEALIAS)
 
         accepted = None
-        for v_kept in _step_candidates(M.matrix[:n_rows], r[rows], gap_min):
+        for v_kept in _step_candidates(M.matrix[:n_rows], r[rows]):
             v = np.zeros(keep.size)
             v[keep] = v_kept
             X = push_forward(F, v)
             step = 1.0
-            for _ in range(max_backtracks + 1):
+            for _ in range(_MAX_BACKTRACKS + 1):
                 try:
                     trial = ImmersionMap.from_samples(g,
                                                       F.positions + step * X)
@@ -220,23 +221,18 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
             if accepted is not None:
                 break
         if accepted is None:
-            exc = ConvergenceError(
+            raise ConvergenceError(
                 f"newton stalled at residual {history[-1]:.3e} "
-                f"(eps={target.epsilon}, no descent step found)")
-            exc.status = "diverged" if step < 1e-2 else "stalled"
-            exc.history = np.array(history)
-            raise exc
+                f"(eps={target.epsilon}, no descent step found)",
+                "diverged" if step < 1e-2 else "stalled", history)
         F, r, data = accepted
         history.append(float(np.linalg.norm(r[rows])))
 
     if history[-1] <= tol:
         return F, np.array(history)
-    exc = ConvergenceError(
-        f"newton used {max_iter} iterations, residual {history[-1]:.3e} > "
-        f"tol {tol:.1e}")
-    exc.status = "stalled"
-    exc.history = np.array(history)
-    raise exc
+    raise ConvergenceError(
+        f"newton used {_MAX_ITER} iterations, residual {history[-1]:.3e} > "
+        f"tol {tol:.1e}", "stalled", history)
 
 
 def procrustes_align(F: ImmersionMap, G: ImmersionMap
@@ -266,6 +262,10 @@ _POLE_BAND = (0.36, 0.64)
 # does not distinguish below it.
 _DEFECT_FLOOR = 1e-10
 
+# H refreshes after each step's first solve, and bisections of one step
+_SWEEPS = 3
+_MAX_BISECTIONS = 3
+
 
 def _bisect_eps(eps_last: float, eps: float) -> float:
     """Midpoint of a failed step, clamped off the quasi-static pole band."""
@@ -293,35 +293,26 @@ def default_schedule(eps_min: float = 0.05, ratio: float = 0.7) -> list:
     return out
 
 
-def _blend_target(lam2_star: np.ndarray, H: np.ndarray, epsilon: float,
-                  variant: str) -> np.ndarray:
-    if variant == "additive":
-        return (1.0 - epsilon) * lam2_star + epsilon * H
-    return lam2_star ** (1.0 - epsilon) * H ** (-epsilon)
-
-
 def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
-                         tol: float = 1e-9, *, F0: ImmersionMap | None = None,
-                         variant: str = "additive", max_iter: int = 25,
-                         sweeps: int = 3, gap_min: float = 1e3,
-                         liouville_tol: float | None = 1e-9,
-                         max_bisections: int = 3) -> ContinuationTrace:
+                         tol: float = 1e-9, *, variant: str = "additive",
+                         liouville_tol: float | None = 1e-9
+                         ) -> ContinuationTrace:
     """Follow Phi_eps(F) = ([gamma*], quasi-static blend) down in epsilon.
 
     The schedule defaults to the geometric one from default_schedule.  The
     first step solves the class rows alone (no H target exists before a
     solution does); each later step freezes H from the previous accepted
-    solution and solves, then refreshes the frozen H for up to sweeps
+    solution and solves, then refreshes the frozen H for up to _SWEEPS
     further solves, keeping refreshes only while the isometry defect
     max |gamma(F) - gamma*| keeps dropping (the refresh map contracts for
     small eps but repels around eps = 1/2, so it is never iterated
     blindly).  A step whose defect would exceed the previous accepted
     one is refused, unless both sit at the resolution floor.  Failed or
     refused steps trigger bisection toward the last accepted epsilon, up
-    to max_bisections, with midpoints clamped off the quasi-static pole
+    to _MAX_BISECTIONS, with midpoints clamped off the quasi-static pole
     band (stepping inside it cannot succeed; see module docstring).
-    Persistent failure ends the trace with the Newton status.  F0
-    defaults to the round sphere matching gamma*'s total area.
+    Persistent failure ends the trace with the failure's status.  The
+    path starts from the round sphere matching gamma*'s total area.
     """
     g = target_metric.grid
     schedule = list(default_schedule() if eps_schedule is None else eps_schedule)
@@ -335,12 +326,10 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     lam2_star = conf_star.lambda2
     gamma_star = target_metric.gamma
 
-    if F0 is None:
-        area = target_metric.vol_weights.sum()
-        F0 = sphere_immersion(g, radius=float(np.sqrt(area / (4.0 * np.pi))))
+    area = target_metric.vol_weights.sum()
+    F = sphere_immersion(g, radius=float(np.sqrt(area / (4.0 * np.pi))))
 
     trace = ContinuationTrace()
-    F = F0
     H_ref = None
     defect_prev = np.inf
     queue = deque(schedule)
@@ -357,8 +346,8 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         try:
             if H_ref is None:
                 target = TargetData(class_star, lam2_star, variant, eps)
-                F_try, hist = newton_solve(F_try, target, tol, max_iter,
-                                           gap_min=gap_min, class_only=True)
+                F_try, hist = newton_solve(F_try, target, tol,
+                                           class_only=True)
                 iters += len(hist) - 1
                 H_ref = F_try.geometry.H
             # one solve with H frozen from the previous solution, then
@@ -368,11 +357,10 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
             best = None
             H_sweep = H_ref
             base = F_try
-            for _ in range(1 + max(0, sweeps)):
-                blended = _blend_target(lam2_star, H_sweep, eps, variant)
+            for _ in range(1 + _SWEEPS):
+                blended = _blend(lam2_star, H_sweep, eps, variant)
                 target = TargetData(class_star, blended, variant, eps)
-                base, hist = newton_solve(base, target, tol, max_iter,
-                                          gap_min=gap_min)
+                base, hist = newton_solve(base, target, tol)
                 iters += len(hist) - 1
                 d = _defect(base)
                 if best is not None and d >= best[2]:
@@ -383,17 +371,20 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
                 H_sweep = base.geometry.H
             F_try, hist, defect = best
             if defect > max(defect_prev, _DEFECT_FLOOR):
-                raise _step_worsened(defect, defect_prev, eps, hist)
+                raise ConvergenceError(
+                    f"accepted-step defect would rise {defect_prev:.3e} -> "
+                    f"{defect:.3e} at eps={eps}; refusing the step",
+                    "stalled", hist)
         except ConvergenceError as exc:
-            if eps_last is not None and bisections < max_bisections:
+            if eps_last is not None and bisections < _MAX_BISECTIONS:
                 bisections += 1
                 queue.appendleft(_bisect_eps(eps_last, eps))
                 continue
-            last = getattr(exc, "history", [np.nan])[-1]
+            last = exc.history[-1] if exc.history.size else np.nan
             trace.steps.append(StepRecord(
                 eps, iters, float(last), np.full(12, np.nan),
                 False, _defect(F_try)))
-            trace.status = getattr(exc, "status", "diverged")
+            trace.status = exc.status
             trace.F = F
             return trace
 
@@ -410,13 +401,3 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
 
     trace.F = F
     return trace
-
-
-def _step_worsened(defect: float, defect_prev: float, eps: float,
-                   hist: np.ndarray) -> ConvergenceError:
-    exc = ConvergenceError(
-        f"accepted-step defect would rise {defect_prev:.3e} -> {defect:.3e} "
-        f"at eps={eps}; refusing the step")
-    exc.status = "stalled"
-    exc.history = hist
-    return exc

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ImmlabError(Exception):
     """Base class for package errors."""
@@ -14,7 +16,17 @@ class ImmersionRegularityError(ImmlabError, ValueError):
 
 
 class ConvergenceError(ImmlabError, RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """An iterative solver failed to reach its tolerance.
+
+    status classifies the failure ("stalled" or "diverged"); history holds
+    the solver's residual norms up to the failure, empty when it kept none.
+    """
+
+    def __init__(self, message: str, status: str = "diverged",
+                 history=()):
+        super().__init__(message)
+        self.status = status
+        self.history = np.asarray(history, dtype=float)
 
 
 class ShapeSpecError(ImmlabError, ValueError):

@@ -26,6 +26,7 @@ from .geometry import ImmersionMap
 from .operators import OperatorMatrix, assemble_linearization
 
 __all__ = [
+    "GAP_MIN",
     "SpectralReport",
     "svd_report",
     "based_report",
@@ -34,10 +35,21 @@ __all__ = [
     "degree_one_families",
 ]
 
+# Certified spectral-gap threshold: the reports' default and the Newton
+# step's primary truncation test
+GAP_MIN = 1e3
+
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """SVD-based kernel/cokernel/index summary of one assembled matrix."""
+    """SVD-based kernel/cokernel/index summary of one assembled matrix.
+
+    gap_ratio is s[rank-1] / s[rank].  Where the kernel is exact, as at the
+    round sphere, s[rank] is round-off (about 1e-13 of s[0]), so the ratio's
+    size is noise: about 1.08e13 at L = 20, moving with the BLAS thread
+    count and the LAPACK build.  It certifies gap_ratio >= gap_min; do not
+    compare it bit for bit or read a trend in it.
+    """
 
     epsilon: float
     variant: str
@@ -338,12 +350,14 @@ def _report(matrix: np.ndarray, M: OperatorMatrix, gap_min: float,
                           mode_labels, based)
 
 
-def svd_report(M: OperatorMatrix, gap_min: float = 1e3) -> SpectralReport:
+def svd_report(M: OperatorMatrix, gap_min: float = GAP_MIN
+               ) -> SpectralReport:
     """Kernel/cokernel/index of the assembled linearization by gapped SVD."""
     return _report(M.matrix, M, gap_min)
 
 
-def based_report(M: OperatorMatrix, gap_min: float = 1e3) -> SpectralReport:
+def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
+                 ) -> SpectralReport:
     """Report after removing the six ambient-isometry modes from the domain.
 
     The removal is by explicit orthogonal complement of the closed-form
@@ -371,12 +385,13 @@ def based_report(M: OperatorMatrix, gap_min: float = 1e3) -> SpectralReport:
                    domain_restriction=restore, based=True)
 
 
-def kernel_vs_epsilon(F: ImmersionMap, eps_grid, variant: str = "additive",
-                      gap_min: float = 1e3, **assemble_kw) -> list:
+def kernel_vs_epsilon(F: ImmersionMap, eps_grid,
+                      variant: str = "additive") -> list:
     """Assemble and report at each epsilon; the smallest-12 trajectories sit
-    in each report's tail."""
+    in each report's tail.  The assembly skips the Liouville certificate
+    (liouville_tol=None)."""
     reports = []
     for eps in eps_grid:
-        M = assemble_linearization(F, float(eps), variant, **assemble_kw)
-        reports.append(svd_report(M, gap_min))
+        M = assemble_linearization(F, float(eps), variant, liouville_tol=None)
+        reports.append(svd_report(M))
     return reports

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chartfd import MeridianGrid
 from .errors import ImmersionRegularityError
-from .spectral import HarmonicField, SphereGrid
+from .spectral import SphereGrid
 
 __all__ = [
     "ImmersionMap",
@@ -67,9 +67,6 @@ class ImmersionMap:
     @cached_property
     def geometry(self) -> "SurfaceGeometry":
         return SurfaceGeometry.compute(self.grid, self.coeffs)
-
-    def component(self, mu: int) -> HarmonicField:
-        return HarmonicField(self.grid, self.coeffs[mu])
 
     def rotated(self, R: np.ndarray) -> "ImmersionMap":
         return ImmersionMap(self.grid, np.asarray(R, dtype=float) @ self.coeffs)
@@ -177,7 +174,7 @@ def _metric_first_derivatives(geo: SurfaceGeometry, mg: MeridianGrid):
     return d
 
 
-def grid_christoffels(geo: SurfaceGeometry, halfwidth: int = 6) -> np.ndarray:
+def grid_christoffels(geo: SurfaceGeometry) -> np.ndarray:
     """Christoffel symbols from stencil derivatives of the metric alone.
 
     Deliberately independent of the exact Gauss-formula Christoffels stored
@@ -185,7 +182,7 @@ def grid_christoffels(geo: SurfaceGeometry, halfwidth: int = 6) -> np.ndarray:
     so their residuals measure honest discretization error.
     """
     g = geo.grid
-    mg = MeridianGrid(g.theta_nodes, g.n_phi, halfwidth)
+    mg = MeridianGrid(g.theta_nodes, g.n_phi)
     dgam = _metric_first_derivatives(geo, mg)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     bracket = (np.einsum("nilj->nlij", dgam)
@@ -201,7 +198,7 @@ class GaussCheck:
     max_discrepancy: float
 
 
-def gauss_check(F: ImmersionMap, halfwidth: int = 6) -> GaussCheck:
+def gauss_check(F: ImmersionMap) -> GaussCheck:
     """Compare intrinsic (Brioschi) and extrinsic Gauss curvature.
 
     The intrinsic value uses only the metric and its stencil derivatives;
@@ -210,7 +207,7 @@ def gauss_check(F: ImmersionMap, halfwidth: int = 6) -> GaussCheck:
     """
     geo = F.geometry
     g = geo.grid
-    mg = MeridianGrid(g.theta_nodes, g.n_phi, halfwidth)
+    mg = MeridianGrid(g.theta_nodes, g.n_phi)
     E, Fm, G = _metric_grids(geo)
 
     E_u, E_v = mg.d_theta(E, +1), mg.d_phi(E)
@@ -242,7 +239,7 @@ class DarbouxCheck:
     max_residual: float
 
 
-def darboux_residual(F: ImmersionMap, e: np.ndarray, halfwidth: int = 6) -> DarbouxCheck:
+def darboux_residual(F: ImmersionMap, e: np.ndarray) -> DarbouxCheck:
     """Residual of the Darboux identity for the height function u = <F, e>.
 
     Checks det(D2_gamma u) = K det(gamma) (1 - |grad_gamma u|^2) with the
@@ -254,7 +251,7 @@ def darboux_residual(F: ImmersionMap, e: np.ndarray, halfwidth: int = 6) -> Darb
     geo = F.geometry
     du = np.einsum("nia,a->ni", geo.dF, e)          # exact chart gradient
     d2u = np.einsum("nija,a->nij", geo.d2F, e)
-    Gam = grid_christoffels(geo, halfwidth)
+    Gam = grid_christoffels(geo)
     hess = d2u - np.einsum("nkij,nk->nij", Gam, du)
     det_hess = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
     grad_sq = np.einsum("nij,ni,nj->n", geo.inv_gamma, du, du)

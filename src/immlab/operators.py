@@ -113,11 +113,16 @@ def apply_phi(F: ImmersionMap, epsilon: float, variant: str = "additive",
         return EpsilonData(epsilon, variant, class_rep, blended, H, None, None)
     conf = solve_liouville(MetricData.from_immersion(F), tol=liouville_tol)
     l2 = conf.lambda2
+    return EpsilonData(epsilon, variant, class_rep,
+                       _blend(l2, H, epsilon, variant), H, l2, conf)
+
+
+def _blend(lambda2: np.ndarray, H: np.ndarray, epsilon: float,
+           variant: str) -> np.ndarray:
+    """The blended slot from lambda^2 and H (module docstring formulas)."""
     if variant == "additive":
-        blended = (1.0 - epsilon) * l2 + epsilon * H
-    else:
-        blended = l2 ** (1.0 - epsilon) * H ** (-epsilon)
-    return EpsilonData(epsilon, variant, class_rep, blended, H, l2, conf)
+        return (1.0 - epsilon) * lambda2 + epsilon * H
+    return lambda2 ** (1.0 - epsilon) * H ** (-epsilon)
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,6 @@ class OperatorMatrix:
     variant: str
     domain_basis: tuple
     codomain_basis: tuple
-    F: ImmersionMap
 
     @property
     def row_orders(self) -> np.ndarray:
@@ -469,7 +473,7 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     del gp
 
     rows = project_codomain(g, tensor_basis(g), crp, bp, degree=degree)
-    return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain, F)
+    return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain)
 
 
 def _scalar_labels(g: SphereGrid) -> tuple:

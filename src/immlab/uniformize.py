@@ -227,8 +227,11 @@ class ConformalData:
         return self.metric.gamma * e2p[:, None, None]
 
 
+# Gauss-Newton iterations solve_liouville takes at most
+_MAX_ITER = 40
+
+
 def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
-                    max_iter: int = 40,
                     initial: np.ndarray | None = None) -> ConformalData:
     """Uniformize a metric by damped Gauss-Newton on the weak Liouville system.
 
@@ -265,7 +268,7 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     history = [rnorm]
     floor = 1e-13 * max(1.0, np.linalg.norm(forms.Y.T @ (forms.q * metric.K)))
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if rnorm <= floor:
             break
         Q, R = qr(forms.jacobian(coeffs)[:, keep], mode="economic")

@@ -84,7 +84,7 @@ def test_criterion_4_round_sphere_index(L):
 
 def test_criterion_5_kernel_persistence():
     rows = kernel_vs_epsilon(sphere_immersion(grid(12)),
-                             [1.0, 0.5, 0.25, 0.1], liouville_tol=None)
+                             [1.0, 0.5, 0.25, 0.1])
     print("criterion 5: " + ", ".join(
         f"eps={r.epsilon}: kernel {r.kernel_dim} index {r.index}"
         for r in rows))

@@ -114,6 +114,20 @@ def test_continue_deterministic(tmp_path):
     assert (a / "trace.csv").read_text() == (b / "trace.csv").read_text()
 
 
+def test_continue_tol_sets_certificate(tmp_path, capsys):
+    # at L = 8 this ellipsoid's uniformization residual is about 1.6e-8,
+    # so the default 1e-9 certificate fails and a looser --tol passes
+    rc, rep = run("continue", tmp_path, shape="ellipsoid:1,1.02,0.98",
+                  tol=1e-7)
+    assert rc == 0
+    assert rep["status"] == "reached eps_min"
+    assert rep["epsilons"][-1] == 0.05
+    rc, rep = run("continue", tmp_path, shape="ellipsoid:1,1.02,0.98")
+    assert rc == 1
+    assert "uniformization residual" in rep["error"]["message"]
+    capsys.readouterr()
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     rc, rep = run("solve", tmp_path, shape="ellipsoid:1,1.3,0.7",
                   epsilon=1.0, tol=1e-16)

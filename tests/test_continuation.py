@@ -78,6 +78,29 @@ def test_newton_reports_infeasible_blend():
     assert exc.value.history[0] > 0.0
 
 
+@pytest.mark.parametrize("exc,status,residual", [
+    (ConvergenceError("no history"), "diverged", np.nan),
+    (ConvergenceError("stuck", "stalled", [3.0, 2.0]), "stalled", 2.0),
+])
+def test_continuation_records_failure(exc, status, residual, monkeypatch):
+    # a failed first step has no accepted epsilon to bisect towards, so the
+    # trace ends there with the error's status and last residual
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("immlab.continuation.newton_solve", fail)
+    g = grid(8)
+    trace = epsilon_continuation(MetricData.round(g, 1.0), [1.0, 0.5])
+    assert trace.status == status
+    [step] = trace.steps
+    assert step.epsilon == 1.0 and not step.accepted
+    npt.assert_array_equal(step.residual, residual)
+    assert np.isnan(step.singular_values).all()
+    # the path starts from the area-matched round sphere
+    npt.assert_allclose(trace.F.coeffs, sphere_immersion(g).coeffs,
+                        rtol=0, atol=1e-12)
+
+
 def test_newton_rejects_degenerate_epsilon():
     g = grid(8)
     F = sphere_immersion(g)

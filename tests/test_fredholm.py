@@ -170,7 +170,7 @@ def test_perturbed_sphere_kernel():
 
 def test_kernel_vs_epsilon_sweep():
     F = sphere_immersion(grid(8))
-    rows = kernel_vs_epsilon(F, [1.0, 0.5, 0.25, 0.1], liouville_tol=None)
+    rows = kernel_vs_epsilon(F, [1.0, 0.5, 0.25, 0.1])
     assert [r.epsilon for r in rows] == [1.0, 0.5, 0.25, 0.1]
     for r in rows:
         assert r.kernel_dim >= 6
