@@ -222,6 +222,7 @@ def _cmd_continue(cfg: dict, F_true: ImmersionMap) -> dict:
                "epsilons": trace.epsilons, "defects": trace.defects,
                "final_defect": float(trace.defects[-1])}
     if trace.status != "reached eps_min":
+        payload["trace_status"] = payload.pop("status")
         raise _TraceFailed(trace.status, payload)
     return payload
 
@@ -276,10 +277,8 @@ def cli_run(command: str, config: dict) -> int:
 def _emit_error(out_dir: str | None, kind: str, message: str,
                 extra: dict | None = None) -> None:
     """Print the error record to stderr; also write it as out_dir/report.json."""
-    record = {"schema": SCHEMA, "status": "error",
+    record = {**(extra or {}), "schema": SCHEMA, "status": "error",
               "error": {"type": kind, "message": message}}
-    if extra is not None:
-        record.update(extra)
     print(json.dumps(_jsonify(record)), file=sys.stderr)
     if out_dir is None:
         return

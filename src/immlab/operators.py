@@ -211,7 +211,7 @@ def _first_variation(F: ImmersionMap, V: VariationField
     geo = F.geometry
     n = g.n_nodes
     gp, Hp = np.empty((2, n, 2, 2, 1)), np.empty((2, n, 1))
-    _tangential_prime(geo, _metric_gradient(geo), _analyzed_gradient(g, geo.H),
+    _tangential_prime(geo, _metric_gradient(geo), g.gradient(g.analyze(geo.H)),
                       V.XT[..., None], V.dXT[..., None], gp[0], Hp[0])
     forms = _WeakForms(MetricData.from_immersion(F))
     Sc = forms.S @ g.analyze(V.nu)[:, None]
@@ -227,7 +227,8 @@ def delta_star(F: ImmersionMap, V: VariationField
     the induced-metric variation, and the (n, 2) chart gradient of the
     normal speed (the normal-valued part of the full ambient strain).
     """
-    return 0.5 * _first_variation(F, V)[0], _analyzed_gradient(F.grid, V.nu)
+    g = F.grid
+    return 0.5 * _first_variation(F, V)[0], g.gradient(g.analyze(V.nu))
 
 
 def mean_curvature_prime(F: ImmersionMap, V: VariationField) -> np.ndarray:
@@ -251,12 +252,6 @@ def push_forward(F: ImmersionMap, v: np.ndarray) -> np.ndarray:
     X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF, v[:vb.size])
     X += F.geometry.normal * (g.node_matrix(0, 0) @ v[vb.size:])[:, None]
     return X
-
-
-def _analyzed_gradient(g: SphereGrid, f: np.ndarray) -> np.ndarray:
-    """Chart gradient (n, 2) of a nodal scalar via harmonic analysis."""
-    c = g.analyze(f)
-    return np.stack([g.synthesize(c, 1, 0), g.synthesize(c, 0, 1)], axis=1)
 
 
 # ADN row orders of the mixed-order system: order 1 for the class rows,
@@ -455,7 +450,7 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
 
     # tangential block, one slice of the basis per family
     dgam = _metric_gradient(geo)
-    dH = _analyzed_gradient(g, geo.H)
+    dH = g.gradient(g.analyze(geo.H))
     start = 0
     for s in cut.vector:
         cols = slice(start, start + s.stop - s.start)

@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import ShapeSpecError
+from .errors import ImmersionRegularityError, ShapeSpecError
 from .geometry import ImmersionMap
 from .spectral import SphereGrid, coeff_index, grid
 
@@ -81,7 +81,8 @@ def parse_shape_spec(spec: str, g: SphereGrid) -> ImmersionMap:
             return perturbed_sphere_immersion(g, radius, modes)
         if kind == "file":
             return load_immersion(rest, g)
-    except ShapeSpecError:
+    except (ShapeSpecError, ImmersionRegularityError):
+        # a well-formed spec of a degenerate immersion is a numerical failure
         raise
     except (ValueError, OSError) as exc:
         raise ShapeSpecError(f"bad shape spec {spec!r}: {exc}") from exc

@@ -27,16 +27,18 @@ basis; for fields band-limited at L the round trip is exact to rounding.
 Colatitude derivatives of basis functions are evaluated analytically from
 the Legendre recurrences (orders 0, 1, 2), and ph derivatives act on the
 coefficient vector by the exact +-m mode swap, so all chart derivatives of
-a band-limited field are exact at the nodes.
+a band-limited field are exact at the nodes.  The node tables are built
+from one Legendre evaluation on the L+1 colatitude rings, each ring's
+values times the longitude factors cos(m ph) and sin(|m| ph).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all, roots_legendre
+from scipy.special import assoc_legendre_p_all, gammaln, roots_legendre
 
 from .errors import DegreeMismatchError
 
@@ -45,7 +47,6 @@ __all__ = [
     "HarmonicField",
     "coeff_index",
     "coeff_degrees",
-    "basis_matrix",
     "grid",
 ]
 
@@ -82,13 +83,12 @@ def _legendre_theta_blocks(L: int, theta: np.ndarray) -> np.ndarray:
 
     ls = np.arange(L + 1)[:, None]
     ms = np.arange(L + 1)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lognorm = 0.5 * (
-            np.log(2 * ls + 1.0)
-            - np.log(4 * np.pi)
-            + _log_factorial(ls - ms)
-            - _log_factorial(ls + ms)
-        )
+    lognorm = 0.5 * (
+        np.log(2 * ls + 1.0)
+        - np.log(4 * np.pi)
+        + gammaln(np.maximum(ls - ms, 0) + 1.0)
+        - gammaln(ls + ms + 1.0)
+    )
     norm = np.where(ms <= ls, np.exp(lognorm), 0.0)
     norm = norm * np.where(ms > 0, np.sqrt(2.0), 1.0)
     # strip the Condon-Shortley phase carried by scipy
@@ -100,45 +100,6 @@ def _legendre_theta_blocks(L: int, theta: np.ndarray) -> np.ndarray:
     dth = norm * (-s * P1)
     dthth = norm * (s * s * P2 - x * P1)
     return np.stack([val, dth, dthth])
-
-
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.maximum(n, 0) + 1.0)
-
-
-def basis_matrix(L: int, theta: np.ndarray, phi: np.ndarray, dtheta: int = 0) -> np.ndarray:
-    """Dense synthesis matrix at scattered points.
-
-    Parameters
-    ----------
-    L : band limit.
-    theta, phi : 1-D arrays of equal length with colatitude/longitude of
-        each evaluation point.
-    dtheta : order of the theta derivative baked into the matrix (0..2).
-
-    Returns
-    -------
-    ndarray of shape (len(theta), (L+1)**2) mapping coefficient vectors to
-    point values of the requested theta derivative.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if theta.shape != phi.shape:
-        raise ValueError("theta and phi must have equal shapes")
-    if dtheta not in (0, 1, 2):
-        raise ValueError("dtheta must be 0, 1 or 2")
-    blocks = _legendre_theta_blocks(L, theta)[dtheta]  # (L+1, L+1, npts)
-    npts = theta.size
-    nc = (L + 1) ** 2
-    M = np.empty((npts, nc))
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            am = blocks[l, abs(m)]
-            trig = np.cos(m * phi) if m >= 0 else np.sin(-m * phi)
-            M[:, coeff_index(l, m)] = am * trig
-    return M
 
 
 @dataclass
@@ -211,15 +172,11 @@ class SphereGrid:
             self._tables[key] = value
         return self._tables[key]
 
-    def _matrix(self, dtheta: int) -> np.ndarray:
-        return self.cached(dtheta, lambda: basis_matrix(
-            self.L, self.theta, self.phi, dtheta))
-
     def _dphi_tables(self) -> tuple[np.ndarray, np.ndarray]:
         def build():
             ls, ms = coeff_degrees(self.L)
             target = (ls * ls + ls - ms).astype(int)  # slot of (l, -m)
-            factor = np.where(ms > 0, -ms, -ms).astype(float)
+            factor = (-ms).astype(float)
             # d/dphi cos(m ph) = -m sin(m ph): slot (l,m>0) -> (l,-m), factor -m
             # d/dphi sin(|m| ph) = |m| cos: slot (l,m<0) -> (l,|m|), factor |m| = -m
             return target, factor
@@ -235,10 +192,16 @@ class SphereGrid:
     def node_matrix(self, dth: int = 0, dph: int = 0) -> np.ndarray:
         """Node values of the (dth, dph) chart derivative of every basis function."""
         def build():
-            if dph == 0:
-                return self._matrix(dth)
-            target, factor = self._dphi_tables()
-            return self.node_matrix(dth, dph - 1)[:, target] * factor[None, :]
+            if dph > 0:
+                target, factor = self._dphi_tables()
+                return self.node_matrix(dth, dph - 1)[:, target] * factor[None, :]
+            ls, ms = coeff_degrees(self.L)
+            legendre = self.cached("legendre", lambda: _legendre_theta_blocks(
+                self.L, self.theta_nodes))
+            rings = legendre[dth][ls, np.abs(ms)].T  # (n_theta, nc)
+            ph = self.phi_nodes[:, None]
+            trig = np.where(ms >= 0, np.cos(ms * ph), np.sin(-ms * ph))
+            return (rings[:, None, :] * trig).reshape(self.n_nodes, self.n_coeffs)
         return self.cached((dth, dph), build)
 
     def _check(self, coeffs: np.ndarray) -> np.ndarray:
@@ -255,7 +218,7 @@ class SphereGrid:
         c = self._check(coeffs)
         for _ in range(dph):
             c = self.dphi_coeffs(c)
-        return self._matrix(dth) @ c
+        return self.node_matrix(dth) @ c
 
     def analyze(self, samples: np.ndarray) -> np.ndarray:
         """Quadrature L2 projection of node samples onto the basis."""
@@ -264,7 +227,12 @@ class SphereGrid:
             raise DegreeMismatchError(
                 f"expected {self.n_nodes} samples, got shape {samples.shape}"
             )
-        return self._matrix(0).T @ (self.weights * samples)
+        return self.node_matrix().T @ (self.weights * samples)
+
+    def gradient(self, coeffs: np.ndarray) -> np.ndarray:
+        """Chart gradient (n_nodes, 2), d_th then d_ph, of a band-limited field."""
+        return np.stack([self.synthesize(coeffs, 1, 0),
+                         self.synthesize(coeffs, 0, 1)], axis=1)
 
     def laplace_beltrami_round(self, coeffs: np.ndarray) -> np.ndarray:
         """Round-sphere Laplacian (div grad sign, spectrum -l(l+1))."""
@@ -297,11 +265,6 @@ class HarmonicField:
                 f"expected {self.grid.n_coeffs} coefficients, got {self.coeffs.shape}"
             )
 
-    @property
+    @cached_property
     def samples(self) -> np.ndarray:
-        if not hasattr(self, "_samples"):
-            self._samples = self.grid.synthesize(self.coeffs)
-        return self._samples
-
-    def deriv(self, dth: int = 0, dph: int = 0) -> np.ndarray:
-        return self.grid.synthesize(self.coeffs, dth=dth, dph=dph)
+        return self.grid.synthesize(self.coeffs)

@@ -119,7 +119,7 @@ class MetricData:
         det = base.det_gamma * e2u**2
         # Gamma^k_ij = Gamma0^k_ij + d_i u delta^k_j + d_j u delta^k_i
         #              - g0^{kl} d_l u g0_ij
-        du = np.stack([u.deriv(1, 0), u.deriv(0, 1)], axis=1)
+        du = g.gradient(u.coeffs)
         gradu = np.einsum("nkl,nl->nk", base.inv_gamma, du)
         gam = _round_christoffels(g).copy()
         eye = np.eye(2)
@@ -138,16 +138,11 @@ class MetricData:
         digits but is only used for reporting strong residuals.
         """
         g = self.grid
-        d = [[g.synthesize(f_coeffs, 2, 0), g.synthesize(f_coeffs, 1, 1)],
-             [None, g.synthesize(f_coeffs, 0, 2)]]
-        d[1][0] = d[0][1]
         hess = np.empty((g.n_nodes, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                hess[:, i, j] = d[i][j]
-        du = np.stack([g.synthesize(f_coeffs, 1, 0),
-                       g.synthesize(f_coeffs, 0, 1)], axis=1)
-        hess -= np.einsum("nkij,nk->nij", self.christoffel, du)
+        hess[:, 0, 0] = g.synthesize(f_coeffs, 2, 0)
+        hess[:, 0, 1] = hess[:, 1, 0] = g.synthesize(f_coeffs, 1, 1)
+        hess[:, 1, 1] = g.synthesize(f_coeffs, 0, 2)
+        hess -= np.einsum("nkij,nk->nij", self.christoffel, g.gradient(f_coeffs))
         return np.einsum("nij,nij->n", self.inv_gamma, hess)
 
 
@@ -351,8 +346,7 @@ class LinearizedLiouville:
         J = forms.jacobian(phi_c)[:, self._keep]
         Q, R = qr(J, mode="economic")
         self._qr = (Q, R)
-        self._dphi = np.stack([g.synthesize(phi_c, 1, 0),
-                               g.synthesize(phi_c, 0, 1)], axis=1)
+        self._dphi = g.gradient(phi_c)
         self._e2p = np.exp(2.0 * (forms.Y @ phi_c))
 
     def _dresidual(self, h: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from immlab.cli import SCHEMA, cli_run, main
+from immlab.continuation import ContinuationTrace, StepRecord
+from immlab.spectral import coeff_index
 
 
 def read_report(out):
@@ -169,6 +171,51 @@ def test_degenerate_immersion_is_numerical(tmp_path, capsys, monkeypatch):
         "ImmersionRegularityError"
     assert list(cwd.iterdir()) == []
     assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def _flat_disk_file(path):
+    # x and y of the unit sphere, z = 0: the metric degenerates on the
+    # equator, which is a node of the L = 8 and L = 10 grids
+    nc = 81
+    xy = np.sqrt(4.0 * np.pi / 3.0)
+    coeffs = {key: [0.0] * nc for key in "xyz"}
+    coeffs["x"][coeff_index(1, 1)] = xy
+    coeffs["y"][coeff_index(1, -1)] = xy
+    path.write_text(json.dumps({"L": 8, "coeffs": coeffs}))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("shape,L", [
+    ("ellipsoid:1,1,0", 8), ("sphere:0", 8), ("disk", 8), ("disk", 10)])
+def test_degenerate_shape_is_numerical(tmp_path, capsys, shape, L):
+    # a well-formed spec or file of a degenerate immersion exits 1, whether
+    # it degenerates while parsing (resampled) or later (at its own L)
+    if shape == "disk":
+        shape = _flat_disk_file(tmp_path / "disk.json")
+    rc, rep = run("index", tmp_path, shape=shape, L=L)
+    assert rc == 1
+    assert rep["error"]["type"] == "ImmersionRegularityError"
+    assert "determinant" in rep["error"]["message"]
+    capsys.readouterr()
+
+
+def test_failed_continuation_record_says_error(tmp_path, capsys,
+                                               monkeypatch):
+    steps = [StepRecord(1.0, 3, 1e-11, np.zeros(12), True, 1e-12),
+             StepRecord(0.5, 25, 1e-6, np.zeros(12), False, 1e-6)]
+
+    def stalled(metric, **kw):
+        return ContinuationTrace(steps, status="stalled")
+
+    monkeypatch.setattr("immlab.cli.epsilon_continuation", stalled)
+    rc, rep = run("continue", tmp_path, shape="sphere:1")
+    assert rc == 1
+    assert rep["status"] == "error"
+    assert rep["trace_status"] == "stalled"
+    assert rep["error"]["type"] == "ConvergenceError"
+    assert rep["epsilons"] == [1.0, 0.5]
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["status"], err["trace_status"]) == ("error", "stalled")
 
 
 def test_bad_shape_exit_code(tmp_path, capsys):

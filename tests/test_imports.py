@@ -1,6 +1,9 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every name in a module's __all__ resolves."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,21 @@ def test_scan_finds_an_unused_import(tmp_path):
     mod.write_text("import os\nfrom math import pi, tau\n"
                    "__all__ = ['tau']\nprint(os.sep)\n")
     assert _unused_imports(mod) == ["pi (line 2)"]
+
+
+def _unresolved_exports(module) -> list:
+    return [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+
+
+@pytest.mark.parametrize("name", [
+    "immlab" if p.stem == "__init__" else f"immlab.{p.stem}"
+    for p in sorted(SRC.glob("*.py"))])
+def test_exports_resolve(name):
+    assert _unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_export_check_finds_a_missing_name():
+    mod = types.ModuleType("mod")
+    mod.__all__ = ["a", "b"]
+    mod.a = 1
+    assert _unresolved_exports(mod) == ["b"]

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from scipy.special import sph_harm_y
+
 from immlab.errors import DegreeMismatchError
 from immlab.spectral import HarmonicField, coeff_degrees, coeff_index, grid
 
@@ -81,14 +83,35 @@ def test_derivative_matrices_against_analytic():
                         * np.sin(g.phi), atol=1e-11)
 
 
+@pytest.mark.parametrize("L", [8, 12])
+def test_node_tables_match_scipy_harmonics(L):
+    # scipy's complex Y_l^m carries the Condon-Shortley phase (-1)^m; the
+    # real basis is sqrt(2) (-1)^m times its real (m > 0) or imaginary
+    # (m < 0) part of Y_l^|m|, and Y_l^0 itself for m = 0
+    g = grid(L)
+    ls, ms = coeff_degrees(L)
+    am = np.abs(ms)
+    Y, dY, d2Y = sph_harm_y(ls, am, g.theta[:, None], g.phi[:, None],
+                            diff_n=2)
+    sign = np.where(ms == 0, 1.0, np.sqrt(2.0) * (-1.0) ** am)
+    reference = {(0, 0): Y, (1, 0): dY[..., 0], (0, 1): dY[..., 1],
+                 (2, 0): d2Y[..., 0, 0], (1, 1): d2Y[..., 0, 1],
+                 (0, 2): d2Y[..., 1, 1]}
+    for (dth, dph), z in reference.items():
+        ref = sign * np.where(ms >= 0, z.real, z.imag)
+        npt.assert_allclose(g.node_matrix(dth, dph), ref, rtol=0,
+                            atol=1e-13 * np.abs(ref).max(),
+                            err_msg=f"table ({dth}, {dph})")
+
+
 def test_second_derivatives_solve_eigenproblem():
     # spherical Laplacian of Y_lm is -l(l+1) Y_lm; assemble from chart parts
     g = grid(9)
     rng = np.random.default_rng(3)
     c = rng.standard_normal(g.n_coeffs)
-    f = HarmonicField(g, c)
-    lap = (f.deriv(2, 0) + np.cos(g.theta) / np.sin(g.theta) * f.deriv(1, 0)
-           + f.deriv(0, 2) / np.sin(g.theta) ** 2)
+    lap = (g.synthesize(c, 2, 0)
+           + np.cos(g.theta) / np.sin(g.theta) * g.synthesize(c, 1, 0)
+           + g.synthesize(c, 0, 2) / np.sin(g.theta) ** 2)
     ls, _ = coeff_degrees(g.L)
     expect = g.synthesize(-ls * (ls + 1.0) * c)
     npt.assert_allclose(lap, expect, atol=1e-9)
