@@ -75,6 +75,13 @@ def _write_geometry(out_dir: str, F: ImmersionMap, lambda2) -> None:
                          lambda2[n])])
 
 
+def _write_solution(out_dir: str, F: ImmersionMap) -> None:
+    """geometry.csv, with lambda^2 from uniformizing F, and solution.json."""
+    conf = solve_liouville(MetricData.from_immersion(F), tol=None)
+    _write_geometry(out_dir, F, conf.lambda2)
+    save_immersion(f"{out_dir}/solution.json", F)
+
+
 def _write_trace(out_dir: str, trace) -> None:
     with open(f"{out_dir}/trace.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -186,14 +193,7 @@ def _cmd_solve(cfg: dict, F_true: ImmersionMap) -> dict:
     F0 = sphere_immersion(g, radius=float(np.sqrt(area / (4.0 * np.pi))))
     F, history = newton_solve(F0, target, tol=cfg["tol"])
     _, err = procrustes_align(F, F_true)
-    data = apply_phi(F, cfg["epsilon"], cfg["variant"], liouville_tol=None)
-    lambda2 = data.lambda2
-    if lambda2 is None:
-        # the eps = 1 endpoint skips the conformal solve inside apply_phi
-        lambda2 = solve_liouville(MetricData.from_immersion(F),
-                                  tol=None).lambda2
-    _write_geometry(cfg["out"], F, lambda2)
-    save_immersion(f"{cfg['out']}/solution.json", F)
+    _write_solution(cfg["out"], F)
     print(f"converged in {len(history) - 1} iterations, "
           f"residual {history[-1]:.6e}, aligned node error {err:.6e}")
     return {"epsilon": cfg["epsilon"], "variant": cfg["variant"],
@@ -209,10 +209,7 @@ def _cmd_continue(cfg: dict, F_true: ImmersionMap) -> dict:
                                  liouville_tol=cfg["tol"])
     _write_trace(cfg["out"], trace)
     if trace.F is not None:
-        data = apply_phi(trace.F, trace.steps[-1].epsilon, cfg["variant"],
-                         liouville_tol=None)
-        _write_geometry(cfg["out"], trace.F, data.lambda2)
-        save_immersion(f"{cfg['out']}/solution.json", trace.F)
+        _write_solution(cfg["out"], trace.F)
     for st in trace.steps:
         print(f"eps {st.epsilon:7.4f}: iters {st.iterations:3d}, "
               f"residual {st.residual:.3e}, defect {st.defect:.3e}, "

@@ -15,14 +15,14 @@ the quasi-static fixed point gamma(F) = gamma* exactly (matching class and
 conformal factor pin the metric), and the H-term's weight vanishes as
 epsilon -> 0, so the reported isometry defect shrinks along the schedule.
 
-The quasi-static construction is singular near epsilon = 1/2: along the
+The quasi-static construction is singular at epsilon = 1/2: along the
 uniform-scaling mode the blend responds to a radius change by
 2(1 - 2 eps) to leading order, so the frozen-H solve amplifies any error
 in the frozen field by eps / (2|1 - 2 eps|) and the refresh iteration has
-multiplier -eps / (1 - 2 eps).  Schedules therefore hop over the band
-_POLE_BAND rather than stepping through it; shrinking the step inside the
-band cannot help because the amplification depends on eps itself, not on
-the step size.
+multiplier -eps / (1 - 2 eps).  Its magnitude is below 1 only for
+eps < 1/3, so the default path starts there, from the round sphere's own
+mean curvature; a step above 1/3 cannot shrink the defect, whatever its
+size, because the amplification depends on eps itself.
 """
 
 from collections import deque
@@ -101,14 +101,12 @@ class ContinuationTrace:
         return np.array([s.defect for s in self.steps])
 
 
-def _residual(F: ImmersionMap, target: TargetData, tb, *,
-              class_only: bool = False) -> tuple[np.ndarray, EpsilonData]:
+def _residual(F: ImmersionMap, target: TargetData,
+              tb) -> tuple[np.ndarray, EpsilonData]:
     """Codomain residual at F, and the blended data it was taken from."""
     data = apply_phi(F, target.epsilon, target.variant, liouville_tol=None)
-    blended = (np.zeros_like(data.blended) if class_only
-               else data.blended - target.blended)
     return project_codomain(F.grid, tb, data.class_rep - target.class_rep,
-                            blended), data
+                            data.blended - target.blended), data
 
 
 # Newton solves on the modes of degree <= L - _DEALIAS (see newton_solve)
@@ -145,8 +143,7 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray) -> list:
     return steps
 
 
-def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
-                 *, class_only: bool = False
+def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                  ) -> tuple[ImmersionMap, np.ndarray]:
     """Gauss-Newton solve of Phi_eps(F) = target from the initial guess F0.
 
@@ -168,10 +165,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     and scatter the step back into the full domain.
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
-    class_only restricts the residual and matrix to the class rows (used
-    to seed continuation, where no H target exists yet).  Returns (F,
-    residual norm history); raises ConvergenceError with status
-    "stalled" or "diverged" and the history so far on failure.
+    Returns (F, residual norm history); raises ConvergenceError with
+    status "stalled" or "diverged" and the history so far on failure.
     """
     if target.epsilon <= 0.0:
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
@@ -180,15 +175,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
     cut = _degree_cut(g, g.L - _DEALIAS)
     keep, rows = cut.domain_mask, cut.codomain_mask
-    if class_only:
-        rows = rows.copy()
-        rows[tb.size:] = False
-    # the kept class rows lead the dealiased block, so class_only keeps a
-    # prefix of its rows
-    n_rows = int(rows.sum())
 
     F = F0
-    r, data = _residual(F, target, tb, class_only=class_only)
+    r, data = _residual(F, target, tb)
     history = [float(np.linalg.norm(r[rows]))]
     for _ in range(_MAX_ITER):
         if history[-1] <= tol:
@@ -198,7 +187,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
                                    degree=g.L - _DEALIAS)
 
         accepted = None
-        for v_kept in _step_candidates(M.matrix[:n_rows], r[rows]):
+        for v_kept in _step_candidates(M.matrix, r[rows]):
             v = np.zeros(keep.size)
             v[keep] = v_kept
             X = push_forward(F, v)
@@ -209,8 +198,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10,
                                                       F.positions + step * X)
                     if trial.geometry.det_gamma.min() < det_floor:
                         raise ImmersionRegularityError("det gamma under floor")
-                    r_trial, data_trial = _residual(trial, target, tb,
-                                                    class_only=class_only)
+                    r_trial, data_trial = _residual(trial, target, tb)
                 except (ImmersionRegularityError, FloatingPointError):
                     step *= 0.5
                     continue
@@ -254,10 +242,6 @@ def procrustes_align(F: ImmersionMap, G: ImmersionMap
     return aligned, float(np.linalg.norm(aligned - Q, axis=1).max())
 
 
-# Quasi-static response pole at eps = 1/2 (see module docstring); default
-# schedules skip this band entirely and bisection never lands inside it.
-_POLE_BAND = (0.36, 0.64)
-
 # Defects this small are discretization noise; the monotone-defect guard
 # does not distinguish below it.
 _DEFECT_FLOOR = 1e-10
@@ -266,31 +250,24 @@ _DEFECT_FLOOR = 1e-10
 _SWEEPS = 3
 _MAX_BISECTIONS = 3
 
-
-def _bisect_eps(eps_last: float, eps: float) -> float:
-    """Midpoint of a failed step, clamped off the quasi-static pole band."""
-    mid = 0.5 * (eps_last + eps)
-    lo, hi = _POLE_BAND
-    if lo < mid < hi and not lo < eps < hi:
-        return lo if eps <= lo else hi
-    return mid
+# The default schedule's ratio and last point
+_RATIO = 0.7
+_EPS_MIN = 0.05
 
 
-def default_schedule(eps_min: float = 0.05, ratio: float = 0.7) -> list:
-    """Geometric epsilon schedule 1.0, ratio, ratio^2, ..., ending at eps_min.
+def default_schedule() -> list:
+    """Geometric epsilon schedule: the points 0.7^k below 1/3, then 0.05.
 
-    Points falling inside _POLE_BAND are dropped: the quasi-static blend
-    is near-singular along the scaling mode there, so the path hops from
-    one side of the band to the other instead of stepping through it.
+    The H refresh contracts only below 1/3 (see module docstring), so the
+    default path starts at the first such point, 0.7^4 = 0.2401.
     """
-    out = [1.0]
-    while out[-1] * ratio > eps_min:
-        out.append(out[-1] * ratio)
-    lo, hi = _POLE_BAND
-    out = [e for e in out if not lo < e < hi]
-    if out[-1] > eps_min:
-        out.append(eps_min)
-    return out
+    out = []
+    eps = 1.0
+    while eps * _RATIO > _EPS_MIN:
+        eps *= _RATIO
+        if eps < 1.0 / 3.0:
+            out.append(eps)
+    return out + [_EPS_MIN]
 
 
 def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
@@ -300,19 +277,17 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     """Follow Phi_eps(F) = ([gamma*], quasi-static blend) down in epsilon.
 
     The schedule defaults to the geometric one from default_schedule.  The
-    first step solves the class rows alone (no H target exists before a
-    solution does); each later step freezes H from the previous accepted
-    solution and solves, then refreshes the frozen H for up to _SWEEPS
-    further solves, keeping refreshes only while the isometry defect
-    max |gamma(F) - gamma*| keeps dropping (the refresh map contracts for
-    small eps but repels around eps = 1/2, so it is never iterated
-    blindly).  A step whose defect would exceed the previous accepted
-    one is refused, unless both sit at the resolution floor.  Failed or
-    refused steps trigger bisection toward the last accepted epsilon, up
-    to _MAX_BISECTIONS, with midpoints clamped off the quasi-static pole
-    band (stepping inside it cannot succeed; see module docstring).
-    Persistent failure ends the trace with the failure's status.  The
-    path starts from the round sphere matching gamma*'s total area.
+    path starts from the round sphere matching gamma*'s total area, with
+    H frozen at that sphere's mean curvature; each later step freezes H
+    from the previous accepted solution.  Each step solves, then
+    refreshes the frozen H for up to _SWEEPS further solves, keeping
+    refreshes only while the isometry defect max |gamma(F) - gamma*|
+    keeps dropping (the refresh map contracts for eps < 1/3 but repels
+    around eps = 1/2, so it is never iterated blindly).  A step whose
+    defect would exceed the previous accepted one is refused, unless both
+    sit at the resolution floor.  Failed or refused steps trigger
+    bisection toward the last accepted epsilon, up to _MAX_BISECTIONS.
+    Persistent failure ends the trace with the failure's status.
     """
     g = target_metric.grid
     schedule = list(default_schedule() if eps_schedule is None else eps_schedule)
@@ -330,7 +305,6 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     F = sphere_immersion(g, radius=float(np.sqrt(area / (4.0 * np.pi))))
 
     trace = ContinuationTrace()
-    H_ref = None
     defect_prev = np.inf
     queue = deque(schedule)
     eps_last = None
@@ -344,19 +318,13 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         F_try = F
         iters = 0
         try:
-            if H_ref is None:
-                target = TargetData(class_star, lam2_star, variant, eps)
-                F_try, hist = newton_solve(F_try, target, tol,
-                                           class_only=True)
-                iters += len(hist) - 1
-                H_ref = F_try.geometry.H
-            # one solve with H frozen from the previous solution, then
+            # one solve with H frozen from the current F, then
             # refresh sweeps kept only while the defect keeps dropping
             # (the refresh map contracts at small eps and repels at mid
             # eps, so blind iteration to a fixed point is not safe)
             best = None
-            H_sweep = H_ref
-            base = F_try
+            H_sweep = F.geometry.H
+            base = F
             for _ in range(1 + _SWEEPS):
                 blended = _blend(lam2_star, H_sweep, eps, variant)
                 target = TargetData(class_star, blended, variant, eps)
@@ -378,7 +346,7 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         except ConvergenceError as exc:
             if eps_last is not None and bisections < _MAX_BISECTIONS:
                 bisections += 1
-                queue.appendleft(_bisect_eps(eps_last, eps))
+                queue.appendleft(0.5 * (eps_last + eps))
                 continue
             last = exc.history[-1] if exc.history.size else np.nan
             trace.steps.append(StepRecord(
@@ -389,7 +357,6 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
             return trace
 
         F = F_try
-        H_ref = F.geometry.H
         defect_prev = defect
         queue.popleft()
         bisections = 0

@@ -90,9 +90,8 @@ class SurfaceGeometry:
     det_gamma: np.ndarray  # (n,)
     normal: np.ndarray     # (n, 3) outward unit normal
     second: np.ndarray     # (n, 2, 2) second form A (Weingarten sign)
-    shape_op: np.ndarray   # (n, 2, 2) gamma^{-1} A
-    H: np.ndarray          # (n,) mean curvature, trace of shape_op
-    K: np.ndarray          # (n,) Gauss curvature, det of shape_op
+    H: np.ndarray          # (n,) mean curvature, trace of gamma^{-1} A
+    K: np.ndarray          # (n,) Gauss curvature, det of gamma^{-1} A
     norm_A_sq: np.ndarray  # (n,) |A|^2_gamma
     tau: np.ndarray        # (n, 2, 2) A - H gamma
     christoffel: np.ndarray  # (n, 2, 2, 2) Gamma^k_ij, index order [k, i, j]
@@ -136,7 +135,7 @@ class SurfaceGeometry:
         # Gamma^k_ij from the Gauss formula, exact for band-limited F
         christoffel = np.einsum("nkl,nija,nla->nkij", inv, d2F, dF)
 
-        return cls(g, F, dF, d2F, gamma, inv, det, normal, A, shape_op, H, K,
+        return cls(g, F, dF, d2F, gamma, inv, det, normal, A, H, K,
                    norm_A_sq, tau, christoffel)
 
 

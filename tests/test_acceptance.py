@@ -182,12 +182,15 @@ def test_criterion_9_inverse_problem_recovery():
     trace = epsilon_continuation(MetricData.from_immersion(E))
     acc = [s for s in trace.steps if s.accepted]
     defects = [s.defect for s in acc]
+    # rigidity: the endpoint is the ellipsoid up to a rigid motion
+    _, rigid = procrustes_align(trace.F, E)
     print(f"criterion 9: newton procrustes error {err:.3e} (<= 1e-6); "
           f"continuation {trace.status}, defects "
           f"{[f'{d:.2e}' for d in defects]}, final {defects[-1]:.3e} "
-          f"(<= 1e-4)")
+          f"(<= 1e-4), endpoint procrustes error {rigid:.3e} (<= 1e-8)")
     assert trace.status == "reached eps_min"
     assert acc[-1].epsilon == 0.05
     for a, b in zip(defects[:-1], defects[1:]):
         assert b <= max(a, 1e-10)
     assert defects[-1] <= 1e-4
+    assert rigid <= 1e-8

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from immlab.cli import SCHEMA, cli_run, main
-from immlab.continuation import ContinuationTrace, StepRecord
+from immlab.continuation import (ContinuationTrace, StepRecord,
+                                 default_schedule)
+from immlab.shapes import sphere_immersion
 from immlab.spectral import coeff_index
 
 
@@ -98,7 +100,7 @@ def test_continue_trace(tmp_path):
     rc, rep = run("continue", tmp_path, shape="sphere:1")
     assert rc == 0
     assert rep["status"] == "reached eps_min"
-    assert rep["epsilons"][0] == 1.0
+    assert rep["epsilons"][0] == default_schedule()[0]
     assert rep["epsilons"][-1] == 0.05
     assert rep["final_defect"] <= 1e-9
     lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -201,21 +203,29 @@ def test_degenerate_shape_is_numerical(tmp_path, capsys, shape, L):
 
 def test_failed_continuation_record_says_error(tmp_path, capsys,
                                                monkeypatch):
-    steps = [StepRecord(1.0, 3, 1e-11, np.zeros(12), True, 1e-12),
+    later = [StepRecord(1.0, 3, 1e-11, np.zeros(12), True, 1e-12),
              StepRecord(0.5, 25, 1e-6, np.zeros(12), False, 1e-6)]
+    # a failed first step leaves the path at the start sphere, whose
+    # geometry.csv is still written
+    first = [StepRecord(1.0, 25, 1e-6, np.full(12, np.nan), False, 1e-2)]
+    for name, steps, at_start in [("later", later, False),
+                                  ("first", first, True)]:
+        def stalled(metric, **kw):
+            F = sphere_immersion(metric.grid) if at_start else None
+            return ContinuationTrace(steps, status="stalled", F=F)
 
-    def stalled(metric, **kw):
-        return ContinuationTrace(steps, status="stalled")
-
-    monkeypatch.setattr("immlab.cli.epsilon_continuation", stalled)
-    rc, rep = run("continue", tmp_path, shape="sphere:1")
-    assert rc == 1
-    assert rep["status"] == "error"
-    assert rep["trace_status"] == "stalled"
-    assert rep["error"]["type"] == "ConvergenceError"
-    assert rep["epsilons"] == [1.0, 0.5]
-    err = json.loads(capsys.readouterr().err.strip())
-    assert (err["status"], err["trace_status"]) == ("error", "stalled")
+        monkeypatch.setattr("immlab.cli.epsilon_continuation", stalled)
+        out = tmp_path / name
+        out.mkdir()
+        rc, rep = run("continue", out, shape="sphere:1")
+        assert rc == 1
+        assert rep["status"] == "error"
+        assert rep["trace_status"] == "stalled"
+        assert rep["error"]["type"] == "ConvergenceError"
+        assert rep["epsilons"] == [s.epsilon for s in steps]
+        assert (out / "geometry.csv").exists() == at_start
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["status"], err["trace_status"]) == ("error", "stalled")
 
 
 def test_bad_shape_exit_code(tmp_path, capsys):

@@ -214,10 +214,6 @@ def test_trace_properties():
 
 def test_default_schedule_shape():
     s = default_schedule()
-    assert s[0] == 1.0 and s[-1] == 0.05
+    # the H refresh contracts only below 1/3, so the path starts there
+    assert s[0] < 1.0 / 3.0 and s[-1] == 0.05
     assert np.all(np.diff(s) < 0.0)
-    # the blend response factor is singular near 1/2; schedules hop the band
-    assert not any(0.36 < e < 0.64 for e in s)
-    s2 = default_schedule(eps_min=0.2, ratio=0.5)
-    assert s2[-1] == 0.2
-    assert all(e >= 0.2 for e in s2)

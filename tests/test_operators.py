@@ -321,15 +321,6 @@ def test_dealiased_assembly_is_the_full_block(L, eps, variant):
     assert M.codomain_basis == tuple(
         lab for lab, r in zip(full.codomain_basis, rows) if r)
     assert M.structural_index == 6
-    # class_only Newton solves use the leading rows: the kept class rows
-    n_class = int(rows[:tensor_basis(g).size].sum())
-    class_rows = rows.copy()
-    class_rows[tensor_basis(g).size:] = False
-    npt.assert_allclose(M.matrix[:n_class],
-                        full.matrix[np.ix_(class_rows, keep)], rtol=0,
-                        atol=1e-13 * np.abs(block).max())
-    assert all(lab[0] in ("even", "odd")
-               for lab in M.codomain_basis[:n_class])
 
 
 def test_operator_matrix_metadata():
