@@ -105,6 +105,7 @@ def _report_dict(rep) -> dict:
         "based": rep.based,
         "smallest_singular_values": rep.tail,
         "mode_labels": rep.mode_labels,
+        "class_counts": rep.class_counts,
     }
 
 

@@ -116,7 +116,8 @@ _MAX_ITER = 25
 _MAX_BACKTRACKS = 8
 
 
-def _step_candidates(matrix: np.ndarray, r: np.ndarray) -> list:
+def _step_candidates(matrix: np.ndarray, r: np.ndarray,
+                     classes: tuple) -> list:
     """Truncated-SVD least-squares steps, best truncation first.
 
     Near a symmetric shape the spectrum carries a cluster of near-null
@@ -126,9 +127,11 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray) -> list:
     GAP_MIN, else any mild gap >= 10).  The fallback keeps every mode
     above a conditioning floor: once the residual has shrunk to the level
     the gap-truncated step cannot correct, inverting the near-null modes
-    is harmless and mops up the remaining components.
+    is harmless and mops up the remaining components.  classes are the
+    rows' and columns' sign classes, which the SVD factors one at a time
+    when the matrix is block diagonal over them.
     """
-    f = _SVD(matrix)
+    f = _SVD(matrix, classes=classes)
     s = f.s
     floor_rank = int(np.sum(s > s[0] * 1e-8))
     rank, _, reliable = _detect_rank(s, GAP_MIN)
@@ -187,7 +190,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                                    degree=g.L - _DEALIAS)
 
         accepted = None
-        for v_kept in _step_candidates(M.matrix, r[rows]):
+        for v_kept in _step_candidates(M.matrix, r[rows], cut.classes):
             v = np.zeros(keep.size)
             v[keep] = v_kept
             X = push_forward(F, v)
@@ -362,7 +365,8 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
         bisections = 0
         eps_last = eps
         M = assemble_linearization(F, eps, variant, liouville_tol=None)
-        sv = _SVD(M.matrix, compute_uv=False).s[::-1][:12]
+        sv = _SVD(M.matrix, compute_uv=False,
+                  classes=_degree_cut(g, None).classes).s[::-1][:12]
         trace.steps.append(StepRecord(eps, iters, float(hist[-1]), sv,
                                       True, defect))
 

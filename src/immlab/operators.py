@@ -317,6 +317,35 @@ def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
     return out[:, 0] if single else out
 
 
+# Names of the reflection sign classes of _sign_classes: the sign of a
+# class's modes under x -> -x, y -> -y and z -> -z, in that order
+_SIGN_CLASS_NAMES = tuple("".join("-" if k >> bit & 1 else "+"
+                                 for bit in range(3)) for k in range(8))
+
+
+def _sign_classes(labels) -> np.ndarray:
+    """The reflection sign class, 0-7, of each basis label (kind, l, m).
+
+    Bit 0 (1, 2) of the class is set when the mode is odd under the
+    reflection x -> -x (y -> -y, z -> -z) of the parameter sphere.  Y_lm
+    has the sign (-1)^(l+|m|) under z -> -z, -1 under y -> -y exactly
+    when m < 0, and (-1)^|m| times its y sign under x -> -x; grad, normal,
+    even and scalar modes keep those signs.  curl and odd modes apply the
+    rotation J, which a reflection reverses, so they take the opposite
+    sign under each reflection.  At an immersion with the three symmetries,
+    and at any rigid motion of one, the linearization maps each class to
+    itself, so it is block diagonal over the classes.
+    """
+    kinds = np.array([kind for kind, _, _ in labels])
+    l = np.array([l for _, l, _ in labels], dtype=int)
+    m = np.array([m for _, _, m in labels], dtype=int)
+    y = m < 0
+    x = (np.abs(m) % 2 == 1) != y
+    z = (l + np.abs(m)) % 2 == 1
+    cls = x + 2 * y + 4 * z
+    return np.where(np.isin(kinds, ("curl", "odd")), cls ^ 7, cls)
+
+
 @dataclass(frozen=True)
 class _DegreeCut:
     """The modes of degree <= some degree, as slices of the cached tables.
@@ -324,7 +353,9 @@ class _DegreeCut:
     Each family lists its modes in (l, m) order, so a cut keeps a prefix
     of every family.  Adjacent slices are merged: with nothing cut, each
     table is a single slice.  The masks select the kept columns and rows
-    of the full matrix; they are read-only.
+    of the full matrix, and classes gives the sign class (_sign_classes)
+    of each kept row and column, the row classes first, as the SVD kernel
+    takes them; these arrays are read-only.
     """
 
     vector: tuple        # slices of the vector basis columns
@@ -334,6 +365,7 @@ class _DegreeCut:
     codomain: tuple      # labels of the kept rows
     domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
     codomain_mask: np.ndarray   # (n_cod,) bool over the full codomain
+    classes: tuple       # (row classes, column classes) of the kept modes
 
 
 def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
@@ -355,18 +387,20 @@ def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
     def select(labels):
         return sum((labels[s] for s in slices(labels)), ())
 
-    def mask(labels):
-        m = np.array(kept(labels))
-        m.setflags(write=False)
-        return m
+    def frozen(a):
+        a.setflags(write=False)
+        return a
 
     def build():
         tb = tensor_basis(g)
         codomain = tb.labels + _scalar_labels(g)
         scalar, = slices(_scalar_labels(g))
-        return _DegreeCut(slices(vector_basis(g).labels), slices(tb.labels),
-                          scalar, select(domain_labels(g)), select(codomain),
-                          mask(domain_labels(g)), mask(codomain))
+        rows, cols = select(codomain), select(domain_labels(g))
+        return _DegreeCut(
+            slices(vector_basis(g).labels), slices(tb.labels), scalar, cols,
+            rows, frozen(np.array(kept(domain_labels(g)))),
+            frozen(np.array(kept(codomain))),
+            (frozen(_sign_classes(rows)), frozen(_sign_classes(cols))))
     return g.cached(("degree_cut", degree), build)
 
 

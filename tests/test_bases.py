@@ -34,6 +34,8 @@ ARRAYS = {
     "tensor weighted": lambda g: tensor_basis(g).weighted,
     "domain mask": lambda g: _degree_cut(g, g.L - 2).domain_mask,
     "codomain mask": lambda g: _degree_cut(g, g.L - 2).codomain_mask,
+    "row classes": lambda g: _degree_cut(g, g.L - 2).classes[0],
+    "column classes": lambda g: _degree_cut(g, g.L - 2).classes[1],
     "node matrix": lambda g: g.node_matrix(0, 2),
 }
 

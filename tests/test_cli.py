@@ -74,6 +74,11 @@ def test_index_report(tmp_path):
     assert (r["kernel_dim"], r["cokernel_dim"], r["index"]) == (9, 3, 6)
     assert r["reliable"] is True
     assert len(r["smallest_singular_values"]) == 12
+    # the per-class counts of the symmetric sphere: three rotations, and
+    # three translations that each share a class with a conformal mode
+    assert r["class_counts"]["+++"] == [0, 0]
+    assert sorted(r["class_counts"].values()) == \
+        [[0, 0]] * 2 + [[1, 0]] * 3 + [[2, 1]] * 3
 
 
 def test_kernel_sweep(tmp_path):

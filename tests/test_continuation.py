@@ -48,8 +48,9 @@ def test_newton_survives_gesdd_failure(fail_bdsdc):
     ref, ref_hist = newton_solve(sphere_immersion(g), target)
     failures = fail_bdsdc()
     sol, hist = newton_solve(sphere_immersion(g), target)
-    # one SVD per iteration, failed in both orientations
-    assert len(failures) == 2 * (len(hist) - 1)
+    # one SVD per iteration, factored one sign class at a time (the eight
+    # classes of the symmetric ellipsoid), each failed in both orientations
+    assert len(failures) == 2 * 8 * (len(hist) - 1)
     assert len(hist) == len(ref_hist)
     npt.assert_allclose(hist, ref_hist, rtol=0, atol=1e-12 * ref_hist[0])
     npt.assert_allclose(sol.coeffs, ref.coeffs, rtol=0,
@@ -165,9 +166,9 @@ def test_continuation_survives_gesdd_failure(fail_bdsdc):
     ref = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
     failures = fail_bdsdc()
     trace = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
-    # a values-only SVD (compq "N"), failed in both orientations, records
-    # each accepted step
-    assert sum(f[1] == "N" for f in failures) == 2 * len(trace.steps)
+    # a values-only SVD (compq "N") of each of the eight sign classes,
+    # failed in both orientations, records each accepted step
+    assert sum(f[1] == "N" for f in failures) == 2 * 8 * len(trace.steps)
     assert trace.status == ref.status == "reached eps_min"
     npt.assert_array_equal(trace.epsilons, ref.epsilons)
     for step, ref_step in zip(trace.steps, ref.steps):

@@ -8,11 +8,14 @@ import pytest
 
 from scipy.linalg import qr
 
-from immlab.fredholm import (_SVD, _bind, _detect_rank, based_report,
-                             degree_one_families, kernel_vs_epsilon,
-                             killing_modes, svd_report)
-from immlab.operators import assemble_linearization
-from immlab.shapes import perturbed_sphere_immersion, sphere_immersion
+from immlab.bases import tensor_basis, vector_basis
+from immlab.fredholm import (_SVD, _bind, _classes, _detect_rank,
+                             based_report, degree_one_families,
+                             kernel_vs_epsilon, killing_modes, svd_report)
+from immlab.operators import (_degree_cut, _scalar_labels, _sign_classes,
+                              assemble_linearization, domain_labels)
+from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
+                           sphere_immersion)
 from immlab.spectral import grid
 
 
@@ -229,3 +232,150 @@ def test_based_report_rejects_bad_projection():
                               domain_basis=trimmed)
     with pytest.raises(ValueError):
         based_report(bad)
+
+
+# -- sign classes: the linearization factored one class at a time ----------
+
+@pytest.mark.parametrize("L", [12, 16])
+def test_round_sphere_class_counts(L):
+    # each rotation is alone in its class, odd under two reflections; each
+    # translation shares its class, odd under one, with a conformal mode
+    # and one cokernel direction
+    r = svd_report(round_matrix(L))
+    expected = {0: (0, 0), 1: (2, 1), 2: (1, 0), 3: (0, 0)}
+    assert len(r.class_counts) == 8
+    for name, counts in r.class_counts.items():
+        assert counts == expected[name.count("-")], name
+    assert sum(k for k, _ in r.class_counts.values()) == r.kernel_dim
+    assert sum(c for _, c in r.class_counts.values()) == r.cokernel_dim
+
+
+def test_class_counts_at_half():
+    # the radius mode joins the fully even class at the blend pole, as it
+    # joins the based kernel
+    r = svd_report(round_matrix(12, eps=0.5))
+    assert r.class_counts["+++"] == (1, 1)
+    assert (r.kernel_dim, r.cokernel_dim) == (10, 4)
+
+
+def _ellipsoid_matrix(L):
+    return assemble_linearization(
+        ellipsoid_immersion(grid(L), 1.0, 1.05, 0.95), 0.2,
+        liouville_tol=None)
+
+
+SYMMETRIC = {"sphere-8": lambda: round_matrix(8),
+             "sphere-12": lambda: round_matrix(12),
+             "ellipsoid-8": lambda: _ellipsoid_matrix(8),
+             "ellipsoid-12": lambda: _ellipsoid_matrix(12)}
+
+
+@pytest.mark.parametrize("retry", ["none", "gesvd"])
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_class_blocks_match_dense_svd(name, retry, request):
+    M = SYMMETRIC[name]()
+    A = M.matrix
+    m, n = A.shape
+    dense = _SVD(A)
+    if retry == "gesvd":
+        # every block fails divide and conquer in both orientations
+        failures = request.getfixturevalue("fail_bdsdc")()
+    f = _SVD(A, classes=_classes(M))
+    assert f._blocks is not None
+    if retry == "gesvd":
+        assert len(failures) == 2 * 8
+    s0 = dense.s[0]
+    npt.assert_allclose(f.s, dense.s, rtol=0, atol=1e-12 * s0)
+    rank = _detect_rank(dense.s, 1e3)[0]
+    assert _detect_rank(f.s, 1e3)[0] == rank
+    for side, k in (("right", n), ("left", m)):
+        V, V0 = getattr(f, side)(range(rank, k)), \
+            getattr(dense, side)(range(rank, k))
+        npt.assert_allclose(V @ V.T, V0 @ V0.T, rtol=0, atol=1e-12)
+    b = np.random.default_rng(1).standard_normal(m)
+    x, x0 = f.solve(b, rank), dense.solve(b, rank)
+    assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-6])
+def test_asymmetric_matrix_takes_dense_path(amplitude):
+    F = perturbed_sphere_immersion(grid(8), 1.0, [
+        (3, 2, 0.05 * amplitude), (2, -1, 0.04 * amplitude),
+        (3, -3, 0.03 * amplitude)])
+    M = assemble_linearization(F, 1.0, liouville_tol=None)
+    A = M.matrix
+    m, n = A.shape
+    dense, f = _SVD(A), _SVD(A, classes=_classes(M))
+    assert f._blocks is None
+    assert np.array_equal(f.s, dense.s)
+    assert np.array_equal(f.right(range(n)), dense.right(range(n)))
+    assert np.array_equal(f.left(range(m)), dense.left(range(m)))
+    b = np.random.default_rng(2).standard_normal(m)
+    assert np.array_equal(f.solve(b, m - 3), dense.solve(b, m - 3))
+    assert svd_report(M).class_counts is None
+    assert based_report(M).class_counts is None
+
+
+def _reflected_nodes(g, bit):
+    """Node permutation and chart-component signs of the reflection that
+    flips x (bit 0), y (bit 1) or z (bit 2): theta -> pi - theta maps the
+    Gauss-Legendre rings to each other, and phi -> -phi and
+    phi -> pi - phi map the 2L + 2 uniform longitudes to each other."""
+    ring, lon = np.divmod(np.arange(g.n_nodes), g.n_phi)
+    if bit == 2:
+        return (g.L - ring) * g.n_phi + lon, np.array([-1.0, 1.0])
+    shift = g.n_phi // 2 if bit == 0 else 0
+    return ring * g.n_phi + (shift - lon) % g.n_phi, np.array([1.0, -1.0])
+
+
+def test_sign_classes_match_reflected_tables():
+    # a mode of sign class k is even or odd under each reflection as bit k
+    # says: its node values at the reflected nodes, with the reflected
+    # chart components, are its own times that sign
+    g = grid(8)
+    vb, tb = vector_basis(g), tensor_basis(g)
+    Y = g.node_matrix(0, 0)
+    T = tb.weighted.reshape(g.n_nodes, 2, 2, -1)
+    dom = _sign_classes(domain_labels(g))
+    cod = _sign_classes(tb.labels + _scalar_labels(g))
+    for bit in range(3):
+        P, d = _reflected_nodes(g, bit)
+        xyz = np.stack([np.sin(g.theta) * np.cos(g.phi),
+                        np.sin(g.theta) * np.sin(g.phi), np.cos(g.theta)],
+                       axis=1)
+        flip = np.ones(3)
+        flip[bit] = -1.0
+        npt.assert_allclose(xyz[P], xyz * flip, rtol=0, atol=1e-14)
+
+        def sign(classes):
+            return np.where(classes >> bit & 1, -1.0, 1.0)
+
+        for table, expected in [
+                (Y, Y * sign(dom[vb.size:])),
+                (Y, Y * sign(cod[tb.size:])),
+                (vb.fields, d[:, None] * vb.fields * sign(dom[:vb.size])),
+                (T, np.multiply.outer(d, d)[..., None] * T
+                 * sign(cod[:tb.size]))]:
+            npt.assert_allclose(table[P], expected, rtol=0,
+                                atol=1e-12 * np.abs(table).max())
+
+
+def _rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("shape", ["sphere", "ellipsoid"])
+def test_rotated_symmetric_shapes_take_block_path(shape):
+    # the classes are intrinsic, so a rigid motion keeps the blocks; a
+    # silent fall back to the dense path fails here
+    g = grid(8)
+    F = (sphere_immersion(g) if shape == "sphere" else
+         ellipsoid_immersion(g, 1.0, 1.05, 0.95)).rotated(_rotation(5))
+    eps = 1.0 if shape == "sphere" else 0.2
+    M = assemble_linearization(F, eps, liouville_tol=None)
+    assert svd_report(M).class_counts is not None
+    assert based_report(M).class_counts is not None
+    cut = _degree_cut(g, g.L - 2)
+    Md = assemble_linearization(F, eps, liouville_tol=None, degree=g.L - 2)
+    assert _SVD(Md.matrix, classes=cut.classes)._blocks is not None
