@@ -21,15 +21,15 @@ family is sqrt(l(l+1)(l(l+1)-2)/2).
 Each basis is built once per grid and stored on it (SphereGrid.cached), so
 every caller shares one instance: its arrays are read-only and its labels
 are tuples.  The vector basis keeps its fields with their chart
-derivatives; the tensor basis keeps only its quadrature-weighted table,
-the one that projects a tensor field onto it.
+derivatives; the tensor basis keeps only its per-|m| tables, the ones
+that project a tensor field onto it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SphereGrid, coeff_degrees
+from .spectral import SphereGrid, _frequency_tables, coeff_degrees
 
 __all__ = [
     "VectorBasis",
@@ -128,20 +128,23 @@ def _round_hessians(g: SphereGrid) -> np.ndarray:
 class TensorBasis:
     """Orthonormal trace-free symmetric 2-tensor basis on the round sphere.
 
-    Only the table that pairs a tensor field with the basis is kept:
-    weighted holds the contravariant chart components (n, 2, 2, n_ten),
-    the covariant ones with both indices raised by the round metric, times
-    the quadrature weights, flattened over (node, i, j).  weighted.T @ T
-    for covariant components T (4 n, B) is then the round L2 pairing.
+    Only the tables that pair a tensor field with the basis are kept.
+    With both indices raised by the round metric and times the quadrature
+    weights, each basis tensor is in every chart component a ring profile
+    times cos(|m| ph) or sin(|m| ph); tables[m] holds those amplitudes for
+    the tensors of frequency m, whose label indices modes[m] lists by
+    degree (_frequency_tables gives the layout).  Paired with the ring
+    DFTs of a covariant field at m, its rows are the round L2 pairings.
     """
 
     grid: SphereGrid
     labels: tuple               # (family, l, m)
-    weighted: np.ndarray        # (4 n, n_ten)
+    tables: tuple               # per |m|: (n_m, 8 n_theta), read-only
+    modes: tuple                # per |m|: (n_m,) label indices, by degree
 
     @property
     def size(self) -> int:
-        return self.weighted.shape[1]
+        return len(self.labels)
 
 
 def round_tensor_inner(g: SphereGrid, B: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -171,13 +174,18 @@ def tensor_basis(g: SphereGrid) -> TensorBasis:
     return g.cached("tensor_basis", lambda: _build_tensor_basis(g))
 
 
-def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
-    ls, ms = coeff_degrees(g.L)
+def _weighted_tensor_fields(g: SphereGrid) -> np.ndarray:
+    """The basis tensors, both indices raised, times the quadrature weights.
+
+    Contravariant chart components (n, 2, 2, n_ten), in label order; the
+    round L2 pairing of a covariant field T with basis tensor b is the sum
+    of this array's column b times T over nodes and indices.  Not cached:
+    the tensor basis keeps only its per-frequency tables.
+    """
+    ls, _ = coeff_degrees(g.L)
     sel = ls >= 2
     ll = (ls * (ls + 1.0))[sel]
-    n, k = g.n_nodes, int(sel.sum())
     s = np.sin(g.theta)[:, None]
-    c = np.cos(g.theta)[:, None]
     s2 = s * s
 
     hess = _round_hessians(g)[..., sel]
@@ -198,11 +206,17 @@ def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
     fields = np.concatenate([even, odd], axis=3)
     norms = np.sqrt(np.sum(
         g.weights[:, None] * round_tensor_inner(g, fields, fields), axis=0))
-    fields = fields / norms
+    weighted = _raise_indices(g, fields)
+    weighted *= g.weights[:, None, None, None] / norms
+    return weighted
+
+
+def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
+    ls, ms = coeff_degrees(g.L)
+    sel = ls >= 2
     labels = tuple([("even", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
                    + [("odd", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
-    weighted = _raise_indices(g, fields)
-    weighted *= g.weights[:, None, None, None]
-    weighted = weighted.reshape(-1, 2 * k)
-    weighted.setflags(write=False)
-    return TensorBasis(g, labels, weighted)
+    weighted = _weighted_tensor_fields(g).reshape(g.n_nodes, 4, -1)
+    tables, modes = _frequency_tables(g, weighted, np.tile(np.abs(ms[sel]), 2),
+                                      np.tile(ls[sel], 2))
+    return TensorBasis(g, labels, tables, modes)

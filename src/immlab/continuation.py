@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ImmersionRegularityError
-from .bases import tensor_basis
 from .fredholm import GAP_MIN, _SVD, _detect_rank
 from .geometry import ImmersionMap
 from .operators import (EpsilonData, _blend, _degree_cut, apply_phi,
@@ -101,11 +100,11 @@ class ContinuationTrace:
         return np.array([s.defect for s in self.steps])
 
 
-def _residual(F: ImmersionMap, target: TargetData,
-              tb) -> tuple[np.ndarray, EpsilonData]:
+def _residual(F: ImmersionMap, target: TargetData
+              ) -> tuple[np.ndarray, EpsilonData]:
     """Codomain residual at F, and the blended data it was taken from."""
     data = apply_phi(F, target.epsilon, target.variant, liouville_tol=None)
-    return project_codomain(F.grid, tb, data.class_rep - target.class_rep,
+    return project_codomain(F.grid, data.class_rep - target.class_rep,
                             data.blended - target.blended), data
 
 
@@ -174,13 +173,12 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     if target.epsilon <= 0.0:
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
     g = F0.grid
-    tb = tensor_basis(g)
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
     cut = _degree_cut(g, g.L - _DEALIAS)
     keep, rows = cut.domain_mask, cut.codomain_mask
 
     F = F0
-    r, data = _residual(F, target, tb)
+    r, data = _residual(F, target)
     history = [float(np.linalg.norm(r[rows]))]
     for _ in range(_MAX_ITER):
         if history[-1] <= tol:
@@ -201,7 +199,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                                                       F.positions + step * X)
                     if trial.geometry.det_gamma.min() < det_floor:
                         raise ImmersionRegularityError("det gamma under floor")
-                    r_trial, data_trial = _residual(trial, target, tb)
+                    r_trial, data_trial = _residual(trial, target)
                 except (ImmersionRegularityError, FloatingPointError):
                     step *= 0.5
                     continue

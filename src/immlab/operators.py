@@ -49,10 +49,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky
 
-from .bases import TensorBasis, tensor_basis, vector_basis
+from .bases import tensor_basis, vector_basis
 from .errors import DegreeMismatchError, ImmersionRegularityError
 from .geometry import ImmersionMap, SurfaceGeometry
-from .spectral import SphereGrid, coeff_degrees
+from .spectral import (SphereGrid, _frequency_tables, _ring_dft,
+                       coeff_degrees)
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
                          _WeakForms, conformal_class, solve_liouville)
 
@@ -295,26 +296,47 @@ def domain_labels(g: SphereGrid) -> tuple:
     return g.cached("domain_labels", build)
 
 
-def project_codomain(g: SphereGrid, tb: TensorBasis, class_part: np.ndarray,
+def project_codomain(g: SphereGrid, class_part: np.ndarray,
                      blended_part: np.ndarray, *,
                      degree: int | None = None) -> np.ndarray:
     """Pair a (class tensor, blended scalar) pair into codomain coordinates.
 
     class_part: (n, 2, 2) or (n, 2, 2, B); blended_part: (n,) or (n, B).
-    Rows use the round inner product and quadrature weights, so each block
-    is one product with a cached table.  With degree set, only the rows of
-    degree <= degree are formed, in codomain order.
+    Rows are round L2 pairings by quadrature, of the class part with the
+    tensor harmonics and of the blended part with the scalar harmonics.
+    Each part is transformed ring by ring (SphereGrid.longitude_dft), and
+    each |m| takes one product with its cached table (TensorBasis,
+    _blended_tables).  A harmonic has the one longitude frequency
+    |m| <= L, below the Nyquist frequency L + 1, so its sum against a
+    ring of node values is the pairing of the two ring DFTs at |m|: the
+    same quadrature sums, in another order.  With degree set, only the
+    rows of degree <= degree are formed, in codomain order.
     """
     single = class_part.ndim == 3
     if single:
         class_part = class_part[..., None]
         blended_part = blended_part[..., None]
-    flat = class_part.reshape(-1, class_part.shape[-1])
-    cut = _degree_cut(g, degree)
-    out = np.vstack([tb.weighted[:, s].T @ flat for s in cut.tensor]
-                    + [g.node_matrix(0, 0)[:, cut.scalar].T
-                       @ (g.weights[:, None] * blended_part)])
+    out = _project(g, class_part, blended_part, degree,
+                   np.empty(class_part.shape))
     return out[:, 0] if single else out
+
+
+def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
+             degree: int | None, work: np.ndarray) -> np.ndarray:
+    """project_codomain of batched parts (n, 2, 2, B) and (n, B).
+
+    work, a C-contiguous array of class_part's size, receives the
+    longitude DFTs of both parts, so that the caller can lend it a buffer
+    it no longer needs.
+    """
+    cut = _degree_cut(g, degree)
+    b = class_part.shape[-1]
+    out = np.empty((len(cut.codomain), b))
+    for part, blocks in ((class_part, cut.tensor), (blended_part, cut.blended)):
+        spec = _ring_dft(g, part, work)
+        for m, table, rows in blocks:
+            out[rows] = table @ spec[2 * m:2 * m + 2].reshape(-1, b)
+    return out
 
 
 # Names of the reflection sign classes of _sign_classes: the sign of a
@@ -348,19 +370,24 @@ def _sign_classes(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _DegreeCut:
-    """The modes of degree <= some degree, as slices of the cached tables.
+    """The modes of degree <= some degree, as parts of the cached tables.
 
-    Each family lists its modes in (l, m) order, so a cut keeps a prefix
-    of every family.  Adjacent slices are merged: with nothing cut, each
-    table is a single slice.  The masks select the kept columns and rows
-    of the full matrix, and classes gives the sign class (_sign_classes)
-    of each kept row and column, the row classes first, as the SVD kernel
-    takes them; these arrays are read-only.
+    Each vector family lists its modes in (l, m) order, so a cut keeps a
+    prefix of every family; adjacent slices are merged, so that with
+    nothing cut the vector basis is a single slice.  Each tensor table
+    lists its modes by degree, so a cut keeps a prefix of its rows: tensor
+    holds (m, kept rows of the |m| table, their rows in the result), and
+    blended the same for the scalar tables of the blended rows.  The masks
+    select the kept columns and rows of the full matrix, and classes gives
+    the sign class (_sign_classes) of each kept row and column, the row
+    classes first, as the SVD kernel takes them; these arrays are
+    read-only.
     """
 
     vector: tuple        # slices of the vector basis columns
-    tensor: tuple        # slices of the tensor basis columns
-    scalar: slice        # normal-speed and blended modes
+    tensor: tuple        # (m, table rows, result rows) per |m| kept
+    blended: tuple       # the same for the blended rows
+    scalar: slice        # normal-speed modes
     domain: tuple        # labels of the kept columns
     codomain: tuple      # labels of the kept rows
     domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
@@ -391,15 +418,28 @@ def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
         a.setflags(write=False)
         return a
 
+    def by_frequency(keep, tables, modes, first):
+        # the kept prefix of each |m| table, and its rows in the result
+        result_row = np.cumsum(keep) - 1
+        out = []
+        for m, (table, cols) in enumerate(zip(tables, modes)):
+            k = int(keep[first + cols].sum())
+            if k:
+                out.append((m, table[:k],
+                            frozen(result_row[first + cols[:k]])))
+        return tuple(out)
+
     def build():
         tb = tensor_basis(g)
         codomain = tb.labels + _scalar_labels(g)
         scalar, = slices(_scalar_labels(g))
         rows, cols = select(codomain), select(domain_labels(g))
+        keep = frozen(np.array(kept(codomain)))
         return _DegreeCut(
-            slices(vector_basis(g).labels), slices(tb.labels), scalar, cols,
-            rows, frozen(np.array(kept(domain_labels(g)))),
-            frozen(np.array(kept(codomain))),
+            slices(vector_basis(g).labels),
+            by_frequency(keep, tb.tables, tb.modes, 0),
+            by_frequency(keep, *_blended_tables(g), tb.size), scalar, cols,
+            rows, frozen(np.array(kept(domain_labels(g)))), keep,
             (frozen(_sign_classes(rows)), frozen(_sign_classes(cols))))
     return g.cached(("degree_cut", degree), build)
 
@@ -499,10 +539,23 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     crp = 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
     np.subtract(gp, crp, out=crp)
     crp /= np.sqrt(geo.det_gamma)[:, None, None, None]
-    del gp
 
-    rows = project_codomain(g, tensor_basis(g), crp, bp, degree=degree)
+    # gp is dead: it takes the longitude DFT of crp
+    rows = _project(g, crp, bp, degree, gp)
     return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain)
+
+
+def _blended_tables(g: SphereGrid) -> tuple[tuple, tuple]:
+    """Per-|m| tables (_frequency_tables) of the weighted scalar harmonics.
+
+    They pair a nodal blended slot with the scalar harmonics, rows
+    indexed like _scalar_labels.
+    """
+    def build():
+        ls, ms = coeff_degrees(g.L)
+        weighted = g.weights[:, None] * g.node_matrix(0, 0)
+        return _frequency_tables(g, weighted[:, None], np.abs(ms), ls)
+    return g.cached("blended_tables", build)
 
 
 def _scalar_labels(g: SphereGrid) -> tuple:

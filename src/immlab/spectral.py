@@ -204,6 +204,18 @@ class SphereGrid:
             return (rings[:, None, :] * trig).reshape(self.n_nodes, self.n_coeffs)
         return self.cached((dth, dph), build)
 
+    def longitude_dft(self) -> np.ndarray:
+        """Real DFT of one ring, (2(L+1), n_phi): rows cos(m ph), sin(m ph).
+
+        Rows 2m and 2m + 1 hold cos(m ph) and sin(m ph) at the ring's
+        longitudes, for m = 0..L (the sin(0 ph) row is zero).
+        """
+        def build():
+            mph = np.arange(self.L + 1)[:, None] * self.phi_nodes
+            return np.stack([np.cos(mph), np.sin(mph)], axis=1).reshape(
+                self.n_phi, self.n_phi)
+        return self.cached("longitude_dft", build)
+
     def _check(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_coeffs,):
@@ -239,6 +251,56 @@ class SphereGrid:
         c = self._check(coeffs)
         ls, _ = coeff_degrees(self.L)
         return -ls * (ls + 1.0) * c
+
+
+def _ring_dft(g: SphereGrid, values: np.ndarray, out: np.ndarray
+              ) -> np.ndarray:
+    """Longitude DFT of every ring of node values (n, ...), by frequency.
+
+    Returns (n_phi, n_theta, rest), row 2m + t of longitude_dft on ring r
+    at [2m + t, r], so the rows of one frequency are contiguous.  It is
+    written into the leading values.size entries of out, a C-contiguous
+    array at least that large.
+    """
+    spec = out.reshape(-1)[:values.size].reshape(g.n_phi, g.n_theta, -1)
+    np.matmul(g.longitude_dft(), values.reshape(g.n_theta, g.n_phi, -1),
+              out=spec.transpose(1, 0, 2))
+    return spec
+
+
+def _frequency_tables(g: SphereGrid, weighted: np.ndarray, freq: np.ndarray,
+                      degree: np.ndarray) -> tuple[tuple, tuple]:
+    """Per-|m| amplitude tables of node fields of one longitude frequency.
+
+    weighted (n, k, c) holds c fields of k components; in each component,
+    field j is a ring profile times cos(freq[j] ph) or sin(freq[j] ph),
+    freq[j] <= L.  Returns (tables, modes), one entry for each m = 0..L:
+    modes[m] lists the fields of frequency m by degree, and tables[m]
+    (len(modes[m]), 2 n_theta k) their amplitudes of cos(m ph) (t = 0)
+    and sin(m ph) (t = 1), entry [i, (t n_theta + r) k + comp] on ring r:
+    the layout of _ring_dft's rows 2m, 2m + 1.
+
+    Each m lies below the Nyquist frequency L + 1 of the 2L + 2
+    longitudes, so by discrete orthogonality of the trigonometric rows an
+    amplitude is the field's ring DFT at m times 1/n_phi for m = 0 and
+    2/n_phi otherwise.  The sum over a ring's longitudes of field j times
+    any node field f is then its amplitudes paired with f's ring DFT at
+    m.  The tables are read-only.
+    """
+    k, c = weighted.shape[1:]
+    spec = _ring_dft(g, weighted, np.empty(weighted.shape))
+    spec = spec.reshape(g.L + 1, 2, g.n_theta, k, c)
+    tables, modes = [], []
+    for m in range(g.L + 1):
+        cols = np.flatnonzero(freq == m)
+        cols = cols[np.argsort(degree[cols], kind="stable")]
+        table = np.ascontiguousarray(spec[m][..., cols].reshape(
+            -1, cols.size).T) * ((1.0 if m == 0 else 2.0) / g.n_phi)
+        for a in (table, cols):
+            a.setflags(write=False)
+        tables.append(table)
+        modes.append(cols)
+    return tuple(tables), tuple(modes)
 
 
 @lru_cache(maxsize=16)

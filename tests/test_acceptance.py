@@ -7,7 +7,6 @@ measured quantity next to the stated tolerance.
 import numpy as np
 import pytest
 
-from immlab.bases import tensor_basis
 from immlab.continuation import (TargetData, epsilon_continuation,
                                  newton_solve, procrustes_align)
 from immlab.fredholm import based_report, kernel_vs_epsilon, svd_report
@@ -119,7 +118,6 @@ def test_criterion_6_kernel_mode_identification():
 def test_criterion_7_linearization_fd(eps, variant):
     g = grid(12)
     F = sphere_immersion(g)
-    tb = tensor_basis(g)
     M = assemble_linearization(F, eps, variant, liouville_tol=None)
     low = [i for i, (kind, l, m) in enumerate(M.domain_basis) if l <= 3]
 
@@ -127,7 +125,7 @@ def test_criterion_7_linearization_fd(eps, variant):
         def at(sv):
             d = apply_phi(ImmersionMap(g, F.coeffs + sv * Xc), eps, variant,
                           liouville_tol=None)
-            return project_codomain(g, tb, d.class_rep, d.blended)
+            return project_codomain(g, d.class_rep, d.blended)
 
         return (at(s) - at(-s)) / (2.0 * s)
 

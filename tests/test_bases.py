@@ -1,10 +1,13 @@
 """Grid-shared tables: vector and tensor bases, labels, masks."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.bases import tensor_basis, vector_basis
+from immlab.bases import (_weighted_tensor_fields, tensor_basis,
+                          vector_basis)
 from immlab.continuation import TargetData, newton_solve
 from immlab.operators import (_degree_cut, _scalar_labels,
                               assemble_linearization, domain_labels,
@@ -31,7 +34,8 @@ def test_repeat_call_returns_same_object(name):
 ARRAYS = {
     "vector fields": lambda g: vector_basis(g).fields,
     "vector dfields": lambda g: vector_basis(g).dfields,
-    "tensor weighted": lambda g: tensor_basis(g).weighted,
+    "tensor weighted": lambda g: tensor_basis(g).tables[2],
+    "tensor modes": lambda g: tensor_basis(g).modes[2],
     "domain mask": lambda g: _degree_cut(g, g.L - 2).domain_mask,
     "codomain mask": lambda g: _degree_cut(g, g.L - 2).codomain_mask,
     "row classes": lambda g: _degree_cut(g, g.L - 2).classes[0],
@@ -57,18 +61,54 @@ def test_labels_are_immutable():
 
 def test_tensor_weighted_table_projects_the_basis():
     # projecting each basis tensor returns its unit coordinate vector; the
-    # table holds the tensors with both indices raised by the round metric,
-    # times the quadrature weights, so divide both out to recover them
+    # weighted fields, which the per-frequency tables are built from, hold
+    # the tensors with both indices raised by the round metric, times the
+    # quadrature weights, so divide both out to recover them
     g = grid(8)
     tb = tensor_basis(g)
     s2 = np.sin(g.theta) ** 2
     raised = np.ones((g.n_nodes, 2, 2))
     raised[:, 0, 1] = raised[:, 1, 0] = 1.0 / s2
     raised[:, 1, 1] = 1.0 / s2 ** 2
-    fields = tb.weighted.reshape(g.n_nodes, 2, 2, tb.size)
+    fields = _weighted_tensor_fields(g)
     fields = fields / (g.weights[:, None, None] * raised)[..., None]
-    rows = project_codomain(g, tb, fields, np.zeros((g.n_nodes, tb.size)))
+    rows = project_codomain(g, fields, np.zeros((g.n_nodes, tb.size)))
     npt.assert_allclose(rows[:tb.size], np.eye(tb.size), atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_tensor_fields_have_one_longitude_frequency(L):
+    # the tables keep each weighted basis tensor's ring-wise DFT at its own
+    # |m| only, which is exact only while the rest of the DFT vanishes: its
+    # norm off |m| must be round-off next to its norm at |m|
+    g = grid(L)
+    W = _weighted_tensor_fields(g).reshape(g.n_theta, g.n_phi, 4, -1)
+    power = np.sum(np.abs(np.fft.rfft(W, axis=1)) ** 2, axis=(0, 2))
+    freq = np.array([abs(m) for _, _, m in tensor_basis(g).labels])
+    own = np.arange(power.shape[0])[:, None] == freq
+    assert power.shape[0] == L + 2         # up to the Nyquist frequency
+    off = np.where(own, 0.0, power).sum(axis=0)
+    assert np.all(np.sqrt(off) <= 1e-13 * np.sqrt(power[own]))
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_tensor_basis_stores_per_frequency_tables_only():
+    # the per-|m| tables hold 2 trigonometric amplitudes of 4 components
+    # on each ring for every basis tensor; a dense (4 n, n_ten) table
+    # would hold n_phi / 2 times as much
+    g = SphereGrid.build(12)
+    assemble_linearization(sphere_immersion(g), 1.0)
+    tb = tensor_basis(g)
+    stored = sum(a.size for f in dataclasses.fields(tb)
+                 for a in _arrays(getattr(tb, f.name)) if a.dtype.kind == "f")
+    assert 0 < stored <= 2 * g.n_theta * 4 * tb.size
 
 
 @pytest.mark.parametrize("eps,variant", [(1.0, "additive"),

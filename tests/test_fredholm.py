@@ -8,7 +8,8 @@ import pytest
 
 from scipy.linalg import qr
 
-from immlab.bases import tensor_basis, vector_basis
+from immlab.bases import (_weighted_tensor_fields, tensor_basis,
+                          vector_basis)
 from immlab.fredholm import (_SVD, _bind, _classes, _detect_rank,
                              based_report, degree_one_families,
                              kernel_vs_epsilon, killing_modes, svd_report)
@@ -335,7 +336,7 @@ def test_sign_classes_match_reflected_tables():
     g = grid(8)
     vb, tb = vector_basis(g), tensor_basis(g)
     Y = g.node_matrix(0, 0)
-    T = tb.weighted.reshape(g.n_nodes, 2, 2, -1)
+    T = _weighted_tensor_fields(g)
     dom = _sign_classes(domain_labels(g))
     cod = _sign_classes(tb.labels + _scalar_labels(g))
     for bit in range(3):

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.bases import tensor_basis
+from immlab import operators
+from immlab.bases import _weighted_tensor_fields, tensor_basis
 from immlab.errors import ImmersionRegularityError
 from immlab.fredholm import killing_modes
 from immlab.geometry import ImmersionMap
@@ -14,7 +15,7 @@ from immlab.operators import (VariationField, apply_phi,
                               project_codomain, push_forward)
 from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
                            perturbed_sphere_immersion, sphere_immersion)
-from immlab.spectral import coeff_index, grid
+from immlab.spectral import coeff_degrees, coeff_index, grid
 
 
 def normal_field(g, l, m, amp=1.0):
@@ -226,13 +227,13 @@ def _domain_direction(g, labels, seed):
     return v
 
 
-def _fd_column(F, eps, variant, Xc, s, tb):
+def _fd_column(F, eps, variant, Xc, s):
     g = F.grid
 
     def at(sv):
         d = apply_phi(ImmersionMap(g, F.coeffs + sv * Xc), eps, variant,
                       liouville_tol=None)
-        return project_codomain(g, tb, d.class_rep, d.blended)
+        return project_codomain(g, d.class_rep, d.blended)
 
     return (at(s) - at(-s)) / (2.0 * s)
 
@@ -245,13 +246,12 @@ def _fd_column(F, eps, variant, Xc, s, tb):
 def test_linearization_matches_finite_differences(eps, variant):
     g = grid(12)
     F = sphere_immersion(g)
-    tb = tensor_basis(g)
     M = assemble_linearization(F, eps, variant, liouville_tol=None)
     v = _domain_direction(g, M.domain_basis, 11)
     X = push_forward(F, v)
     Xc = np.stack([g.analyze(X[:, mu]) for mu in range(3)])
     col = M.matrix @ v
-    err = {s: np.linalg.norm(_fd_column(F, eps, variant, Xc, s, tb) - col)
+    err = {s: np.linalg.norm(_fd_column(F, eps, variant, Xc, s) - col)
            / np.linalg.norm(col) for s in (1e-3, 5e-4)}
     assert err[1e-3] <= 1e-4
     # clean O(s^2): halving s quarters the error
@@ -321,6 +321,53 @@ def test_dealiased_assembly_is_the_full_block(L, eps, variant):
     assert M.codomain_basis == tuple(
         lab for lab, r in zip(full.codomain_basis, rows) if r)
     assert M.structural_index == 6
+
+
+def _dense_projection(g, class_part, blended_part, degree):
+    # the codomain pairings as plain quadrature sums over every node
+    W = _weighted_tensor_fields(g).reshape(4 * g.n_nodes, -1)
+    rows = np.vstack([W.T @ class_part.reshape(4 * g.n_nodes, -1),
+                      g.node_matrix(0, 0).T
+                      @ (g.weights[:, None] * blended_part)])
+    degrees = np.concatenate([[l for _, l, _ in tensor_basis(g).labels],
+                              coeff_degrees(g.L)[0]])
+    return rows if degree is None else rows[degrees <= degree]
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("cut", [None, 2])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_projection_matches_dense_quadrature(L, cut, batch):
+    g = grid(L)
+    degree = None if cut is None else L - cut
+    rng = np.random.default_rng(L + batch)
+    class_part = rng.standard_normal((g.n_nodes, 2, 2, batch))
+    blended = rng.standard_normal((g.n_nodes, batch))
+    ref = _dense_projection(g, class_part, blended, degree)
+    if batch == 1:
+        rows = project_codomain(g, class_part[..., 0], blended[:, 0],
+                                degree=degree)[:, None]
+    else:
+        rows = project_codomain(g, class_part, blended, degree=degree)
+    npt.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("eps,variant", [(1.0, "additive"),
+                                         (0.5, "multiplicative")])
+def test_assembly_projection_matches_dense_quadrature(eps, variant,
+                                                      monkeypatch):
+    # an immersion without reflection symmetry couples every sign class
+    g = grid(8)
+    F = perturbed_sphere_immersion(g, 1.0, [(3, 2, 0.05), (2, -1, 0.04),
+                                            (3, -3, 0.03)])
+    M = assemble_linearization(F, eps, variant, liouville_tol=None).matrix
+    rows, cols = operators._degree_cut(g, None).classes
+    assert np.abs(M[rows[:, None] != cols]).max() > 1e-3 * np.abs(M).max()
+    monkeypatch.setattr(operators, "_project",
+                        lambda g, c, b, degree, work:
+                        _dense_projection(g, c, b, degree))
+    ref = assemble_linearization(F, eps, variant, liouville_tol=None).matrix
+    npt.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_operator_matrix_metadata():
