@@ -20,9 +20,9 @@ family is sqrt(l(l+1)(l(l+1)-2)/2).
 
 Each basis is built once per grid and stored on it (SphereGrid.cached), so
 every caller shares one instance: its arrays are read-only and its labels
-are tuples.  The vector basis keeps its fields with their chart
-derivatives; the tensor basis keeps only its per-|m| tables, the ones
-that project a tensor field onto it.
+are tuples.  The vector basis keeps one jet table, its fields with their
+chart derivatives; the tensor basis keeps only its per-|m| tables, the
+ones that project a tensor field onto it.
 """
 
 from dataclasses import dataclass
@@ -54,19 +54,31 @@ def _chart_gradients(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
 class VectorBasis:
     """Orthonormal tangent-field basis: all grad modes, then all curl modes.
 
-    dfields holds chart derivatives of the components, dfields[n, i, k, b] =
-    d_i V^k of basis field b; exact analytic values, needed by
-    Lie-derivative formulas in the assembled linearization.
+    jets holds each basis field's first jet at the nodes, one read-only
+    (n, 6, n_vec) table: rows 0 and 1 are the contravariant components
+    (V^theta, V^phi), row 2 + 2 i + k the chart derivative d_i V^k, exact
+    analytic values.  fields and dfields are views into it, shaped
+    (n, 2, n_vec) and (n, 2, 2, n_vec) with dfields[n, i, k, b] = d_i V^k.
+    The first variation is a fixed linear map of the jet at each node
+    (operators._tangent_map), so the assembly applies it to whole slices
+    of this table.
     """
 
     grid: SphereGrid
-    fields: np.ndarray          # (n, 2, n_vec) contravariant chart components
+    jets: np.ndarray            # (n, 6, n_vec)
     labels: tuple               # (family, l, m)
-    dfields: np.ndarray         # (n, 2, 2, n_vec)
+
+    @property
+    def fields(self) -> np.ndarray:
+        return self.jets[:, :2]
+
+    @property
+    def dfields(self) -> np.ndarray:
+        return self.jets[:, 2:].reshape(self.jets.shape[0], 2, 2, -1)
 
     @property
     def size(self) -> int:
-        return self.fields.shape[2]
+        return self.jets.shape[2]
 
 
 def vector_basis(g: SphereGrid) -> VectorBasis:
@@ -82,7 +94,8 @@ def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     scale = 1.0 / np.sqrt(ll)
     n = g.n_nodes
     k = int(sel.sum())
-    fields = np.empty((n, 2, 2 * k))
+    jets = np.empty((n, 6, 2 * k))
+    fields = jets[:, :2]
     fields[:, 0, :k] = Gt * scale
     fields[:, 1, :k] = Gp * scale
     # rotation J: orthonormal components (a, b) -> (-b, a); in chart
@@ -98,7 +111,7 @@ def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     Ytt = g.node_matrix(2, 0)[:, sel]
     Ytp = g.node_matrix(1, 1)[:, sel]
     Ypp = g.node_matrix(0, 2)[:, sel]
-    dfields = np.empty((n, 2, 2, 2 * k))
+    dfields = jets[:, 2:].reshape(n, 2, 2, 2 * k)
     dfields[:, 0, 0, :k] = Ytt * scale
     dfields[:, 1, 0, :k] = Ytp * scale
     dfields[:, 0, 1, :k] = (Ytp - 2.0 * (c / s) * Yp) / s**2 * scale
@@ -107,9 +120,8 @@ def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     dfields[:, 1, 0, k:] = -Ypp / s * scale
     dfields[:, 0, 1, k:] = (Ytt / s - c * Yt / s**2) * scale
     dfields[:, 1, 1, k:] = Ytp / s * scale
-    fields.setflags(write=False)
-    dfields.setflags(write=False)
-    return VectorBasis(g, fields, labels, dfields)
+    jets.setflags(write=False)
+    return VectorBasis(g, jets, labels)
 
 
 def _round_hessians(g: SphereGrid) -> np.ndarray:

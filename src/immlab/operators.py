@@ -20,11 +20,15 @@ fields and their chart derivatives are analytic), the mean-curvature
 variation is -Delta nu - |A|^2 nu + X^T(H) with a Galerkin Laplacian, and
 the conformal-factor variation reuses the prefactored linearized Liouville
 solve with the integrated-by-parts curvature variation.  Each formula is
-written once, in a batched kernel for a block of tangent fields or of
-normal speeds: assemble_linearization runs the kernels on the cached basis
-tables, and delta_star and mean_curvature_prime run them on one
-VariationField, so the single-field functions the tests check are the code
-that builds the matrix.  Columns live over an explicit variation basis
+written once.  The Lie derivative is linear in a tangent field's first jet
+(V^k, d_i V^k) at each node, so it is a fixed (4 x 6) map per node
+(_tangent_map); the class part of a metric variation is a fixed (4 x 4)
+map per node (_class_map).  assemble_linearization applies them to the
+vector basis's jet table (VectorBasis.jets) and to all columns, each as one
+batched matrix product, and delta_star and mean_curvature_prime apply the
+same kernels to the (n, 6, 1) jets of one VariationField, so the
+single-field functions the tests check are the code that builds the
+matrix.  Columns live over an explicit variation basis
 (gradient and curl vector harmonics for the tangential part, scalar
 harmonics for the normal speed; push_forward maps coordinates over it to
 the ambient field V^k d_k F + nu N); rows pair the class slot against
@@ -133,8 +137,11 @@ class VariationField:
     XT holds contravariant chart components (V^theta, V^phi) of the
     tangential part and dXT their chart derivatives, dXT[n, i, k] =
     d_i V^k (the index order of VectorBasis.dfields); nu holds the normal
-    speed at the nodes.  The split is exact at the nodes; where nu must be
-    differentiated it is analyzed first.
+    speed at the nodes.  jets stacks XT and dXT into the (n, 6) first jet
+    of the tangential part, in the row order of VectorBasis.jets, which is
+    what the per-node tangent map (_tangent_map) acts on.  The split is
+    exact at the nodes; where nu must be differentiated it is analyzed
+    first.
     """
 
     XT: np.ndarray             # (n, 2)
@@ -168,29 +175,60 @@ class VariationField:
         dXT = np.einsum("nkl,nil->nik", geo.inv_gamma, dcov)
         return cls(XT, dXT, np.einsum("nm,nm->n", X, geo.normal))
 
+    @property
+    def jets(self) -> np.ndarray:
+        return np.concatenate([self.XT, self.dXT.reshape(-1, 4)], axis=1)
+
     def to_ambient(self, F: ImmersionMap) -> np.ndarray:
         geo = F.geometry
         return (np.einsum("ni,nim->nm", self.XT, geo.dF)
                 + self.nu[:, None] * geo.normal)
 
 
-def _tangential_prime(geo: SurfaceGeometry, dgam: np.ndarray, dH: np.ndarray,
-                      V: np.ndarray, dV: np.ndarray, gp: np.ndarray,
-                      Hp: np.ndarray) -> None:
+def _tangent_map(geo: SurfaceGeometry) -> np.ndarray:
+    """The tangential first variation of the metric as a map per node.
+
+    The metric varies along a tangent field V by the Lie derivative
+    gamma'_ij = V^k d_k gamma_ij + gamma_kj d_i V^k + gamma_ik d_j V^k
+    (= 2 delta*(X^T)), linear in the jet (V^k, d_i V^k) at each node.
+    Returns those maps, (n, 4, 6): row 2 i + j is the component gamma'_ij,
+    the columns are the jet rows of VectorBasis.jets.
+    """
+    n = geo.gamma.shape[0]
+    eye = np.eye(2)
+    mixed = (np.einsum("nkj,ai->nijak", geo.gamma, eye)
+             + np.einsum("nik,aj->nijak", geo.gamma, eye))
+    return np.concatenate(
+        [_metric_gradient(geo).transpose(0, 2, 3, 1).reshape(n, 4, 2),
+         mixed.reshape(n, 4, 4)], axis=2)
+
+
+def _class_map(geo: SurfaceGeometry) -> np.ndarray:
+    """The variation of the class rep gamma / sqrt(det gamma), per node.
+
+    gamma' maps to (gamma' - 1/2 tr(gamma^-1 gamma') gamma) / sqrt(det
+    gamma), the trace-free unit-determinant part: (n, 4, 4), acting on
+    components flattened as 2 i + j.
+    """
+    n = geo.gamma.shape[0]
+    P = np.eye(4) - 0.5 * np.einsum("nij,nkl->nijkl", geo.gamma,
+                                    geo.inv_gamma).reshape(n, 4, 4)
+    P /= np.sqrt(geo.det_gamma)[:, None, None]
+    return P
+
+
+def _tangential_prime(G: np.ndarray, dH: np.ndarray, jets: np.ndarray,
+                      gp: np.ndarray, Hp: np.ndarray) -> None:
     """First variation along tangent fields, written into gp and Hp.
 
-    For fields V (n, 2, B) with chart derivatives dV (n, 2, 2, B), dV[n, i,
-    k, b] = d_i V^k, the metric varies by the Lie derivative
-    gamma'_ij = V^k d_k gamma_ij + gamma_kj d_i V^k + gamma_ik d_j V^k
-    (= 2 delta*(X^T)) and H by advection, H' = V . dH.  dgam is
-    _metric_gradient(geo) and dH the chart gradient of H; gp (n, 2, 2, B)
+    For fields with first jets jets (n, 6, B), in the row order of
+    VectorBasis.jets, the metric varies by gamma' = G jet at each node
+    (G = _tangent_map(geo)), one batched product of (4 x 6) maps, and H by
+    advection, H' = V . dH, with dH the chart gradient of H.  gp (n, 4, B)
     and Hp (n, B) receive the result in place.
     """
-    mixed = np.einsum("nkj,nikb->nijb", geo.gamma, dV)
-    np.einsum("nkb,nkij->nijb", V, dgam, out=gp)
-    gp += mixed
-    gp += mixed.transpose(0, 2, 1, 3)
-    np.einsum("nkb,nk->nb", V, dH, out=Hp)
+    np.matmul(G, jets, out=gp)
+    np.matmul(dH[:, None], jets[:, :2], out=Hp[:, None])
 
 
 def _normal_prime(geo: SurfaceGeometry, forms: _WeakForms, nu: np.ndarray,
@@ -198,10 +236,11 @@ def _normal_prime(geo: SurfaceGeometry, forms: _WeakForms, nu: np.ndarray,
     """First variation along normal speeds, written into gp and Hp.
 
     For nodal speeds nu (n, B) with coefficients c and Galerkin right-hand
-    side Sc = forms.S @ c (nc, B): gamma' = 2 nu A and
-    H' = -Delta nu - |A|^2 nu, with the Galerkin Laplacian of forms.
+    side Sc = forms.S @ c (nc, B): gamma' = 2 nu A, components flattened
+    into gp (n, 4, B), and H' = -Delta nu - |A|^2 nu, with the Galerkin
+    Laplacian of forms.
     """
-    np.multiply(2.0 * geo.second[..., None], nu[:, None, None, :], out=gp)
+    np.multiply(2.0 * geo.second.reshape(-1, 4, 1), nu[:, None], out=gp)
     np.subtract(-forms.laplacian(Sc), geo.norm_A_sq[:, None] * nu, out=Hp)
 
 
@@ -211,13 +250,13 @@ def _first_variation(F: ImmersionMap, V: VariationField
     g = F.grid
     geo = F.geometry
     n = g.n_nodes
-    gp, Hp = np.empty((2, n, 2, 2, 1)), np.empty((2, n, 1))
-    _tangential_prime(geo, _metric_gradient(geo), g.gradient(g.analyze(geo.H)),
-                      V.XT[..., None], V.dXT[..., None], gp[0], Hp[0])
+    gp, Hp = np.empty((2, n, 4, 1)), np.empty((2, n, 1))
+    _tangential_prime(_tangent_map(geo), g.gradient(g.analyze(geo.H)),
+                      V.jets[..., None], gp[0], Hp[0])
     forms = _WeakForms(MetricData.from_immersion(F))
     Sc = forms.S @ g.analyze(V.nu)[:, None]
     _normal_prime(geo, forms, V.nu[:, None], Sc, gp[1], Hp[1])
-    return gp.sum(axis=0)[..., 0], Hp.sum(axis=0)[:, 0]
+    return gp.sum(axis=0).reshape(n, 2, 2), Hp.sum(axis=0)[:, 0]
 
 
 def delta_star(F: ImmersionMap, V: VariationField
@@ -250,7 +289,7 @@ def push_forward(F: ImmersionMap, v: np.ndarray) -> np.ndarray:
     """
     g = F.grid
     vb = vector_basis(g)
-    X = np.einsum("nik,nim,k->nm", vb.fields, F.geometry.dF, v[:vb.size])
+    X = np.einsum("ni,nim->nm", vb.fields @ v[:vb.size], F.geometry.dF)
     X += F.geometry.normal * (g.node_matrix(0, 0) @ v[vb.size:])[:, None]
     return X
 
@@ -323,7 +362,7 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
 
 def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
              degree: int | None, work: np.ndarray) -> np.ndarray:
-    """project_codomain of batched parts (n, 2, 2, B) and (n, B).
+    """project_codomain of batched parts (n, 2, 2, B) or (n, 4, B), and (n, B).
 
     work, a C-contiguous array of class_part's size, receives the
     longitude DFTs of both parts, so that the caller can lend it a buffer
@@ -518,27 +557,24 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     cut = _degree_cut(g, degree)
     n_vec = sum(s.stop - s.start for s in cut.vector)
     Y = g.node_matrix(0, 0)[:, cut.scalar]
+    n = g.n_nodes
     n_dom = n_vec + Y.shape[1]
-    gp = np.empty((g.n_nodes, 2, 2, n_dom))
-    Hp = np.empty((g.n_nodes, n_dom))
+    gp = np.empty((n, 4, n_dom))
+    Hp = np.empty((n, n_dom))
 
-    # tangential block, one slice of the basis per family
-    dgam = _metric_gradient(geo)
+    # tangential block, one slice of the basis jets per family
+    G = _tangent_map(geo)
     dH = g.gradient(g.analyze(geo.H))
     start = 0
     for s in cut.vector:
         cols = slice(start, start + s.stop - s.start)
-        _tangential_prime(geo, dgam, dH, vb.fields[..., s],
-                          vb.dfields[..., s], gp[..., cols], Hp[:, cols])
+        _tangential_prime(G, dH, vb.jets[..., s], gp[..., cols], Hp[:, cols])
         start = cols.stop
     _normal_prime(geo, forms, Y, forms.S[:, cut.scalar],
                   gp[..., n_vec:], Hp[:, n_vec:])
 
-    bp = _blended_prime(data, lin, gp, Hp)
-    trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)
-    crp = 0.5 * trg[:, None, None, :] * geo.gamma[..., None]
-    np.subtract(gp, crp, out=crp)
-    crp /= np.sqrt(geo.det_gamma)[:, None, None, None]
+    bp = _blended_prime(data, lin, gp.reshape(n, 2, 2, n_dom), Hp)
+    crp = _class_map(geo) @ gp
 
     # gp is dead: it takes the longitude DFT of crp
     rows = _project(g, crp, bp, degree, gp)

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from .errors import (ConvergenceError, DegreeMismatchError,
                      ImmersionRegularityError)
@@ -158,16 +159,25 @@ class _WeakForms:
     def __init__(self, metric: MetricData):
         g = metric.grid
         self.metric = metric
-        self.q = metric.vol_weights
         self.Y = g.node_matrix(0, 0)
         self.dY = (g.node_matrix(1, 0), g.node_matrix(0, 1))
-        # stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv
-        S = np.zeros((g.n_coeffs, g.n_coeffs))
-        for i in range(2):
-            for j in range(2):
-                S += self.dY[i].T @ (
-                    (self.q * metric.inv_gamma[:, i, j])[:, None] * self.dY[j])
-        self.S = S
+        # stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv = (A^T A)[k, c]
+        # with A = [a dY_th + b dY_ph; c dY_ph], [[a, 0], [b, c]] the
+        # Cholesky factor of q gamma^{ij} at each node: one symmetric rank-k
+        # update, its upper triangle mirrored
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.q = metric.vol_weights
+            Q = self.q[:, None, None] * metric.inv_gamma
+            a = np.sqrt(Q[:, 0, 0])
+            b = Q[:, 0, 1] / a
+            c = np.sqrt(Q[:, 1, 1] - b * b)
+        if not np.all(c > 0.0):
+            raise ImmersionRegularityError(
+                "metric must be positive definite at every node")
+        A = np.concatenate([a[:, None] * self.dY[0] + b[:, None] * self.dY[1],
+                            c[:, None] * self.dY[1]])
+        S = dsyrk(1.0, A.T)
+        self.S = np.triu(S) + np.triu(S, 1).T
 
     def mass(self, density: np.ndarray) -> np.ndarray:
         return self.Y.T @ ((self.q * density)[:, None] * self.Y)

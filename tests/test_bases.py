@@ -34,6 +34,7 @@ def test_repeat_call_returns_same_object(name):
 ARRAYS = {
     "vector fields": lambda g: vector_basis(g).fields,
     "vector dfields": lambda g: vector_basis(g).dfields,
+    "vector jets": lambda g: vector_basis(g).jets,
     "tensor weighted": lambda g: tensor_basis(g).tables[2],
     "tensor modes": lambda g: tensor_basis(g).modes[2],
     "domain mask": lambda g: _degree_cut(g, g.L - 2).domain_mask,
@@ -57,6 +58,35 @@ def test_labels_are_immutable():
     for labels in (vector_basis(g).labels, tensor_basis(g).labels,
                    domain_labels(g), _scalar_labels(g)):
         assert isinstance(labels, tuple)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_vector_basis_stores_one_jet_table():
+    # fields and dfields are read-only views into the (n, 6, n_vec) jet
+    # table, and nothing else is stored: a second copy of the jets raises
+    # the peak memory of the L = 20 index workload past its bound
+    g = grid(8)
+    vb = vector_basis(g)
+    n, n_vec = g.n_nodes, vb.size
+    assert vb.jets.shape == (n, 6, n_vec)
+    for view in (vb.fields, vb.dfields):
+        assert view.base is vb.jets
+        assert not view.flags.writeable
+    assert np.array_equal(vb.fields, vb.jets[:, :2])
+    for i in range(2):
+        for k in range(2):
+            assert np.array_equal(vb.dfields[:, i, k],
+                                  vb.jets[:, 2 + 2 * i + k])
+    stored = sum(a.size for f in dataclasses.fields(vb)
+                 for a in _arrays(getattr(vb, f.name)) if a.dtype.kind == "f")
+    assert stored == 6 * n * n_vec
 
 
 def test_tensor_weighted_table_projects_the_basis():
@@ -89,14 +119,6 @@ def test_tensor_fields_have_one_longitude_frequency(L):
     assert power.shape[0] == L + 2         # up to the Nyquist frequency
     off = np.where(own, 0.0, power).sum(axis=0)
     assert np.all(np.sqrt(off) <= 1e-13 * np.sqrt(power[own]))
-
-
-def _arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _arrays(item)
 
 
 def test_tensor_basis_stores_per_frequency_tables_only():
