@@ -28,14 +28,17 @@ vector basis's jet table (VectorBasis.jets) and to all columns, each as one
 batched matrix product, and delta_star and mean_curvature_prime apply the
 same kernels to the (n, 6, 1) jets of one VariationField, so the
 single-field functions the tests check are the code that builds the
-matrix.  Columns live over an explicit variation basis
-(gradient and curl vector harmonics for the tangential part, scalar
-harmonics for the normal speed; push_forward maps coordinates over it to
-the ambient field V^k d_k F + nu N); rows pair the class slot against
-trace-free tensor harmonics and analyze the blended slot in scalar
-harmonics, both with round quadrature weights.  With degrees up to L this
-gives 3(L+1)^2 - 2 domain modes and 3(L+1)^2 - 8 codomain slots; the
-structural difference 6 mirrors the continuum index.
+matrix.  The blended slot varies by c H' + a (lambda^2)', with the blend's
+slopes (a, c) per node (_blend_slopes, which principal_symbol reads too);
+(lambda^2)' is the linearized Liouville solve, whose residual derivative
+is a fixed (6 x 4) map per node (uniformize._residual_map).  Columns live
+over an explicit variation basis (gradient and curl vector harmonics for
+the tangential part, scalar harmonics for the normal speed; push_forward
+maps coordinates over it to the ambient field V^k d_k F + nu N); rows pair
+the class slot against trace-free tensor harmonics and analyze the blended
+slot in scalar harmonics, both with round quadrature weights.  With degrees
+up to L this gives 3(L+1)^2 - 2 domain modes and 3(L+1)^2 - 8 codomain
+slots; the structural difference 6 mirrors the continuum index.
 
 Finite differences of apply_phi probe coefficient perturbations of the
 immersion, so they see a basis field only through its degree-L ambient
@@ -128,6 +131,22 @@ def _blend(lambda2: np.ndarray, H: np.ndarray, epsilon: float,
     if variant == "additive":
         return (1.0 - epsilon) * lambda2 + epsilon * H
     return lambda2 ** (1.0 - epsilon) * H ** (-epsilon)
+
+
+def _blend_slopes(lambda2: np.ndarray | None, H: np.ndarray, epsilon: float,
+                  variant: str) -> tuple:
+    """(d blend / d lambda^2, d blend / d H) of _blend at each node.
+
+    The first variation of the blended slot is c H' + a (lambda^2)' with
+    (a, c) these slopes.  Only the multiplicative variant at eps < 1 reads
+    lambda2; at eps = 1 it may be None, since the blend is then H or 1/H.
+    """
+    if variant == "additive":
+        return 1.0 - epsilon, epsilon
+    if lambda2 is None:
+        return 0.0, -1.0 / H**2
+    b = _blend(lambda2, H, epsilon, variant)
+    return (1.0 - epsilon) * b / lambda2, -epsilon * b / H
 
 
 @dataclass(frozen=True)
@@ -483,26 +502,6 @@ def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
     return g.cached(("degree_cut", degree), build)
 
 
-def _blended_prime(data: EpsilonData, lin: LinearizedLiouville | None,
-                   gamma_prime: np.ndarray, H_prime: np.ndarray) -> np.ndarray:
-    """Blended-slot variation from batched metric and H variations.
-
-    The conformal-factor part comes from the linearized Liouville solve on
-    gamma_prime (lin is None exactly when eps = 1).
-    """
-    eps, variant = data.epsilon, data.variant
-    if eps == 1.0:
-        if variant == "additive":
-            return H_prime
-        return -H_prime / data.H[:, None] ** 2
-    _, l2p = lin.solve_batch(gamma_prime)
-    if variant == "additive":
-        return (1.0 - eps) * l2p + eps * H_prime
-    log_prime = ((1.0 - eps) * l2p / data.lambda2[:, None]
-                 - eps * H_prime / data.H[:, None])
-    return data.blended[:, None] * log_prime
-
-
 def _metric_gradient(geo: SurfaceGeometry) -> np.ndarray:
     """Chart derivatives of the induced metric, (n, 2, 2, 2) = d_k gamma_ij."""
     return (np.einsum("nkia,nja->nkij", geo.d2F, geo.dF)
@@ -547,10 +546,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     elif data.H is not geo.H:
         raise ValueError("data was not evaluated at this immersion")
     if data.conformal is None:
-        lin = None
         forms = _WeakForms(MetricData.from_immersion(F))
     else:
-        lin = LinearizedLiouville(data.conformal)
         forms = data.conformal.forms
 
     vb = vector_basis(g)
@@ -573,11 +570,17 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     _normal_prime(geo, forms, Y, forms.S[:, cut.scalar],
                   gp[..., n_vec:], Hp[:, n_vec:])
 
-    bp = _blended_prime(data, lin, gp.reshape(n, 2, 2, n_dom), Hp)
+    # the blended slot's variation c H' + a (lambda^2)', formed in Hp
+    a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
+    Hp *= np.reshape(c, (-1, 1))
+    if data.conformal is not None:
+        lin = LinearizedLiouville(data.conformal)
+        Hp += np.reshape(a, (-1, 1)) * lin.solve_batch(
+            gp.reshape(n, 2, 2, n_dom))[1]
     crp = _class_map(geo) @ gp
 
     # gp is dead: it takes the longitude DFT of crp
-    rows = _project(g, crp, bp, degree, gp)
+    rows = _project(g, crp, Hp, degree, gp)
     return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain)
 
 
@@ -616,14 +619,18 @@ def principal_symbol(F: ImmersionMap, node: int, xi: np.ndarray,
     (the blended row then reduces to the first-order conformal-factor part).
     Returns the 3x3 matrix and its smallest singular value.
 
-    The multiplicative variant needs blended data (pass data to avoid
-    re-solving Liouville per call).
+    The blended row is (a xhat, c), with the slopes (a, c) of the blend in
+    lambda^2 and H that the assembly uses (_blend_slopes).  The
+    multiplicative variant at eps < 1 needs the conformal factor (pass
+    data to avoid re-solving Liouville per call).
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,) or not np.any(xi != 0.0):
         raise ValueError("xi must be a nonzero 2-covector")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if variant not in ("additive", "multiplicative"):
+        raise ValueError(f"unknown variant {variant!r}")
     gamma = F.geometry.gamma[node]
     Lc = cholesky(gamma, lower=True)
     xhat = np.linalg.solve(Lc, xi)
@@ -633,23 +640,13 @@ def principal_symbol(F: ImmersionMap, node: int, xi: np.ndarray,
     S[0, 0], S[0, 1] = xhat[0], -xhat[1]
     S[1, 0], S[1, 1] = xhat[1], xhat[0]
     S[:2] /= np.sqrt(2.0)
-    if variant == "additive":
-        S[2, 0] = (1.0 - epsilon) * xhat[0]
-        S[2, 1] = (1.0 - epsilon) * xhat[1]
-        S[2, 2] = epsilon
-    elif variant == "multiplicative":
-        if epsilon == 1.0:
-            H = F.geometry.H[node]
-            S[2, 2] = -epsilon / H
-        else:
-            if data is None:
-                data = apply_phi(F, epsilon, variant)
-            b = data.blended[node]
-            l2 = data.lambda2[node]
-            S[2, 0] = (1.0 - epsilon) * (b / l2) * xhat[0]
-            S[2, 1] = (1.0 - epsilon) * (b / l2) * xhat[1]
-            S[2, 2] = -epsilon * b / F.geometry.H[node]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    lambda2 = None
+    if variant == "multiplicative" and epsilon < 1.0:
+        if data is None:
+            data = apply_phi(F, epsilon, variant)
+        lambda2 = data.lambda2[node]
+    a, c = _blend_slopes(lambda2, F.geometry.H[node], epsilon, variant)
+    S[2, :2] = a * xhat
+    S[2, 2] = c
     smin = float(np.linalg.svd(S, compute_uv=False)[-1])
     return S, smin

@@ -314,6 +314,37 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
                          residual_history=tuple(history))
 
 
+def _residual_map(conformal: ConformalData) -> np.ndarray:
+    """Exact h-derivative of the discrete weak residual at phi, per node.
+
+    d_h r = -d_h(S phi) + int [ tr h (e^{2 phi} - K) / 2 - K' ] Y dv,
+    with the stiffness variation d_h [q gamma^{ij}] = q P^{ij},
+    P = tr h gamma^{-1} / 2 - h^{##}, and K' in the weak form of the
+    LinearizedLiouville docstring.  Collected per test-function derivative,
+    the K tr h terms cancel in the Y weight and both Hessian terms
+    contract Hess psi = d_ij psi - Gamma^k_ij d_k psi against
+    T = (tr h gamma^{-1} - h^{##}) / 2.  Each weight is linear in h at its
+    node: returns those maps, (n, 6, 4), rows weighting the value, d_th,
+    d_ph, d_th^2, d_th d_ph and d_ph^2 of the test functions, columns
+    taking h_ij at 2 i + j.
+    """
+    m = conformal.metric
+    inv = m.inv_gamma
+    dphi = m.grid.gradient(conformal.phi.coeffs)
+    e2p = np.exp(2.0 * conformal.phi.samples)
+    tr = inv.reshape(-1, 1, 4)                     # tr h = gamma^{kl} h_kl
+    hup = np.einsum("nik,njl->nijkl", inv, inv)    # h^{ij} = hup[ij, kl] h_kl
+    T = 0.5 * (inv.reshape(-1, 4, 1) * tr - hup.reshape(-1, 4, 4))
+    # the gradient weight -(flux + Gamma^k_ij T^{ij}), with
+    # flux = tr h gamma^{-1} d phi / 2 - h^{##} d phi
+    flux = (0.5 * (inv @ dphi[..., None]) * tr
+            - np.einsum("nijkl,nj->nikl", hup, dphi).reshape(-1, 2, 4))
+    grad = -(flux + m.christoffel.reshape(-1, 2, 4) @ T)
+    return conformal.forms.q[:, None, None] * np.concatenate(
+        [0.5 * e2p[:, None, None] * tr, grad, T[:, [0]], 2.0 * T[:, [1]],
+         T[:, [3]]], axis=1)
+
+
 @dataclass
 class LinearizedLiouville:
     """Derivative of the uniformization map at a solved base point.
@@ -333,10 +364,10 @@ class LinearizedLiouville:
                                   - K tr h psi ] dv
 
     Every term of d_gamma r is linear in h and pairs a nodal weight with a
-    chart derivative of the test functions, so a batch of B variations
-    costs one (nc, n) @ (n, B) GEMM per derivative of Y (the value, two
-    first and three second derivatives): the grid's cached node matrices
-    against weights built from the whole batch at once.
+    chart derivative of the test functions: one fixed (6 x 4) map of h per
+    node (_residual_map) gives the weights of the value, two first and
+    three second derivatives.  A batch of B variations costs one batched
+    product with it, then one (nc, n) @ (n, B) GEMM per derivative of Y.
 
     The linearization is taken at the metric that conformal solved for,
     with the Galerkin matrices of that solve.
@@ -345,50 +376,15 @@ class LinearizedLiouville:
     conformal: ConformalData
     _keep: np.ndarray = field(init=False, repr=False)
     _qr: tuple = field(init=False, repr=False)
-    _dphi: np.ndarray = field(init=False, repr=False)
-    _e2p: np.ndarray = field(init=False, repr=False)
+    _map: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         forms = self.conformal.forms
-        g = forms.metric.grid
-        self._keep = _degree_one_mask(g)
-        phi_c = self.conformal.phi.coeffs
-        J = forms.jacobian(phi_c)[:, self._keep]
+        self._keep = _degree_one_mask(forms.metric.grid)
+        J = forms.jacobian(self.conformal.phi.coeffs)[:, self._keep]
         Q, R = qr(J, mode="economic")
         self._qr = (Q, R)
-        self._dphi = g.gradient(phi_c)
-        self._e2p = np.exp(2.0 * (forms.Y @ phi_c))
-
-    def _dresidual(self, h: np.ndarray) -> np.ndarray:
-        """Exact h-derivative (nc, B) of the discrete weak residual at phi.
-
-        d_h r = -d_h(S phi) + int [ tr h (e^{2 phi} - K) / 2 - K' ] Y dv,
-        with the stiffness variation d_h [q gamma^{ij}] = q P^{ij},
-        P = tr h gamma^{-1} / 2 - h^{##}, and K' in the weak form of the
-        class docstring.  Collected per test-function derivative, the
-        K tr h terms cancel in the Y weight and both Hessian terms
-        contract Hess psi against T = (tr h gamma^{-1} - h^{##}) / 2.
-        """
-        m = self.conformal.metric
-        inv = m.inv_gamma
-        trh = np.einsum("nij,nijb->nb", inv, h)
-        # two pairwise contractions: one three-operand einsum is twice as slow
-        hup = np.einsum("nilb,njl->nijb", np.einsum("nik,nklb->nilb", inv, h),
-                        inv)
-        flux = (0.5 * (inv @ self._dphi[..., None]) * trh[:, None, :]
-                - np.einsum("nijb,nj->nib", hup, self._dphi))
-        T = hup
-        T -= trh[:, None, None] * inv[..., None]
-        T *= -0.5
-        # Hess psi = d_ij psi - Gamma^k_ij d_k psi
-        grad_w = -(flux + np.einsum("nkij,nijb->nkb", m.christoffel, T))
-        weights = {(0, 0): 0.5 * trh * self._e2p[:, None],
-                   (1, 0): grad_w[:, 0], (0, 1): grad_w[:, 1],
-                   (2, 0): T[:, 0, 0], (1, 1): 2.0 * T[:, 0, 1],
-                   (0, 2): T[:, 1, 1]}
-        q = self.conformal.forms.q[:, None]
-        return sum(m.grid.node_matrix(*d).T @ (q * w)
-                   for d, w in weights.items())
+        self._map = _residual_map(self.conformal)
 
     def solve(self, h: np.ndarray) -> tuple[HarmonicField, np.ndarray]:
         """phi' and (lambda^2)' at the nodes for a metric variation h (n,2,2)."""
@@ -400,8 +396,13 @@ class LinearizedLiouville:
         g = self.conformal.metric.grid
         if h.ndim != 4 or h.shape[:3] != (g.n_nodes, 2, 2):
             raise DegreeMismatchError(f"bad variation batch shape {h.shape}")
+        w = self._map @ h.reshape(g.n_nodes, 4, h.shape[3])
+        dres = g.node_matrix(0, 0).T @ w[:, 0]
+        for k, d in enumerate(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), 1):
+            dres += g.node_matrix(*d).T @ w[:, k]
+        del w  # dead: free it before the solve's (n, B) arrays
         Q, R = self._qr
-        sol = solve_triangular(R, Q.T @ (-self._dresidual(h)))
+        sol = solve_triangular(R, Q.T @ -dres)
         phi_prime = np.zeros((g.n_coeffs, h.shape[3]))
         phi_prime[self._keep] = sol
         l2 = self.conformal.lambda2

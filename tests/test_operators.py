@@ -379,7 +379,8 @@ def _einsum_assembly(F, eps, variant, degree):
     An oracle for the per-node maps: the Lie derivative
     V^k d_k gamma_ij + gamma_kj d_i V^k + gamma_ik d_j V^k, the normal
     part 2 nu A and the class part (gamma' - tr(gamma^-1 gamma') gamma / 2)
-    / sqrt(det gamma) are written as einsums over the basis fields.
+    / sqrt(det gamma) are written as einsums over the basis fields, and
+    the blended slot's variation as the chain rule of each blend formula.
     """
     g, geo = F.grid, F.geometry
     data = apply_phi(F, eps, variant, liouville_tol=None)
@@ -402,7 +403,17 @@ def _einsum_assembly(F, eps, variant, degree):
         [np.einsum("nkb,nk->nb", V, g.gradient(g.analyze(geo.H))),
          -forms.laplacian(forms.S[:, keep[vb.size:]])
          - geo.norm_A_sq[:, None] * nu], axis=1)
-    bp = operators._blended_prime(data, lin, gp, Hp)
+    # the blended slot's variation, one branch per variant and endpoint
+    if eps == 1.0 and variant == "additive":
+        bp = Hp
+    elif eps == 1.0:
+        bp = -Hp / data.H[:, None] ** 2
+    elif variant == "additive":
+        bp = (1.0 - eps) * lin.solve_batch(gp)[1] + eps * Hp
+    else:
+        log_prime = ((1.0 - eps) * lin.solve_batch(gp)[1]
+                     / data.lambda2[:, None] - eps * Hp / data.H[:, None])
+        bp = data.blended[:, None] * log_prime
     trg = np.einsum("nij,nijb->nb", geo.inv_gamma, gp)
     crp = ((gp - 0.5 * trg[:, None, None] * geo.gamma[..., None])
            / np.sqrt(geo.det_gamma)[:, None, None, None])
@@ -412,6 +423,7 @@ def _einsum_assembly(F, eps, variant, degree):
 @pytest.mark.parametrize("shape", ["perturbed:1;3,2,0.05;2,-1,0.04;3,-3,0.03",
                                    "ellipsoid:1,1.05,0.95"])
 @pytest.mark.parametrize("eps,variant", [(1.0, "additive"),
+                                         (1.0, "multiplicative"),
                                          (0.5, "multiplicative"),
                                          (0.2, "additive")])
 @pytest.mark.parametrize("cut", [None, 2])
@@ -428,11 +440,12 @@ def test_assembly_matches_einsum_first_variation(shape, eps, variant, cut):
 # peak live memory of one warm assembly at L = 12, in (n, 4, B) double
 # arrays, as tracemalloc counts numpy's allocations (so not the heap that
 # the allocator retains): measured 2.71 (full) and 2.62 (degree L - 2) at
-# eps = 1, where gamma', the class part, H' and the result are live; 4.60
-# and 4.64 at eps = 0.5, where the linearized Liouville solve adds its work
-# arrays.  The eps = 1 bound fails a second (n, 4, B) temporary.
+# eps = 1, where gamma', the class part, H' and the result are live; 3.11
+# and 3.15 at eps = 0.5, where gamma', H' and the linearized Liouville
+# solve's (n, 6, B) test-jet weights are live.  The eps = 1 bound fails a
+# second (n, 4, B) temporary, the eps < 1 bound a stray (n, B) one.
 @pytest.mark.parametrize("eps,variant,bound", [(1.0, "additive", 2.8),
-                                               (0.5, "multiplicative", 4.75)])
+                                               (0.5, "multiplicative", 3.25)])
 @pytest.mark.parametrize("cut", [None, 2])
 def test_assembly_peak_live_memory(eps, variant, bound, cut):
     g = grid(12)
@@ -513,5 +526,21 @@ def test_symbol_multiplicative_endpoint():
     F = sphere_immersion(g)
     S, smin = principal_symbol(F, 50, np.array([1.0, 0.0]), 1.0,
                                "multiplicative")
-    npt.assert_allclose(S[2, 2], -0.5, atol=1e-12)
+    # the blend is 1/H, so its nu slope is -1/H^2 = -1/4 on the unit sphere
+    npt.assert_allclose(S[2, 2], -0.25, atol=1e-12)
     assert smin > 0.0
+
+
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_symbol_continuous_at_epsilon_one(variant):
+    # the eps = 1 symbol, which needs no conformal factor, is the limit of
+    # the eps < 1 one
+    g = grid(8)
+    F = ellipsoid_immersion(g, 1.0, 1.1, 0.9)
+    xi = np.array([0.6, -0.8])
+    eps = 1.0 - 1e-9
+    data = apply_phi(F, eps, variant, liouville_tol=None)
+    for node in (3, 50, 100):
+        S1 = principal_symbol(F, node, xi, 1.0, variant)[0]
+        S = principal_symbol(F, node, xi, eps, variant, data=data)[0]
+        npt.assert_allclose(S, S1, rtol=0, atol=1e-6)

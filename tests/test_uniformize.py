@@ -10,7 +10,8 @@ from immlab import uniformize
 from immlab.errors import ConvergenceError, ImmersionRegularityError
 from immlab.geometry import ImmersionMap
 from immlab.operators import VariationField, delta_star
-from immlab.shapes import ellipsoid_immersion, sphere_immersion
+from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
+                           sphere_immersion)
 from immlab.spectral import HarmonicField, coeff_index, grid
 from immlab.uniformize import (LinearizedLiouville, MetricData,
                                conformal_class, solve_liouville)
@@ -255,6 +256,56 @@ def test_linearized_batch_matches_single_solves():
                             rtol=0, atol=1e-13 * np.abs(phi.coeffs).max())
         npt.assert_allclose(l2p, l2p_b[:, b],
                             rtol=0, atol=1e-13 * np.abs(l2p).max())
+
+
+def _einsum_dresidual(conf, h):
+    """The h-derivative (nc, B) of the weak residual, index by index.
+
+    An oracle for the per-node map of LinearizedLiouville (its derivation
+    is on uniformize._residual_map): tr h, h^{##}, the flux
+    tr h gamma^{-1} d phi / 2 - h^{##} d phi and
+    T = (tr h gamma^{-1} - h^{##}) / 2 are contracted as einsums over the
+    batch, and each test-function derivative takes its weight's GEMM.
+    """
+    m = conf.metric
+    g = m.grid
+    inv = m.inv_gamma
+    dphi = g.gradient(conf.phi.coeffs)
+    trh = np.einsum("nij,nijb->nb", inv, h)
+    hup = np.einsum("nik,nklb,njl->nijb", inv, h, inv)
+    flux = (0.5 * np.einsum("nij,nj->ni", inv, dphi)[..., None] * trh[:, None]
+            - np.einsum("nijb,nj->nib", hup, dphi))
+    T = 0.5 * (trh[:, None, None] * inv[..., None] - hup)
+    grad_w = -(flux + np.einsum("nkij,nijb->nkb", m.christoffel, T))
+    weights = {(0, 0): 0.5 * trh * np.exp(2.0 * conf.phi.samples)[:, None],
+               (1, 0): grad_w[:, 0], (0, 1): grad_w[:, 1],
+               (2, 0): T[:, 0, 0], (1, 1): 2.0 * T[:, 0, 1],
+               (0, 2): T[:, 1, 1]}
+    q = conf.forms.q[:, None]
+    return sum(g.node_matrix(*d).T @ (q * w) for d, w in weights.items())
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("shape", ["ellipsoid:1,1.05,0.95",
+                                   "perturbed:1;3,2,0.05;2,-1,0.04;3,-3,0.03"])
+def test_linearized_batch_matches_einsum_oracle(L, shape):
+    g = grid(L)
+    F = parse_shape_spec(shape, g)
+    conf = solve_liouville(MetricData.from_immersion(F), tol=None)
+    rng = np.random.default_rng(L)
+    h = rng.standard_normal((g.n_nodes, 2, 2, 7))
+    h = 0.5 * (h + h.transpose(0, 2, 1, 3))
+    keep = uniformize._degree_one_mask(g)
+    J = conf.forms.jacobian(conf.phi.coeffs)[:, keep]
+    ref = np.zeros((g.n_coeffs, 7))
+    ref[keep] = np.linalg.lstsq(J, -_einsum_dresidual(conf, h),
+                                rcond=None)[0]
+    phi_prime, l2p = LinearizedLiouville(conf).solve_batch(h)
+    npt.assert_allclose(phi_prime, ref, rtol=0,
+                        atol=1e-13 * np.abs(ref).max())
+    l2p_ref = -2.0 * conf.lambda2[:, None] * (g.node_matrix(0, 0) @ ref)
+    npt.assert_allclose(l2p, l2p_ref, rtol=0,
+                        atol=1e-13 * np.abs(l2p_ref).max())
 
 
 def _strain_variation(g, seed, scale=0.3, n_modes=16):
