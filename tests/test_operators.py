@@ -437,17 +437,8 @@ def test_assembly_matches_einsum_first_variation(shape, eps, variant, cut):
     npt.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
-# peak live memory of one warm assembly at L = 12, in (n, 4, B) double
-# arrays, as tracemalloc counts numpy's allocations (so not the heap that
-# the allocator retains): measured 2.71 (full) and 2.62 (degree L - 2) at
-# eps = 1, where gamma', the class part, H' and the result are live; 3.11
-# and 3.15 at eps = 0.5, where gamma', H' and the linearized Liouville
-# solve's (n, 6, B) test-jet weights are live.  The eps = 1 bound fails a
-# second (n, 4, B) temporary, the eps < 1 bound a stray (n, B) one.
-@pytest.mark.parametrize("eps,variant,bound", [(1.0, "additive", 2.8),
-                                               (0.5, "multiplicative", 3.25)])
-@pytest.mark.parametrize("cut", [None, 2])
-def test_assembly_peak_live_memory(eps, variant, bound, cut):
+def _warm_assembly_peak(eps, variant, cut):
+    """Peak live memory of one warm assembly at L = 12, in (n, 4, B) arrays."""
     g = grid(12)
     F = ellipsoid_immersion(g, 1.0, 1.05, 0.95)
     degree = None if cut is None else g.L - cut
@@ -464,8 +455,31 @@ def test_assembly_peak_live_memory(eps, variant, bound, cut):
     finally:
         if started:
             tracemalloc.stop()
-    unit = g.n_nodes * 4 * M.matrix.shape[1] * 8
-    assert peak <= bound * unit, peak / unit
+    return peak / (g.n_nodes * 4 * M.matrix.shape[1] * 8)
+
+
+# peak live memory of one warm assembly at L = 12, in (n, 4, B) double
+# arrays, as tracemalloc counts numpy's allocations (so not the heap that
+# the allocator retains): measured 2.71 (full) and 2.62 (degree L - 2) at
+# eps = 1, where gamma', the class part, H' and the result are live.  The
+# eps = 1 bound fails a second (n, 4, B) temporary; 4.75 at eps = 0.5 is
+# the looser bound that an assembly keeping the linearized Liouville
+# solve's work arrays live still meets.
+@pytest.mark.parametrize("eps,variant,bound", [(1.0, "additive", 2.8),
+                                               (0.5, "multiplicative", 4.75)])
+@pytest.mark.parametrize("cut", [None, 2])
+def test_assembly_peak_live_memory(eps, variant, bound, cut):
+    peak = _warm_assembly_peak(eps, variant, cut)
+    assert peak <= bound, peak
+
+
+# measured 3.11 (full) and 3.15 (degree L - 2) at eps = 0.5, where gamma',
+# H' and the linearized Liouville solve's (n, 6, B) test-jet weights are
+# live; the bound fails a stray (n, B) temporary.
+@pytest.mark.parametrize("cut", [None, 2])
+def test_assembly_peak_live_memory_liouville(cut):
+    peak = _warm_assembly_peak(0.5, "multiplicative", cut)
+    assert peak <= 3.25, peak
 
 
 def test_operator_matrix_metadata():
