@@ -10,6 +10,7 @@ machine-readable error record and exit nonzero.
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -247,6 +248,12 @@ def cli_run(command: str, config: dict) -> int:
     """Run one subcommand with a merged config; returns the exit status."""
     cfg = dict(_DEFAULTS)
     cfg.update({k: v for k, v in config.items() if v is not None})
+    out = cfg["out"]
+    if not (os.path.isdir(out) and os.access(out, os.W_OK | os.X_OK)):
+        # checked before any work, since every run ends by writing there
+        _emit_error(None, "usage", f"--out {out!r} is not a writable "
+                    "directory")
+        return 2
     if command not in _COMMANDS:
         _emit_error(cfg["out"], "usage", f"unknown command {command!r}")
         return 2
@@ -274,16 +281,18 @@ def cli_run(command: str, config: dict) -> int:
 
 def _emit_error(out_dir: str | None, kind: str, message: str,
                 extra: dict | None = None) -> None:
-    """Print the error record to stderr; also write it as out_dir/report.json."""
+    """Write the error record as out_dir/report.json, then print it to
+    stderr; a report that cannot be written is named in the printed
+    record's "report_error"."""
     record = {**(extra or {}), "schema": SCHEMA, "status": "error",
               "error": {"type": kind, "message": message}}
+    if out_dir is not None:
+        try:
+            _write_report(out_dir, record)
+        except OSError as exc:
+            record["report_error"] = (f"could not write {out_dir}/report.json:"
+                                      f" {exc}")
     print(json.dumps(_jsonify(record)), file=sys.stderr)
-    if out_dir is None:
-        return
-    try:
-        _write_report(out_dir, record)
-    except OSError:
-        pass
 
 
 def _build_parser() -> argparse.ArgumentParser:

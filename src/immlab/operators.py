@@ -374,20 +374,20 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
     if single:
         class_part = class_part[..., None]
         blended_part = blended_part[..., None]
-    out = _project(g, class_part, blended_part, degree,
+    out = _project(g, class_part, blended_part, _mode_cut(g, degree),
                    np.empty(class_part.shape))
     return out[:, 0] if single else out
 
 
 def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
-             degree: int | None, work: np.ndarray) -> np.ndarray:
+             cut: "_ModeCut", work: np.ndarray) -> np.ndarray:
     """project_codomain of batched parts (n, 2, 2, B) or (n, 4, B), and (n, B).
 
-    work, a C-contiguous array of class_part's size, receives the
-    longitude DFTs of both parts, so that the caller can lend it a buffer
-    it no longer needs.
+    Only the rows that cut keeps are formed, in codomain order.  work, a
+    C-contiguous array of class_part's size, receives the longitude DFTs
+    of both parts, so that the caller can lend it a buffer it no longer
+    needs.
     """
-    cut = _degree_cut(g, degree)
     b = class_part.shape[-1]
     out = np.empty((len(cut.codomain), b))
     for part, blocks in ((class_part, cut.tensor), (blended_part, cut.blended)):
@@ -427,25 +427,31 @@ def _sign_classes(labels) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _DegreeCut:
-    """The modes of degree <= some degree, as parts of the cached tables.
+class _ModeCut:
+    """The modes of degree <= some degree, and of one reflection sign class
+    if one is given, as parts of the cached tables.
 
-    Each vector family lists its modes in (l, m) order, so a cut keeps a
-    prefix of every family; adjacent slices are merged, so that with
-    nothing cut the vector basis is a single slice.  Each tensor table
-    lists its modes by degree, so a cut keeps a prefix of its rows: tensor
-    holds (m, kept rows of the |m| table, their rows in the result), and
-    blended the same for the scalar tables of the blended rows.  The masks
-    select the kept columns and rows of the full matrix, and classes gives
-    the sign class (_sign_classes) of each kept row and column, the row
-    classes first, as the SVD kernel takes them; these arrays are
-    read-only.
+    jets holds the vector-basis jet tables (VectorBasis.jets) of the kept
+    columns, in domain order.  Each vector family lists its modes in
+    (l, m) order, so a cut by degree alone keeps a prefix of every family:
+    its tables are views of the prefixes, adjacent ones merged, so that
+    with nothing cut there is one view of the whole table.  A cut by class
+    keeps scattered columns, gathered once into one table.  scalar lists
+    the kept normal-speed modes as positions among the scalar harmonics
+    of the cut's class (_class_harmonics), which the Galerkin Laplacian of
+    those speeds runs over.  tensor holds (m, kept rows of the |m| table,
+    their rows in the result), and blended the same for the scalar tables
+    of the blended rows; a table lists its modes by degree, so a cut by
+    degree alone keeps a prefix of its rows.  The masks select the kept
+    columns and rows of the full matrix, and classes gives the sign class
+    (_sign_classes) of each kept row and column, the row classes first, as
+    the SVD kernel takes them; these arrays are read-only.
     """
 
-    vector: tuple        # slices of the vector basis columns
+    jets: tuple          # (n, 6, k) jet tables of the kept vector columns
+    scalar: slice | np.ndarray    # normal-speed modes among the harmonics
     tensor: tuple        # (m, table rows, result rows) per |m| kept
     blended: tuple       # the same for the blended rows
-    scalar: slice        # normal-speed modes
     domain: tuple        # labels of the kept columns
     codomain: tuple      # labels of the kept rows
     domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
@@ -453,53 +459,80 @@ class _DegreeCut:
     classes: tuple       # (row classes, column classes) of the kept modes
 
 
-def _degree_cut(g: SphereGrid, degree: int | None) -> _DegreeCut:
-    """The cut at degree (None keeps every mode), built once per grid."""
-    def kept(labels):
-        return [degree is None or l <= degree for _, l, _ in labels]
+def _class_harmonics(g: SphereGrid, sign_class: str | None):
+    """The scalar harmonics of the sign class of that name
+    (_SIGN_CLASS_NAMES) as an index array, built once per grid; every
+    one, slice(None), for None.
 
-    def slices(labels):
-        out = []
-        for i, keep in enumerate(kept(labels)):
-            if not keep:
-                continue
-            if out and out[-1].stop == i:
-                out[-1] = slice(out[-1].start, i + 1)
-            else:
-                out.append(slice(i, i + 1))
-        return tuple(out)
+    At an immersion with the three reflection symmetries the Galerkin
+    forms map each class of harmonics to itself, so the forms over one
+    class (_WeakForms with these modes) are the full forms' block.
+    """
+    if sign_class is None:
+        return slice(None)
+    if sign_class not in _SIGN_CLASS_NAMES:
+        raise ValueError(f"unknown sign class {sign_class!r}")
+    code = _SIGN_CLASS_NAMES.index(sign_class)
+    return g.cached(("class_harmonics", sign_class), lambda: np.flatnonzero(
+        _sign_classes(_scalar_labels(g)) == code))
 
-    def select(labels):
-        return sum((labels[s] for s in slices(labels)), ())
+
+def _mode_cut(g: SphereGrid, degree: int | None = None,
+              sign_class: str | None = None) -> _ModeCut:
+    """The cut at degree and at the sign class of that name
+    (_SIGN_CLASS_NAMES; None keeps every degree or every class), built
+    once per grid."""
+    harmonics = _class_harmonics(g, sign_class)
+    code = None if sign_class is None else _SIGN_CLASS_NAMES.index(sign_class)
 
     def frozen(a):
         a.setflags(write=False)
         return a
 
+    def kept(labels):
+        keep = np.array([degree is None or l <= degree for _, l, _ in labels])
+        if code is not None:
+            keep &= _sign_classes(labels) == code
+        return frozen(keep)
+
+    def runs(keep):
+        # the kept positions as slices of consecutive ones
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], keep, [0]])))
+        return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
     def by_frequency(keep, tables, modes, first):
-        # the kept prefix of each |m| table, and its rows in the result
+        # the kept rows of each |m| table, and their rows in the result
         result_row = np.cumsum(keep) - 1
         out = []
         for m, (table, cols) in enumerate(zip(tables, modes)):
-            k = int(keep[first + cols].sum())
-            if k:
-                out.append((m, table[:k],
-                            frozen(result_row[first + cols[:k]])))
+            rows = np.flatnonzero(keep[first + cols])
+            if rows.size:
+                part = (table[:rows.size] if rows[-1] == rows.size - 1
+                        else frozen(table[rows]))
+                out.append((m, part, frozen(result_row[first + cols[rows]])))
         return tuple(out)
 
     def build():
-        tb = tensor_basis(g)
-        codomain = tb.labels + _scalar_labels(g)
-        scalar, = slices(_scalar_labels(g))
-        rows, cols = select(codomain), select(domain_labels(g))
-        keep = frozen(np.array(kept(codomain)))
-        return _DegreeCut(
-            slices(vector_basis(g).labels),
-            by_frequency(keep, tb.tables, tb.modes, 0),
-            by_frequency(keep, *_blended_tables(g), tb.size), scalar, cols,
-            rows, frozen(np.array(kept(domain_labels(g)))), keep,
-            (frozen(_sign_classes(rows)), frozen(_sign_classes(cols))))
-    return g.cached(("degree_cut", degree), build)
+        vb, tb = vector_basis(g), tensor_basis(g)
+        labels = domain_labels(g)
+        targets = tb.labels + _scalar_labels(g)
+        cols, rows = kept(labels), kept(targets)
+        vec, normal = cols[:vb.size], cols[vb.size:]
+        if code is None:
+            jets = tuple(vb.jets[..., s] for s in runs(vec))
+            scalar, = runs(normal)
+        else:
+            jets = (frozen(vb.jets[..., vec]),)
+            scalar = frozen(np.flatnonzero(normal[harmonics]))
+        domain = tuple(lab for lab, k in zip(labels, cols) if k)
+        codomain = tuple(lab for lab, k in zip(targets, rows) if k)
+        return _ModeCut(
+            jets, scalar,
+            by_frequency(rows, tb.tables, tb.modes, 0),
+            by_frequency(rows, *_blended_tables(g), tb.size), domain,
+            codomain, cols, rows,
+            (frozen(_sign_classes(codomain)), frozen(_sign_classes(domain))))
+    return g.cached(("mode_cut", degree, sign_class), build)
 
 
 def _metric_gradient(geo: SurfaceGeometry) -> np.ndarray:
@@ -512,7 +545,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
                            variant: str = "additive", *,
                            liouville_tol: float | None = 1e-9,
                            data: EpsilonData | None = None,
-                           degree: int | None = None) -> OperatorMatrix:
+                           degree: int | None = None,
+                           sign_class: str | None = None) -> OperatorMatrix:
     """Assemble the dense linearization of apply_phi at an immersion.
 
     Column j is the first-variation image of basis field j: the class rows
@@ -534,6 +568,16 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     of the result are the matching subsets, in the same order.  The
     entries are those of the full matrix at the kept labels (up to
     rounding).
+
+    sign_class, when given, names a reflection sign class ("+++" is the
+    fully symmetric one; see _sign_classes and SpectralReport.class_counts)
+    and restricts both bases further to the modes of that class.  It is
+    meant for an immersion with the three coordinate reflection
+    symmetries, where the linearization maps each class to itself: there
+    the Galerkin Laplacian of the normal speeds is formed over the class's
+    scalar harmonics alone, and the entries are those of the full
+    matrix's class block up to rounding.  At other immersions the classes
+    couple and the result is not a block of the full matrix.
     """
     g = F.grid
     geo = F.geometry
@@ -545,27 +589,30 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
             f"assembling eps={epsilon}, {variant!r}")
     elif data.H is not geo.H:
         raise ValueError("data was not evaluated at this immersion")
-    if data.conformal is None:
-        forms = _WeakForms(MetricData.from_immersion(F))
+    if data.conformal is None or sign_class is not None:
+        forms = _WeakForms(MetricData.from_immersion(F),
+                           _class_harmonics(g, sign_class))
     else:
         forms = data.conformal.forms
+    # after the forms: a grid's first assembly builds the basis tables
+    # here, and built before the forms' temporaries they raised the L = 20
+    # index workload's peak RSS from 285 to 314 MB in 5 of 12 runs
+    cut = _mode_cut(g, degree, sign_class)
 
-    vb = vector_basis(g)
-    cut = _degree_cut(g, degree)
-    n_vec = sum(s.stop - s.start for s in cut.vector)
-    Y = g.node_matrix(0, 0)[:, cut.scalar]
+    n_vec = sum(jets.shape[2] for jets in cut.jets)
+    Y = forms.Y[:, cut.scalar]
     n = g.n_nodes
     n_dom = n_vec + Y.shape[1]
     gp = np.empty((n, 4, n_dom))
     Hp = np.empty((n, n_dom))
 
-    # tangential block, one slice of the basis jets per family
+    # tangential block, one jet table of the cut at a time
     G = _tangent_map(geo)
     dH = g.gradient(g.analyze(geo.H))
     start = 0
-    for s in cut.vector:
-        cols = slice(start, start + s.stop - s.start)
-        _tangential_prime(G, dH, vb.jets[..., s], gp[..., cols], Hp[:, cols])
+    for jets in cut.jets:
+        cols = slice(start, start + jets.shape[2])
+        _tangential_prime(G, dH, jets, gp[..., cols], Hp[:, cols])
         start = cols.stop
     _normal_prime(geo, forms, Y, forms.S[:, cut.scalar],
                   gp[..., n_vec:], Hp[:, n_vec:])
@@ -580,7 +627,7 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     crp = _class_map(geo) @ gp
 
     # gp is dead: it takes the longitude DFT of crp
-    rows = _project(g, crp, Hp, degree, gp)
+    rows = _project(g, crp, Hp, cut, gp)
     return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain)
 
 

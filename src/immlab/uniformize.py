@@ -154,13 +154,19 @@ def _degree_one_mask(g: SphereGrid) -> np.ndarray:
 
 
 class _WeakForms:
-    """Shared Galerkin matrices for a fixed metric."""
+    """Shared Galerkin matrices for a fixed metric.
 
-    def __init__(self, metric: MetricData):
+    modes, when given, selects the scalar harmonics (an index array or a
+    slice) that the forms run over, such as those of one reflection sign
+    class (operators._class_harmonics); by default they run over all of
+    them.
+    """
+
+    def __init__(self, metric: MetricData, modes=slice(None)):
         g = metric.grid
         self.metric = metric
-        self.Y = g.node_matrix(0, 0)
-        self.dY = (g.node_matrix(1, 0), g.node_matrix(0, 1))
+        self.Y = g.node_matrix(0, 0)[:, modes]
+        self.dY = (g.node_matrix(1, 0)[:, modes], g.node_matrix(0, 1)[:, modes])
         # stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv = (A^T A)[k, c]
         # with A = [a dY_th + b dY_ph; c dY_ph], [[a, 0], [b, c]] the
         # Cholesky factor of q gamma^{ij} at each node: one symmetric rank-k

@@ -9,7 +9,7 @@ import pytest
 from immlab.bases import (_weighted_tensor_fields, tensor_basis,
                           vector_basis)
 from immlab.continuation import TargetData, newton_solve
-from immlab.operators import (_degree_cut, _scalar_labels,
+from immlab.operators import (_class_harmonics, _mode_cut, _scalar_labels,
                               assemble_linearization, domain_labels,
                               project_codomain)
 from immlab.shapes import ellipsoid_immersion, sphere_immersion
@@ -20,7 +20,8 @@ TABLES = {
     "tensor_basis": tensor_basis,
     "domain_labels": domain_labels,
     "scalar_labels": _scalar_labels,
-    "degree_cut": lambda g: _degree_cut(g, g.L - 2),
+    "degree_cut": lambda g: _mode_cut(g, g.L - 2),
+    "class_cut": lambda g: _mode_cut(g, g.L - 2, "+++"),
     "node_matrix": lambda g: g.node_matrix(1, 1),
 }
 
@@ -37,10 +38,21 @@ ARRAYS = {
     "vector jets": lambda g: vector_basis(g).jets,
     "tensor weighted": lambda g: tensor_basis(g).tables[2],
     "tensor modes": lambda g: tensor_basis(g).modes[2],
-    "domain mask": lambda g: _degree_cut(g, g.L - 2).domain_mask,
-    "codomain mask": lambda g: _degree_cut(g, g.L - 2).codomain_mask,
-    "row classes": lambda g: _degree_cut(g, g.L - 2).classes[0],
-    "column classes": lambda g: _degree_cut(g, g.L - 2).classes[1],
+    "domain mask": lambda g: _mode_cut(g, g.L - 2).domain_mask,
+    "codomain mask": lambda g: _mode_cut(g, g.L - 2).codomain_mask,
+    "row classes": lambda g: _mode_cut(g, g.L - 2).classes[0],
+    "column classes": lambda g: _mode_cut(g, g.L - 2).classes[1],
+    "cut jets": lambda g: _mode_cut(g, g.L - 2).jets[0],
+    "cut tensor rows": lambda g: _mode_cut(g, g.L - 2).tensor[2][2],
+    "class jets": lambda g: _mode_cut(g, g.L - 2, "+++").jets[0],
+    "class harmonics": lambda g: _class_harmonics(g, "+++"),
+    "class scalar": lambda g: _mode_cut(g, g.L - 2, "+++").scalar,
+    "class tensor table": lambda g: _mode_cut(g, g.L - 2, "+++").tensor[1][1],
+    "class tensor rows": lambda g: _mode_cut(g, g.L - 2, "+++").tensor[1][2],
+    "class blended table":
+        lambda g: _mode_cut(g, g.L - 2, "+++").blended[2][1],
+    "class masks": lambda g: _mode_cut(g, g.L - 2, "+++").domain_mask,
+    "class row classes": lambda g: _mode_cut(g, g.L - 2, "+++").classes[0],
     "node matrix": lambda g: g.node_matrix(0, 2),
 }
 

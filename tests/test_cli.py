@@ -302,3 +302,41 @@ def test_main_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["warp", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_out_must_be_a_writable_directory(tmp_path, capsys):
+    # a missing --out is a usage error found before any work is done, not
+    # an OSError after the whole command has run
+    missing = tmp_path / "missing"
+    rc = cli_run("symbol", {"out": str(missing), "L": 8, "shape": "sphere:1",
+                            "epsilon": 1.0, "variant": "multiplicative"})
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["status"] == "error"
+    assert record["error"]["type"] == "usage"
+    assert "not a writable directory" in record["error"]["message"]
+    assert "report_error" not in record
+    assert not missing.exists()
+    # a file is no directory either
+    path = tmp_path / "file"
+    path.write_text("")
+    assert cli_run("index", {"out": str(path), "L": 8}) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+    assert path.read_text() == ""
+
+
+def test_error_record_names_an_unwritten_report(tmp_path, capsys):
+    # the config error is reported on stderr even though --out cannot take
+    # its report.json, and the record says so
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bogus": 1}))
+    missing = tmp_path / "missing"
+    rc = main(["symbol", "--config", str(cfg), "--out", str(missing)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError"
+    assert record["report_error"].startswith(
+        f"could not write {missing}/report.json:")
+    assert not missing.exists()

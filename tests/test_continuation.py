@@ -6,11 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from immlab import continuation
 from immlab.continuation import (ContinuationTrace, TargetData,
                                  default_schedule, epsilon_continuation,
                                  newton_solve, procrustes_align)
 from immlab.errors import ConvergenceError
-from immlab.operators import apply_phi, assemble_linearization
+from immlab.operators import _mode_cut, apply_phi, assemble_linearization
 from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
                            sphere_immersion)
 from immlab.spectral import grid
@@ -48,13 +49,80 @@ def test_newton_survives_gesdd_failure(fail_bdsdc):
     ref, ref_hist = newton_solve(sphere_immersion(g), target)
     failures = fail_bdsdc()
     sol, hist = newton_solve(sphere_immersion(g), target)
-    # one SVD per iteration, factored one sign class at a time (the eight
-    # classes of the symmetric ellipsoid), each failed in both orientations
-    assert len(failures) == 2 * 8 * (len(hist) - 1)
+    # one SVD per iteration, of the fully symmetric block that Newton
+    # solves at the axis-aligned ellipsoid (one sign class), failed in
+    # both orientations
+    assert len(failures) == 2 * (len(hist) - 1)
     assert len(hist) == len(ref_hist)
     npt.assert_allclose(hist, ref_hist, rtol=0, atol=1e-12 * ref_hist[0])
     npt.assert_allclose(sol.coeffs, ref.coeffs, rtol=0,
                         atol=1e-12 * np.abs(ref.coeffs).max())
+
+
+def _newton_columns(F0, target, monkeypatch, full=False):
+    """newton_solve, with the column count of each assembly it makes; full
+    forces the full dealiased system whatever the symmetry."""
+    columns = []
+
+    def counted(*args, **kwargs):
+        M = assemble_linearization(*args, **kwargs)
+        columns.append(M.matrix.shape[1])
+        return M
+
+    with monkeypatch.context() as m:
+        m.setattr(continuation, "assemble_linearization", counted)
+        if full:
+            m.setattr(continuation, "_fully_symmetric", lambda F0, t: False)
+        F, hist = newton_solve(F0, target)
+    return F, hist, set(columns)
+
+
+@pytest.mark.parametrize("L,eps,variant", [(12, 1.0, "additive"),
+                                           (8, 0.2, "additive"),
+                                           (8, 0.2, "multiplicative")])
+def test_newton_solves_the_symmetric_block(L, eps, variant, monkeypatch):
+    # an axis-aligned target from the round sphere: Newton assembles only
+    # the "+++" block, and its steps are the full system's up to rounding
+    # (measured: histories within 5.3e-15 of hist[0] before the last
+    # entry, the round-off tail, and solutions within 3.4e-15 of the
+    # largest coefficient)
+    g = grid(L)
+    E = ellipsoid_immersion(g, 1.02, 0.97, 1.01)
+    target = TargetData.from_immersion(E, eps, variant, liouville_tol=None)
+    F, hist, cols = _newton_columns(sphere_immersion(g), target, monkeypatch)
+    ref, ref_hist, ref_cols = _newton_columns(sphere_immersion(g), target,
+                                              monkeypatch, full=True)
+    assert cols == {len(_mode_cut(g, L - 2, "+++").domain)}
+    assert ref_cols == {len(_mode_cut(g, L - 2).domain)}
+    assert len(hist) == len(ref_hist) >= 3
+    assert hist[-1] <= 1e-10
+    npt.assert_allclose(hist[:-1], ref_hist[:-1], rtol=0,
+                        atol=1e-12 * ref_hist[0])
+    npt.assert_allclose(F.coeffs, ref.coeffs, rtol=0,
+                        atol=1e-13 * np.abs(ref.coeffs).max())
+
+
+@pytest.mark.parametrize("case", ["rotated", "perturbed"])
+def test_newton_without_symmetry_solves_the_full_system(case, monkeypatch):
+    # a start that is a rotated sphere, or a target without the
+    # reflection symmetries, takes the full dealiased system, bit for bit
+    g = grid(12 if case == "rotated" else 8)
+    if case == "rotated":
+        R = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        E = ellipsoid_immersion(g, 1.0, 1.05, 0.95).rotated(R)
+        target = TargetData.from_immersion(E, 1.0)
+        F0 = sphere_immersion(g).rotated(R)
+    else:
+        E = perturbed_sphere_immersion(g, 1.0, [(3, 2, 0.05), (2, -1, 0.04),
+                                                (3, -3, 0.03)])
+        target = TargetData.from_immersion(E, 0.2, liouville_tol=None)
+        F0 = sphere_immersion(g)
+    F, hist, cols = _newton_columns(F0, target, monkeypatch)
+    ref, ref_hist, _ = _newton_columns(F0, target, monkeypatch, full=True)
+    assert cols == {len(_mode_cut(g, g.L - 2).domain)}
+    npt.assert_array_equal(hist, ref_hist)
+    npt.assert_array_equal(F.coeffs, ref.coeffs)
+    assert hist[-1] <= 1e-10
 
 
 def test_newton_solves_scaled_blend():

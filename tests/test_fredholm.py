@@ -13,7 +13,7 @@ from immlab.bases import (_weighted_tensor_fields, tensor_basis,
 from immlab.fredholm import (_SVD, _bind, _classes, _detect_rank,
                              based_report, degree_one_families,
                              kernel_vs_epsilon, killing_modes, svd_report)
-from immlab.operators import (_degree_cut, _scalar_labels, _sign_classes,
+from immlab.operators import (_mode_cut, _scalar_labels, _sign_classes,
                               assemble_linearization, domain_labels)
 from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
                            sphere_immersion)
@@ -377,6 +377,6 @@ def test_rotated_symmetric_shapes_take_block_path(shape):
     M = assemble_linearization(F, eps, liouville_tol=None)
     assert svd_report(M).class_counts is not None
     assert based_report(M).class_counts is not None
-    cut = _degree_cut(g, g.L - 2)
+    cut = _mode_cut(g, g.L - 2)
     Md = assemble_linearization(F, eps, liouville_tol=None, degree=g.L - 2)
     assert _SVD(Md.matrix, classes=cut.classes)._blocks is not None
