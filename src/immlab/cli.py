@@ -146,6 +146,10 @@ def _cmd_uniformize(cfg: dict, F: ImmersionMap) -> dict:
 
 
 def _cmd_symbol(cfg: dict, F: ImmersionMap) -> dict:
+    if cfg["directions"] < 1:
+        # a minimum over no directions certifies nothing
+        raise ValueError(f"--directions must be at least 1, "
+                         f"got {cfg['directions']}")
     g = F.grid
     eps = cfg["epsilon"]
     data = apply_phi(F, eps, cfg["variant"], liouville_tol=None)

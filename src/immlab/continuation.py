@@ -25,7 +25,6 @@ mean curvature; a step above 1/3 cannot shrink the defect, whatever its
 size, because the amplification depends on eps itself.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,42 +116,29 @@ _MAX_BACKTRACKS = 8
 
 
 def _step_candidates(matrix: np.ndarray, r: np.ndarray,
-                     classes: tuple) -> list:
+                     classes: tuple | None) -> list:
     """Truncated-SVD least-squares steps, best truncation first.
 
-    Near a symmetric shape the spectrum carries a cluster of near-null
-    modes (the deformed round-sphere kernel) whose inversion amplifies
-    Jacobian truncation noise while the residual is large; the primary
-    step cuts them at the largest relative gap (certified threshold
-    GAP_MIN, else any mild gap >= 10).  The fallback keeps every mode
-    above a conditioning floor: once the residual has shrunk to the level
-    the gap-truncated step cannot correct, inverting the near-null modes
-    is harmless and mops up the remaining components.  classes are the
-    rows' and columns' sign classes, which the SVD factors one at a time
-    when the matrix is block diagonal over them.
-
-    The cluster lies in the classes of the degree-one modes, so a matrix
-    whose modes are all of the class "+++" (Newton's symmetric block)
-    holds none of it.  Its spectrum, a subset of the whole system's,
-    shows larger ratios between neighbours, and a mild gap there cut a
-    mode that the whole system keeps (ellipsoid 1.02, 0.97, 1.01 at
-    L = 8, eps 0.2 multiplicative: 24 iterations against 4).  So such a
-    block truncates only at a certified gap, as at eps = 1/2, where it
-    holds the scaling mode.
+    For eps > 0 the operator is elliptic, so the only modes a step must
+    drop are its structural Fredholm kernel (the ambient isometries, and
+    whatever the discretization adds to them), which sits below a
+    certified gap (GAP_MIN).  The primary step cuts there, and the
+    fallback keeps every mode above a conditioning floor: once the
+    residual has shrunk to the level the gap-truncated step cannot
+    correct, inverting the near-null modes is harmless and mops up the
+    remaining components.  A spectrum without a certified gap takes the
+    floor-rank step first and falls back to the cut at its largest gap,
+    uncertified, for an iterate where inverting a lone near-null mode
+    finds no descent.  classes, when given, are the rows' and columns'
+    sign classes, which the SVD factors one at a time when the matrix is
+    block diagonal over them.
     """
     f = _SVD(matrix, classes=classes)
     s = f.s
     floor_rank = int(np.sum(s > s[0] * 1e-8))
     rank, _, reliable = _detect_rank(s, GAP_MIN)
-    if not reliable:
-        rank, _, mild = _detect_rank(s, 10.0)
-        if not mild or not np.any(classes[1]):
-            rank = floor_rank
-
-    steps = [f.solve(-r, rank)]
-    if floor_rank > rank:
-        steps.append(f.solve(-r, floor_rank))
-    return steps
+    ranks = (rank, floor_rank) if reliable else (floor_rank, rank)
+    return [f.solve(-r, k) for k in dict.fromkeys(ranks)]
 
 
 def _fully_symmetric(F0: ImmersionMap, target: TargetData) -> bool:
@@ -206,10 +192,12 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     sign classes and the iterates keep the symmetries, so the residual
     and every step lie in the fully symmetric class "+++".  Then only
     that block, about an eighth of the columns and rows, is assembled
-    (sign_class="+++") and solved; the residual norm and the convergence
-    test still run over all the dealiased rows.  Any other input,
-    including a rotated copy of a symmetric start, takes the full
-    dealiased system.
+    (sign_class="+++") and solved, by one dense SVD; the residual norm
+    and the convergence test still run over all the dealiased rows.  Any
+    other input, including a rotated copy of a symmetric start, takes the
+    full dealiased system, whose SVD runs by sign class where the matrix
+    is block diagonal (at the round sphere, say).  Both systems truncate
+    by the same rule (_step_candidates).
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
     Returns (F, residual norm history); raises ConvergenceError with
@@ -224,6 +212,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     sign_class = "+++" if _fully_symmetric(F0, target) else None
     block = _mode_cut(g, degree, sign_class)
     keep = block.domain_mask
+    # a one-class block gains nothing from the SVD's class scan
+    classes = None if sign_class else block.classes
 
     F = F0
     r, data = _residual(F, target)
@@ -237,7 +227,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
 
         accepted = None
         for v_kept in _step_candidates(M.matrix, r[block.codomain_mask],
-                                       block.classes):
+                                       classes):
             v = np.zeros(keep.size)
             v[keep] = v_kept
             X = push_forward(F, v)
@@ -296,9 +286,8 @@ def procrustes_align(F: ImmersionMap, G: ImmersionMap
 # does not distinguish below it.
 _DEFECT_FLOOR = 1e-10
 
-# H refreshes after each step's first solve, and bisections of one step
+# H refreshes after each step's first solve
 _SWEEPS = 3
-_MAX_BISECTIONS = 3
 
 # The default schedule's ratio and last point
 _RATIO = 0.7
@@ -335,9 +324,8 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     keeps dropping (the refresh map contracts for eps < 1/3 but repels
     around eps = 1/2, so it is never iterated blindly).  A step whose
     defect would exceed the previous accepted one is refused, unless both
-    sit at the resolution floor.  Failed or refused steps trigger
-    bisection toward the last accepted epsilon, up to _MAX_BISECTIONS.
-    Persistent failure ends the trace with the failure's status.
+    sit at the resolution floor.  A failed or refused step ends the trace
+    at its schedule point, with the failure's status.
     """
     g = target_metric.grid
     schedule = list(default_schedule() if eps_schedule is None else eps_schedule)
@@ -356,15 +344,11 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
 
     trace = ContinuationTrace()
     defect_prev = np.inf
-    queue = deque(schedule)
-    eps_last = None
-    bisections = 0
 
     def _defect(G):
         return float(np.abs(G.geometry.gamma - gamma_star).max())
 
-    while queue:
-        eps = queue[0]
+    for eps in schedule:
         F_try = F
         iters = 0
         try:
@@ -394,23 +378,15 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
                     f"{defect:.3e} at eps={eps}; refusing the step",
                     "stalled", hist)
         except ConvergenceError as exc:
-            if eps_last is not None and bisections < _MAX_BISECTIONS:
-                bisections += 1
-                queue.appendleft(0.5 * (eps_last + eps))
-                continue
             last = exc.history[-1] if exc.history.size else np.nan
             trace.steps.append(StepRecord(
                 eps, iters, float(last), np.full(12, np.nan),
                 False, _defect(F_try)))
             trace.status = exc.status
-            trace.F = F
-            return trace
+            break
 
         F = F_try
         defect_prev = defect
-        queue.popleft()
-        bisections = 0
-        eps_last = eps
         M = assemble_linearization(F, eps, variant, liouville_tol=None)
         sv = _SVD(M.matrix, compute_uv=False,
                   classes=_mode_cut(g).classes).s[::-1][:12]

@@ -67,6 +67,19 @@ def test_symbol_degenerate_endpoint(tmp_path, capsys):
     assert "characteristic in all sampled directions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("directions", ["0", "-2"])
+def test_symbol_needs_a_direction(tmp_path, capsys, directions):
+    # a minimum over no sampled directions is no certificate: a usage error
+    rc = main(["symbol", "--shape", "sphere:1", "--L", "4",
+               "--directions", directions, "--out", str(tmp_path)])
+    assert rc == 2
+    rep = read_report(tmp_path)
+    assert rep["status"] == "error"
+    assert "--directions" in rep["error"]["message"]
+    assert "min_singular_value" not in rep
+    capsys.readouterr()
+
+
 def test_index_report(tmp_path):
     rc, rep = run("index", tmp_path, shape="sphere:1", epsilon=1.0)
     assert rc == 0

@@ -125,6 +125,56 @@ def test_newton_without_symmetry_solves_the_full_system(case, monkeypatch):
     assert hist[-1] <= 1e-10
 
 
+@pytest.mark.parametrize("L,shape,eps,variant", [
+    (8, [(2, -1, 0.017), (3, 2, 0.014), (3, -3, 0.017), (4, 1, 0.013)],
+     0.2, "additive"),
+    (8, [(2, -1, 0.019), (3, -3, 0.016), (4, 1, 0.016)], 0.2,
+     "multiplicative"),
+    (8, [(2, -1, 0.031), (3, -3, 0.033), (4, 1, 0.036)], 0.45, "additive"),
+    (8, (0.987, 0.995, 1.019), 0.45, "additive"),
+    # at the second iterate a lone mode sits at 1.3e-5, a gap of 192 below
+    # its neighbour: the floor-rank step finds no descent, and the cut at
+    # that gap, tried next, carries the solve on in 10 iterations
+    (12, [(2, -1, -0.0428), (3, 2, -0.0329), (3, -3, 0.0371),
+          (4, 1, -0.0438)], 0.2, "multiplicative"),
+])
+def test_newton_full_system_converges_quickly(L, shape, eps, variant,
+                                              monkeypatch):
+    # the full dealiased system truncates only at a certified gap, as the
+    # symmetric block does: a cut at a merely mild gap stalled the L = 8
+    # inputs for 20-25 iterations at residuals 1.6e-8 to 6.1e-6
+    g = grid(L)
+    if isinstance(shape, tuple):
+        E = ellipsoid_immersion(g, *shape)
+    else:
+        E = perturbed_sphere_immersion(g, 1.0, shape)
+    target = TargetData.from_immersion(E, eps, variant, liouville_tol=None)
+    _, hist, cols = _newton_columns(sphere_immersion(g), target, monkeypatch,
+                                    full=True)
+    assert cols == {len(_mode_cut(g, g.L - 2).domain)}
+    assert len(hist) - 1 <= 10
+    assert hist[-1] <= 1e-10
+
+
+@pytest.mark.parametrize("values,ranks", [
+    ([1.0, 0.5, 1e-6], [2, 3]),            # certified gap, then the floor
+    ([1.0, 0.9, 0.8, 2e-3, 1e-5], [5, 3]),  # the floor, then the largest gap
+    ([1.0, 0.5, 0.2], [3]),                 # certified full rank
+])
+def test_step_candidates_order(values, ranks):
+    rng = np.random.default_rng(2)
+    U = np.linalg.qr(rng.standard_normal((len(values) + 1, len(values))))[0]
+    V = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    A = U @ np.diag(values) @ V.T
+    r = rng.standard_normal(len(values) + 1)
+    steps = continuation._step_candidates(A, r, None)
+    expected = [-V[:, :k] @ ((U[:, :k].T @ r) / np.array(values[:k]))
+                for k in ranks]
+    assert len(steps) == len(expected)
+    for step, ref in zip(steps, expected):
+        npt.assert_allclose(step, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+
 def test_newton_solves_scaled_blend():
     g = grid(8)
     F = sphere_immersion(g)
@@ -152,8 +202,8 @@ def test_newton_reports_infeasible_blend():
     (ConvergenceError("stuck", "stalled", [3.0, 2.0]), "stalled", 2.0),
 ])
 def test_continuation_records_failure(exc, status, residual, monkeypatch):
-    # a failed first step has no accepted epsilon to bisect towards, so the
-    # trace ends there with the error's status and last residual
+    # a failed first step ends the trace there, with the error's status and
+    # last residual
     def fail(*args, **kwargs):
         raise exc
 
@@ -168,6 +218,27 @@ def test_continuation_records_failure(exc, status, residual, monkeypatch):
     # the path starts from the area-matched round sphere
     npt.assert_allclose(trace.F.coeffs, sphere_immersion(g).coeffs,
                         rtol=0, atol=1e-12)
+
+
+def test_continuation_ends_at_a_failed_step(monkeypatch):
+    # a step whose Newton solve fails ends the path at that schedule point;
+    # no epsilon between it and the last accepted one is tried
+    solves = []
+
+    def second_fails(F0, target, tol):
+        solves.append(target.epsilon)
+        if len(solves) > 1:
+            raise ConvergenceError("stuck", "stalled", [3.0, 2.0])
+        return newton_solve(F0, target, tol)
+
+    monkeypatch.setattr("immlab.continuation.newton_solve", second_fails)
+    trace = epsilon_continuation(MetricData.round(grid(8), 1.0), [1.0, 0.5],
+                                 liouville_tol=1e-8)
+    assert trace.status == "stalled"
+    assert solves == [1.0, 0.5]
+    npt.assert_array_equal(trace.epsilons, [1.0, 0.5])
+    assert [s.accepted for s in trace.steps] == [True, False]
+    assert trace.steps[-1].residual == 2.0
 
 
 def test_newton_rejects_degenerate_epsilon():
@@ -272,9 +343,9 @@ def test_continuation_ellipsoid_defect_decreases():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the multiplicative path on a non-round target stalls: at L = 8 it "
-    "accepts eps 0.2401, then refuses 0.2311, where the defect would rise "
-    "4.74e-3 -> 5.58e-3"))
+    "the multiplicative path on a non-round target fails: at L = 8 it "
+    "accepts eps 0.2401 at defect 4.74e-3, then Newton diverges at "
+    "eps 0.16807"))
 def test_continuation_multiplicative_ellipsoid():
     g = grid(8)
     E = ellipsoid_immersion(g, 1.0, 1.02, 0.98)
