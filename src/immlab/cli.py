@@ -318,6 +318,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_config_type(key: str, val) -> None:
+    """Raise ValueError unless a config value has its default's type.
+
+    Integers (L, seed, directions) must be int; reals (epsilon, tol) may
+    be int or float; strings must be str.  A bool is never a number here,
+    although Python counts it as an int.
+    """
+    want = type(_DEFAULTS[key])
+    allowed = (int, float) if want is float else (want,)
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        names = " or ".join(t.__name__ for t in allowed)
+        raise ValueError(f"config key {key!r} must be {names}, got "
+                         f"{type(val).__name__} {val!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = {}
@@ -330,6 +345,8 @@ def main(argv=None) -> int:
             unknown = set(loaded) - set(_DEFAULTS)
             if unknown:
                 raise ValueError(f"unknown config keys {sorted(unknown)}")
+            for key, val in loaded.items():
+                _check_config_type(key, val)
             config.update(loaded)
         except (OSError, ValueError) as exc:
             # the config never loaded, so only --out names a directory

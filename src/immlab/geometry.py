@@ -54,8 +54,7 @@ class ImmersionMap:
         Raises ImmersionRegularityError right away if the projected map is
         degenerate; the computed geometry stays cached for later use.
         """
-        coeffs = np.stack([g.analyze(xyz[:, mu]) for mu in range(3)])
-        F = cls(g, coeffs)
+        F = cls(g, g.analyze(xyz).T)
         F.geometry
         return F
 
@@ -95,24 +94,29 @@ class SurfaceGeometry:
     norm_A_sq: np.ndarray  # (n,) |A|^2_gamma
     tau: np.ndarray        # (n, 2, 2) A - H gamma
     christoffel: np.ndarray  # (n, 2, 2, 2) Gamma^k_ij, index order [k, i, j]
+    metric_gradient: np.ndarray  # (n, 2, 2, 2) d_k gamma_ij, index order [k, i, j]
 
     @classmethod
     def compute(cls, g: SphereGrid, coeffs: np.ndarray) -> "SurfaceGeometry":
-        n = g.n_nodes
-        F = np.empty((n, 3))
-        dF = np.empty((n, 2, 3))
-        d2F = np.empty((n, 2, 2, 3))
-        for mu in range(3):
-            c = coeffs[mu]
-            F[:, mu] = g.synthesize(c)
-            dF[:, 0, mu] = g.synthesize(c, dth=1)
-            dF[:, 1, mu] = g.synthesize(c, dph=1)
-            d2F[:, 0, 0, mu] = g.synthesize(c, dth=2)
-            d2F[:, 0, 1, mu] = g.synthesize(c, dth=1, dph=1)
-            d2F[:, 1, 1, mu] = g.synthesize(c, dph=2)
-        d2F[:, 1, 0] = d2F[:, 0, 1]
+        """The node data of the immersion with component coefficients (3, nc).
 
-        gamma = np.einsum("nia,nja->nij", dF, dF)
+        Each chart derivative of the three components is one batched
+        synthesis.  The Christoffel symbols and the metric gradient both
+        come from the products T_ij,l = <d_ij F, d_l F>: Gamma^k_ij =
+        gamma^{kl} T_ij,l (the Gauss formula) and d_k gamma_ij = T_ki,j +
+        T_kj,i, exact for band-limited F.
+        """
+        n = g.n_nodes
+        C = coeffs.T
+        F = g.synthesize(C)
+        dF = np.stack([g.synthesize(C, 1, 0), g.synthesize(C, 0, 1)], axis=1)
+        d2F = np.empty((n, 2, 2, 3))
+        d2F[:, 0, 0] = g.synthesize(C, 2, 0)
+        d2F[:, 0, 1] = d2F[:, 1, 0] = g.synthesize(C, 1, 1)
+        d2F[:, 1, 1] = g.synthesize(C, 0, 2)
+
+        dFt = dF.transpose(0, 2, 1)
+        gamma = dF @ dFt
         det = gamma[:, 0, 0] * gamma[:, 1, 1] - gamma[:, 0, 1] ** 2
         if det.min() < DET_FLOOR:
             raise ImmersionRegularityError(
@@ -126,17 +130,19 @@ class SurfaceGeometry:
         cross = np.cross(dF[:, 0], dF[:, 1])
         normal = cross / np.linalg.norm(cross, axis=1, keepdims=True)
 
-        A = -np.einsum("nija,na->nij", d2F, normal)
-        shape_op = np.einsum("nik,nkj->nij", inv, A)
+        A = -(d2F.reshape(n, 4, 3) @ normal[:, :, None]).reshape(n, 2, 2)
+        shape_op = inv @ A
         H = np.trace(shape_op, axis1=1, axis2=2)
         K = shape_op[:, 0, 0] * shape_op[:, 1, 1] - shape_op[:, 0, 1] * shape_op[:, 1, 0]
         norm_A_sq = np.einsum("nij,nji->n", shape_op, shape_op)
         tau = A - H[:, None, None] * gamma
-        # Gamma^k_ij from the Gauss formula, exact for band-limited F
-        christoffel = np.einsum("nkl,nija,nla->nkij", inv, d2F, dF)
+        T = (d2F.reshape(n, 4, 3) @ dFt).reshape(n, 2, 2, 2)  # [i, j, l]
+        christoffel = (inv @ T.reshape(n, 4, 2).transpose(0, 2, 1)).reshape(
+            n, 2, 2, 2)
+        metric_gradient = T + T.transpose(0, 1, 3, 2)
 
         return cls(g, F, dF, d2F, gamma, inv, det, normal, A, H, K,
-                   norm_A_sq, tau, christoffel)
+                   norm_A_sq, tau, christoffel, metric_gradient)
 
 
 # ---------------------------------------------------------------------------

@@ -185,12 +185,10 @@ class VariationField:
             raise DegreeMismatchError(f"ambient field shape {X.shape}")
         cov = np.einsum("nm,nim->ni", X, geo.dF)
         XT = np.einsum("nij,nj->ni", geo.inv_gamma, cov)
-        Xc = np.stack([g.analyze(X[:, mu]) for mu in range(3)])
-        dX = np.stack([g.node_matrix(1, 0) @ Xc.T, g.node_matrix(0, 1) @ Xc.T],
-                      axis=1)
+        dX = g.gradient(g.analyze(X))
         dcov = (np.einsum("nim,nlm->nil", dX, geo.dF)
                 + np.einsum("nm,nilm->nil", X, geo.d2F)
-                - np.einsum("nilm,nm->nil", _metric_gradient(geo), XT))
+                - np.einsum("nilm,nm->nil", geo.metric_gradient, XT))
         dXT = np.einsum("nkl,nil->nik", geo.inv_gamma, dcov)
         return cls(XT, dXT, np.einsum("nm,nm->n", X, geo.normal))
 
@@ -218,7 +216,7 @@ def _tangent_map(geo: SurfaceGeometry) -> np.ndarray:
     mixed = (np.einsum("nkj,ai->nijak", geo.gamma, eye)
              + np.einsum("nik,aj->nijak", geo.gamma, eye))
     return np.concatenate(
-        [_metric_gradient(geo).transpose(0, 2, 3, 1).reshape(n, 4, 2),
+        [geo.metric_gradient.transpose(0, 2, 3, 1).reshape(n, 4, 2),
          mixed.reshape(n, 4, 4)], axis=2)
 
 
@@ -309,7 +307,7 @@ def push_forward(F: ImmersionMap, v: np.ndarray) -> np.ndarray:
     g = F.grid
     vb = vector_basis(g)
     X = np.einsum("ni,nim->nm", vb.fields @ v[:vb.size], F.geometry.dF)
-    X += F.geometry.normal * (g.node_matrix(0, 0) @ v[vb.size:])[:, None]
+    X += F.geometry.normal * g.synthesize(v[vb.size:])[:, None]
     return X
 
 
@@ -533,12 +531,6 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
             codomain, cols, rows,
             (frozen(_sign_classes(codomain)), frozen(_sign_classes(domain))))
     return g.cached(("mode_cut", degree, sign_class), build)
-
-
-def _metric_gradient(geo: SurfaceGeometry) -> np.ndarray:
-    """Chart derivatives of the induced metric, (n, 2, 2, 2) = d_k gamma_ij."""
-    return (np.einsum("nkia,nja->nkij", geo.d2F, geo.dF)
-            + np.einsum("nia,nkja->nkij", geo.dF, geo.d2F))
 
 
 def assemble_linearization(F: ImmersionMap, epsilon: float,

@@ -111,8 +111,7 @@ def load_immersion(path: str, g: SphereGrid | None = None) -> ImmersionMap:
     F = ImmersionMap(gfile, arr)
     if g is not None and g.L != L:
         # resample onto the requested grid; exact when g.L >= L
-        F = ImmersionMap.from_samples(g, np.stack(
-            [g.synthesize(_pad(arr[mu], L, g.L)) for mu in range(3)], axis=-1))
+        F = ImmersionMap.from_samples(g, g.synthesize(_pad(arr.T, L, g.L)))
     elif g is not None:
         F = ImmersionMap(g, arr)
     return F
@@ -121,7 +120,7 @@ def load_immersion(path: str, g: SphereGrid | None = None) -> ImmersionMap:
 def _pad(c: np.ndarray, L_from: int, L_to: int) -> np.ndarray:
     if L_to < L_from:
         raise ShapeSpecError("cannot lower the band limit of an immersion file")
-    out = np.zeros((L_to + 1) ** 2)
+    out = np.zeros(((L_to + 1) ** 2,) + c.shape[1:])
     out[: (L_from + 1) ** 2] = c
     return out
 

@@ -25,11 +25,22 @@ exactly.  Analysis of a sampled field returns its L2 projection onto the
 basis; for fields band-limited at L the round trip is exact to rounding.
 
 Colatitude derivatives of basis functions are evaluated analytically from
-the Legendre recurrences (orders 0, 1, 2), and ph derivatives act on the
-coefficient vector by the exact +-m mode swap, so all chart derivatives of
-a band-limited field are exact at the nodes.  The node tables are built
-from one Legendre evaluation on the L+1 colatitude rings, each ring's
-values times the longitude factors cos(m ph) and sin(|m| ph).
+the Legendre recurrences (orders 0, 1, 2), and ph derivatives act on each
+longitude frequency by the exact cos <-> sin swap with factor m, so all
+chart derivatives of a band-limited field are exact at the nodes.
+
+Every harmonic is a ring profile in th times cos(m ph) or sin(|m| ph), so
+its sum against the nodes of one ring is a sum over that ring's longitude
+DFT at |m| < L + 1, the Nyquist frequency of the 2L+2 longitudes.
+synthesize and analyze run by frequency (the transform method): synthesis
+multiplies each |m|'s Legendre ring profiles by that |m|'s coefficients,
+then takes one inverse ring DFT; analysis takes the ring DFTs, then pairs
+each |m| with its quadrature-weighted ring profiles.  These are the
+quadrature sums of the dense node tables, regrouped, so no approximation
+enters.  Both take one field or a batch of them along a trailing axis.
+node_matrix builds the dense (n_nodes, n_coeffs) tables from the same
+Legendre evaluation, for the Galerkin forms and the basis tables that
+multiply many columns at once.
 """
 
 from __future__ import annotations
@@ -68,10 +79,10 @@ def coeff_degrees(L: int) -> tuple[np.ndarray, np.ndarray]:
 def _legendre_theta_blocks(L: int, theta: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre data on a colatitude list.
 
-    Returns an array of shape (3, L+1, L+1, len(theta)) holding the theta
-    amplitude of each (l, m >= 0) basis function and its first and second
-    derivatives with respect to theta.  The sqrt(2) factor for m > 0 is
-    included here.
+    Returns an array of shape (3, L+1, len(theta), L+1) holding, at
+    [d, m, node, l], the theta amplitude of the (l, m >= 0) basis function
+    (zero for m > l) and its first and second derivatives with respect to
+    theta, d = 0, 1, 2.  The sqrt(2) factor for m > 0 is included here.
     """
     x = np.cos(theta)
     s = np.sin(theta)
@@ -99,7 +110,7 @@ def _legendre_theta_blocks(L: int, theta: np.ndarray) -> np.ndarray:
     # chain rule x = cos(theta)
     dth = norm * (-s * P1)
     dthth = norm * (s * s * P2 - x * P1)
-    return np.stack([val, dth, dthth])
+    return np.ascontiguousarray(np.stack([val, dth, dthth]).transpose(0, 2, 3, 1))
 
 
 @dataclass
@@ -172,35 +183,23 @@ class SphereGrid:
             self._tables[key] = value
         return self._tables[key]
 
-    def _dphi_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        def build():
-            ls, ms = coeff_degrees(self.L)
-            target = (ls * ls + ls - ms).astype(int)  # slot of (l, -m)
-            factor = (-ms).astype(float)
-            # d/dphi cos(m ph) = -m sin(m ph): slot (l,m>0) -> (l,-m), factor -m
-            # d/dphi sin(|m| ph) = |m| cos: slot (l,m<0) -> (l,|m|), factor |m| = -m
-            return target, factor
-        return self.cached("dphi", build)
-
-    def dphi_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Exact longitude derivative acting on a coefficient vector."""
-        target, factor = self._dphi_tables()
-        out = np.zeros_like(coeffs)
-        out[target] = factor * coeffs
-        return out
+    def _legendre(self) -> np.ndarray:
+        """Ring profiles (3, L+1, n_theta, L+1) (_legendre_theta_blocks)."""
+        return self.cached("legendre", lambda: _legendre_theta_blocks(
+            self.L, self.theta_nodes))
 
     def node_matrix(self, dth: int = 0, dph: int = 0) -> np.ndarray:
-        """Node values of the (dth, dph) chart derivative of every basis function."""
+        """Node values of the (dth, dph) chart derivative of every basis function.
+
+        Column (l, m) is the ring profile of Y_{l,|m|} times its longitude
+        row of _longitude_rows, both of the requested derivative.
+        """
         def build():
-            if dph > 0:
-                target, factor = self._dphi_tables()
-                return self.node_matrix(dth, dph - 1)[:, target] * factor[None, :]
             ls, ms = coeff_degrees(self.L)
-            legendre = self.cached("legendre", lambda: _legendre_theta_blocks(
-                self.L, self.theta_nodes))
-            rings = legendre[dth][ls, np.abs(ms)].T  # (n_theta, nc)
-            ph = self.phi_nodes[:, None]
-            trig = np.where(ms >= 0, np.cos(ms * ph), np.sin(-ms * ph))
+            rings = self._legendre()[dth][np.abs(ms), :, ls].T  # (n_theta, nc)
+            # a slot's position over L + 1 is its longitude row 2|m| + t
+            trig = self._longitude_rows(dph)[
+                self._frequency_slots() // (self.L + 1)].T  # (n_phi, nc)
             return (rings[:, None, :] * trig).reshape(self.n_nodes, self.n_coeffs)
         return self.cached((dth, dph), build)
 
@@ -216,41 +215,101 @@ class SphereGrid:
                 self.n_phi, self.n_phi)
         return self.cached("longitude_dft", build)
 
-    def _check(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_coeffs,):
+    def _longitude_rows(self, dph: int) -> np.ndarray:
+        """The dph-th longitude derivative of longitude_dft's rows.
+
+        d/dph takes cos(m ph) to -m sin(m ph) and sin(m ph) to m cos(m ph),
+        so row 2m + t of the result is the derivative of that trigonometric
+        row, the inverse ring DFT of a frequency amplitude.
+        """
+        if dph == 0:
+            return self.longitude_dft()
+
+        def build():
+            rows = self.longitude_dft().reshape(self.L + 1, 2, self.n_phi)
+            m = np.arange(self.L + 1)[:, None, None]
+            for _ in range(dph):
+                rows = m * np.stack([-rows[:, 1], rows[:, 0]], axis=1)
+            return rows.reshape(self.n_phi, self.n_phi)
+        return self.cached(("longitude_rows", dph), build)
+
+    def _frequency_slots(self) -> np.ndarray:
+        """Position of each coefficient in the degree-padded frequency layout.
+
+        The layout is (L+1, 2, L+1): [m, t, l] holds the coefficient of
+        Y_{l,m} (t = 0, the cos(m ph) harmonic) or Y_{l,-m} (t = 1, the
+        sin(m ph) one), and zero where no harmonic exists (l < m, or
+        t = 1 at m = 0).  Returns, for each coefficient slot in storage
+        order, its flat position in that layout.
+        """
+        def build():
+            ls, ms = coeff_degrees(self.L)
+            return (2 * np.abs(ms) + (ms < 0)) * (self.L + 1) + ls
+        return self.cached("frequency_slots", build)
+
+    def _analysis_rings(self) -> np.ndarray:
+        """Quadrature-weighted ring profiles (L+1, L+1, n_theta): [m, l, r]."""
+        def build():
+            w = self.weights.reshape(self.n_theta, self.n_phi)[:, 0]
+            return np.ascontiguousarray(
+                self._legendre()[0].transpose(0, 2, 1) * w)
+        return self.cached("analysis_rings", build)
+
+    def _check(self, values: np.ndarray, size: int, what: str) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[0] != size:
             raise DegreeMismatchError(
-                f"expected {self.n_coeffs} coefficients, got shape {coeffs.shape}"
-            )
-        return coeffs
+                f"expected {size} {what} (and an optional batch axis), "
+                f"got shape {values.shape}")
+        return values
 
     # -- transforms ------------------------------------------------------
     def synthesize(self, coeffs: np.ndarray, dth: int = 0, dph: int = 0) -> np.ndarray:
-        """Evaluate a mixed chart derivative of a band-limited field at the nodes."""
-        c = self._check(coeffs)
-        for _ in range(dph):
-            c = self.dphi_coeffs(c)
-        return self.node_matrix(dth) @ c
+        """Evaluate a mixed chart derivative of band-limited fields at the nodes.
+
+        coeffs is (n_coeffs,) or a batch (n_coeffs, B); the result is
+        (n_nodes,) or (n_nodes, B).  Each |m|'s ring profiles multiply its
+        coefficients (one batched product over the degree-padded layout of
+        _frequency_slots), and one inverse ring DFT, with the dph
+        longitude derivatives in its rows, gives the node values.
+        """
+        c = self._check(coeffs, self.n_coeffs, "coefficients")
+        M, b = self.L + 1, c.size // self.n_coeffs
+        padded = np.zeros((M * 2 * M, b))
+        padded[self._frequency_slots()] = c.reshape(-1, b)
+        amp = self._legendre()[dth][:, None] @ padded.reshape(M, 2, M, b)
+        out = amp.reshape(2 * M, -1).T @ self._longitude_rows(dph)
+        return out.reshape(self.n_theta, b, self.n_phi).transpose(0, 2, 1).reshape(
+            (self.n_nodes,) + c.shape[1:])
 
     def analyze(self, samples: np.ndarray) -> np.ndarray:
-        """Quadrature L2 projection of node samples onto the basis."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.n_nodes,):
-            raise DegreeMismatchError(
-                f"expected {self.n_nodes} samples, got shape {samples.shape}"
-            )
-        return self.node_matrix().T @ (self.weights * samples)
+        """Quadrature L2 projection of node samples onto the basis.
+
+        samples is (n_nodes,) or a batch (n_nodes, B); the result is
+        (n_coeffs,) or (n_coeffs, B).  Each ring is transformed once
+        (_ring_dft), and each |m| pairs its two frequency rows with the
+        quadrature-weighted ring profiles.
+        """
+        f = self._check(samples, self.n_nodes, "samples")
+        M, b = self.L + 1, f.size // self.n_nodes
+        spec = _ring_dft(self, f, np.empty(f.shape))
+        out = self._analysis_rings()[:, None] @ spec.reshape(M, 2, self.n_theta, b)
+        return out.reshape(-1, b)[self._frequency_slots()].reshape(
+            (self.n_coeffs,) + f.shape[1:])
 
     def gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Chart gradient (n_nodes, 2), d_th then d_ph, of a band-limited field."""
+        """Chart gradient (n_nodes, 2), d_th then d_ph, of a band-limited field.
+
+        A batch (n_coeffs, B) of fields gives (n_nodes, 2, B).
+        """
         return np.stack([self.synthesize(coeffs, 1, 0),
                          self.synthesize(coeffs, 0, 1)], axis=1)
 
     def laplace_beltrami_round(self, coeffs: np.ndarray) -> np.ndarray:
         """Round-sphere Laplacian (div grad sign, spectrum -l(l+1))."""
-        c = self._check(coeffs)
+        c = self._check(coeffs, self.n_coeffs, "coefficients")
         ls, _ = coeff_degrees(self.L)
-        return -ls * (ls + 1.0) * c
+        return np.reshape(-ls * (ls + 1.0), (-1,) + (1,) * (c.ndim - 1)) * c
 
 
 def _ring_dft(g: SphereGrid, values: np.ndarray, out: np.ndarray

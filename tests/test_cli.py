@@ -284,6 +284,43 @@ def test_main_rejects_unknown_config_key(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["status"] == "error"
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("symbol", {"L": "8"}),
+    ("symbol", {"L": 8.0}),
+    ("symbol", {"L": True}),
+    ("uniformize", {"tol": "x"}),
+    ("check-darboux", {"seed": 1.5}),
+    ("symbol", {"directions": 2.5}),
+    ("symbol", {"epsilon": False}),
+    ("symbol", {"shape": 1}),
+])
+def test_main_rejects_config_value_of_wrong_type(tmp_path, capsys, command,
+                                                 bad):
+    # a value whose type differs from its default's is a usage error with
+    # its record in --out, not a traceback, and never a silent conversion
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError"
+    key, = bad
+    assert repr(key) in record["error"]["message"]
+    assert read_report(out) == record
+
+
+def test_main_accepts_an_integer_for_a_real_config_value(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 8, "epsilon": 1, "tol": 1}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["symbol", "--config", str(cfg), "--out", str(out),
+                 "--directions", "4"]) == 0
+    assert read_report(out)["epsilon"] == 1
+
+
 def test_main_rejects_non_dict_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"

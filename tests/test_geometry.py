@@ -158,3 +158,24 @@ def test_degenerate_immersion_rejected():
     flat[:, 0] = np.cos(g.theta)
     with pytest.raises(ImmersionRegularityError):
         ImmersionMap.from_samples(g, flat)
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("shape", ["ellipsoid", "perturbed"])
+def test_christoffels_and_metric_gradient_against_einsum(L, shape):
+    # both come from the products <d_ij F, d_l F>; the references are the
+    # Gauss formula and the product rule written out as einsums
+    g = grid(L)
+    if shape == "ellipsoid":
+        F = ellipsoid_immersion(g, 1.0, 1.05, 0.95)
+    else:
+        F = perturbed_sphere_immersion(
+            g, 1.0, [(3, 2, 0.05), (2, -1, 0.04), (3, -3, 0.03)])
+    geo = F.geometry
+    gamma_k = np.einsum("nkl,nija,nla->nkij", geo.inv_gamma, geo.d2F, geo.dF)
+    dgamma = (np.einsum("nkia,nja->nkij", geo.d2F, geo.dF)
+              + np.einsum("nia,nkja->nkij", geo.dF, geo.d2F))
+    npt.assert_allclose(geo.christoffel, gamma_k, rtol=0,
+                        atol=1e-13 * np.abs(gamma_k).max())
+    npt.assert_allclose(geo.metric_gradient, dgamma, rtol=0,
+                        atol=1e-13 * np.abs(dgamma).max())

@@ -7,7 +7,9 @@ import pytest
 from scipy.special import sph_harm_y
 
 from immlab.errors import DegreeMismatchError
-from immlab.spectral import HarmonicField, coeff_degrees, coeff_index, grid
+from immlab.shapes import ellipsoid_immersion
+from immlab.spectral import (HarmonicField, SphereGrid, coeff_degrees,
+                             coeff_index, grid)
 
 
 def harmonic(g, l, m):
@@ -127,3 +129,67 @@ def test_degree_mismatch_raises():
     g = grid(5)
     with pytest.raises(DegreeMismatchError):
         g.synthesize(np.ones(10))
+
+
+DERIVATIVES = [(dth, dph) for dth in range(3) for dph in range(3 - dth)]
+
+
+@pytest.mark.parametrize("L", [4, 5, 8, 12, 16, 20])
+def test_transforms_match_dense_node_tables(L):
+    # the frequency-wise transforms regroup the dense products' quadrature
+    # sums, so they agree with them to rounding, one field or a batch
+    g = grid(L)
+    rng = np.random.default_rng(L)
+    for shape in [(), (1,), (3,)]:
+        c = rng.standard_normal((g.n_coeffs,) + shape)
+        for dth, dph in DERIVATIVES:
+            ref = g.node_matrix(dth, dph) @ c
+            got = g.synthesize(c, dth, dph)
+            assert got.shape == (g.n_nodes,) + shape
+            npt.assert_allclose(got, ref, rtol=0,
+                                atol=1e-13 * np.abs(ref).max(),
+                                err_msg=f"synthesize ({dth}, {dph})")
+        f = rng.standard_normal((g.n_nodes,) + shape)
+        ref = g.node_matrix().T @ (g.weights.reshape((-1,) + (1,) * len(shape))
+                                   * f)
+        got = g.analyze(f)
+        assert got.shape == (g.n_coeffs,) + shape
+        npt.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("bad", [lambda g: (g.n_coeffs + 1,),
+                                 lambda g: (g.n_coeffs, 3, 1),
+                                 lambda g: (g.n_nodes,)])
+def test_synthesize_rejects_wrong_shapes(bad):
+    g = grid(6)
+    with pytest.raises(DegreeMismatchError):
+        g.synthesize(np.ones(bad(g)))
+
+
+@pytest.mark.parametrize("bad", [lambda g: (g.n_nodes + 1,),
+                                 lambda g: (g.n_nodes, 3, 1),
+                                 lambda g: (g.n_coeffs,)])
+def test_analyze_rejects_wrong_shapes(bad):
+    g = grid(6)
+    with pytest.raises(DegreeMismatchError):
+        g.analyze(np.ones(bad(g)))
+
+
+def test_single_field_transforms_build_no_node_table():
+    # an immersion, its geometry and the gradient of its mean curvature
+    # run by longitude frequency: no dense (n, nc) node table is built or
+    # read on the way
+    g = SphereGrid.build(16)
+
+    def refuse(*args):
+        raise AssertionError(f"node_matrix{args} called")
+
+    g.node_matrix = refuse
+    F = ellipsoid_immersion(g, 1.0, 1.05, 0.95)
+    geo = F.geometry
+    dH = g.gradient(g.analyze(geo.H))
+    assert dH.shape == (g.n_nodes, 2)
+    tables = [key for key in g._tables
+              if isinstance(key, tuple) and len(key) == 2
+              and all(isinstance(k, int) for k in key)]
+    assert tables == []
