@@ -36,18 +36,7 @@ __all__ = [
     "TensorBasis",
     "vector_basis",
     "tensor_basis",
-    "round_tensor_inner",
 ]
-
-
-def _chart_gradients(g: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Contravariant round-gradient components of every basis function.
-
-    Returns (G_theta, G_phi) with shape (n, n_coeffs): grad_0 Y = G_theta d_th
-    + G_phi d_ph, using g0^{theta theta} = 1 and g0^{phi phi} = 1/sin^2.
-    """
-    s = np.sin(g.theta)[:, None]
-    return g.node_matrix(1, 0), g.node_matrix(0, 1) / s**2
 
 
 @dataclass(frozen=True)
@@ -89,25 +78,25 @@ def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     ls, ms = coeff_degrees(g.L)
     sel = ls >= 1
     ll = (ls * (ls + 1.0))[sel]
-    Gt, Gp = _chart_gradients(g)
-    Gt, Gp = Gt[:, sel], Gp[:, sel]
+    s, c = np.sin(g.theta)[:, None], np.cos(g.theta)[:, None]
+    Yt, Yp = g.node_matrix(1, 0)[:, sel], g.node_matrix(0, 1)[:, sel]
+    # grad_0 Y has contravariant components (Yt, Gp): g0^{theta theta} = 1,
+    # g0^{phi phi} = 1/sin^2
+    Gp = Yp / s**2
     scale = 1.0 / np.sqrt(ll)
     n = g.n_nodes
     k = int(sel.sum())
     jets = np.empty((n, 6, 2 * k))
     fields = jets[:, :2]
-    fields[:, 0, :k] = Gt * scale
+    fields[:, 0, :k] = Yt * scale
     fields[:, 1, :k] = Gp * scale
     # rotation J: orthonormal components (a, b) -> (-b, a); in chart
     # components (V^th, V^ph) -> (-sin(th) V^ph, V^th / sin(th))
-    s = np.sin(g.theta)[:, None]
     fields[:, 0, k:] = -s * Gp * scale
-    fields[:, 1, k:] = Gt * scale / s
+    fields[:, 1, k:] = Yt * scale / s
     labels = tuple([("grad", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
                    + [("curl", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
 
-    c = np.cos(g.theta)[:, None]
-    Yt, Yp = g.node_matrix(1, 0)[:, sel], g.node_matrix(0, 1)[:, sel]
     Ytt = g.node_matrix(2, 0)[:, sel]
     Ytp = g.node_matrix(1, 1)[:, sel]
     Ypp = g.node_matrix(0, 2)[:, sel]
@@ -159,17 +148,6 @@ class TensorBasis:
         return len(self.labels)
 
 
-def round_tensor_inner(g: SphereGrid, B: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Pointwise round inner product g0^{ik} g0^{jl} B_ij T_kl of covariant tensors.
-
-    B, T may carry trailing batch axes; broadcasting follows numpy rules with
-    the node and index axes leading.
-    """
-    Bu = _raise_indices(g, B)
-    return (Bu[:, 0, 0] * T[:, 0, 0] + Bu[:, 0, 1] * T[:, 0, 1]
-            + Bu[:, 1, 0] * T[:, 1, 0] + Bu[:, 1, 1] * T[:, 1, 1])
-
-
 def _raise_indices(g: SphereGrid, B: np.ndarray) -> np.ndarray:
     """g0^{ik} g0^{jl} B_kl for covariant tensors B (n, 2, 2, ...)."""
     s2 = np.sin(g.theta) ** 2
@@ -216,9 +194,13 @@ def _weighted_tensor_fields(g: SphereGrid) -> np.ndarray:
     odd[:, 1, 1] = -even[:, 0, 1] * s
 
     fields = np.concatenate([even, odd], axis=3)
-    norms = np.sqrt(np.sum(
-        g.weights[:, None] * round_tensor_inner(g, fields, fields), axis=0))
     weighted = _raise_indices(g, fields)
+    # pointwise round inner product of each field with itself
+    inner = (weighted[:, 0, 0] * fields[:, 0, 0]
+             + weighted[:, 0, 1] * fields[:, 0, 1]
+             + weighted[:, 1, 0] * fields[:, 1, 0]
+             + weighted[:, 1, 1] * fields[:, 1, 1])
+    norms = np.sqrt(np.sum(g.weights[:, None] * inner, axis=0))
     weighted *= g.weights[:, None, None, None] / norms
     return weighted
 

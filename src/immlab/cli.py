@@ -249,9 +249,24 @@ _COMMANDS = {
 
 
 def cli_run(command: str, config: dict) -> int:
-    """Run one subcommand with a merged config; returns the exit status."""
-    cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in config.items() if v is not None})
+    """Run one subcommand with a merged config; returns the exit status.
+
+    Every config key must be one of _DEFAULTS and have its default's type
+    (_check_config_type); else the run exits 2 with a ValueError record,
+    written to the config's out when that names a writable directory.
+    """
+    try:
+        unknown = set(config) - set(_DEFAULTS)
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, val in config.items():
+            _check_config_type(key, val)
+    except ValueError as exc:
+        out = config.get("out")
+        _emit_error(out if isinstance(out, str) else None, "ValueError",
+                    str(exc))
+        return 2
+    cfg = {**_DEFAULTS, **config}
     out = cfg["out"]
     if not (os.path.isdir(out) and os.access(out, os.W_OK | os.X_OK)):
         # checked before any work, since every run ends by writing there
@@ -342,11 +357,6 @@ def main(argv=None) -> int:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError("config file must hold a JSON object")
-            unknown = set(loaded) - set(_DEFAULTS)
-            if unknown:
-                raise ValueError(f"unknown config keys {sorted(unknown)}")
-            for key, val in loaded.items():
-                _check_config_type(key, val)
             config.update(loaded)
         except (OSError, ValueError) as exc:
             # the config never loaded, so only --out names a directory

@@ -200,8 +200,10 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     by the same rule (_step_candidates).
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
-    Returns (F, residual norm history); raises ConvergenceError with
-    status "stalled" or "diverged" and the history so far on failure.
+    Returns (F, residual norm history); raises ConvergenceError with the
+    history so far on failure: status "diverged" when no candidate step
+    descends (every candidate has halved its step _MAX_BACKTRACKS + 1
+    times by then), "stalled" when _MAX_ITER iterations end above tol.
     """
     if target.epsilon <= 0.0:
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
@@ -252,7 +254,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
             raise ConvergenceError(
                 f"newton stalled at residual {history[-1]:.3e} "
                 f"(eps={target.epsilon}, no descent step found)",
-                "diverged" if step < 1e-2 else "stalled", history)
+                "diverged", history)
         F, r, data = accepted
         history.append(float(np.linalg.norm(r[rows])))
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+__all__ = ["ImmlabError", "ConvergenceError", "ImmersionRegularityError",
+           "ShapeSpecError", "DegreeMismatchError"]
+
 
 class ImmlabError(Exception):
     """Base class for package errors."""

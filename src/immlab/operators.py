@@ -353,8 +353,7 @@ def domain_labels(g: SphereGrid) -> tuple:
 
 
 def project_codomain(g: SphereGrid, class_part: np.ndarray,
-                     blended_part: np.ndarray, *,
-                     degree: int | None = None) -> np.ndarray:
+                     blended_part: np.ndarray) -> np.ndarray:
     """Pair a (class tensor, blended scalar) pair into codomain coordinates.
 
     class_part: (n, 2, 2) or (n, 2, 2, B); blended_part: (n,) or (n, B).
@@ -365,14 +364,14 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
     _blended_tables).  A harmonic has the one longitude frequency
     |m| <= L, below the Nyquist frequency L + 1, so its sum against a
     ring of node values is the pairing of the two ring DFTs at |m|: the
-    same quadrature sums, in another order.  With degree set, only the
-    rows of degree <= degree are formed, in codomain order.
+    same quadrature sums, in another order.  Every codomain row is
+    formed; the assembly forms only its degree cut's rows (_project).
     """
     single = class_part.ndim == 3
     if single:
         class_part = class_part[..., None]
         blended_part = blended_part[..., None]
-    out = _project(g, class_part, blended_part, _mode_cut(g, degree),
+    out = _project(g, class_part, blended_part, _mode_cut(g),
                    np.empty(class_part.shape))
     return out[:, 0] if single else out
 

@@ -214,10 +214,10 @@ class ConformalData:
     """Result of uniformizing a metric: gamma = lambda2 * round_rep.
 
     round_rep = e^{2 phi} gamma has Gauss curvature one; lambda2 = e^{-2 phi}
-    holds at the nodes; class_rep is the pointwise unimodular representative.
-    The Moebius gauge pins the three degree-one coefficients of phi to
-    zero; rotations are not fixed, since comparisons treat them as an
-    equivalence.  residual_history holds the weak residual norm per Newton
+    holds at the nodes; conformal_class gives the pointwise unimodular
+    class representative.  The Moebius gauge pins the three degree-one
+    coefficients of phi to zero; rotations are not fixed, since
+    comparisons treat them as an equivalence.  residual_history holds the weak residual norm per Newton
     iterate.
     forms are the Galerkin matrices of metric that the solve used; the
     linearization and the Galerkin Laplacian at this metric reuse them.
@@ -226,7 +226,6 @@ class ConformalData:
     metric: MetricData
     phi: HarmonicField
     lambda2: np.ndarray        # (n,)
-    class_rep: np.ndarray      # (n, 2, 2)
     strong_residual: float
     iterations: int
     forms: _WeakForms = field(compare=False, repr=False)
@@ -307,17 +306,16 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
         history.append(rnorm)
         iterations += 1
 
-    strong = metric.laplacian(coeffs) - metric.K + np.exp(2.0 * g.synthesize(coeffs))
+    phi = HarmonicField(g, coeffs)
+    strong = metric.laplacian(coeffs) - metric.K + np.exp(2.0 * phi.samples)
     strong_residual = float(np.max(np.abs(strong)))
     if tol is not None and strong_residual > tol:
         raise ConvergenceError(
             f"uniformization residual {strong_residual:.3e} exceeds {tol:.1e}; "
             "increase the band limit")
-    phi = HarmonicField(g, coeffs)
     lambda2 = np.exp(-2.0 * phi.samples)
-    return ConformalData(metric, phi, lambda2, conformal_class(metric.gamma),
-                         strong_residual, iterations, forms,
-                         residual_history=tuple(history))
+    return ConformalData(metric, phi, lambda2, strong_residual, iterations,
+                         forms, residual_history=tuple(history))
 
 
 def _residual_map(conformal: ConformalData) -> np.ndarray:

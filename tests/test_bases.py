@@ -101,6 +101,18 @@ def test_vector_basis_stores_one_jet_table():
     assert stored == 6 * n * n_vec
 
 
+@pytest.mark.parametrize("L", [8, 12, 16])
+def test_vector_basis_is_orthonormal(L):
+    # the round L2 pairing of the contravariant fields by quadrature,
+    # sum_n w_n (V^th_a V^th_b + sin^2(th) V^ph_a V^ph_b), is delta_ab
+    g = grid(L)
+    V = vector_basis(g).fields
+    s2 = np.sin(g.theta) ** 2
+    gram = (V[:, 0].T @ (g.weights[:, None] * V[:, 0])
+            + V[:, 1].T @ ((g.weights * s2)[:, None] * V[:, 1]))
+    npt.assert_allclose(gram, np.eye(V.shape[2]), rtol=0, atol=1e-13)
+
+
 def test_tensor_weighted_table_projects_the_basis():
     # projecting each basis tensor returns its unit coordinate vector; the
     # weighted fields, which the per-frequency tables are built from, hold

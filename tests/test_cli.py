@@ -321,6 +321,22 @@ def test_main_accepts_an_integer_for_a_real_config_value(tmp_path):
     assert read_report(out)["epsilon"] == 1
 
 
+@pytest.mark.parametrize("bad", [{"L": "8"}, {"L": 8.0},
+                                 {"L": 8, "directions": 2.5},
+                                 {"L": 8, "bogus": 1},
+                                 {"L": 8, "epsilon": None}])
+def test_cli_run_checks_its_config(tmp_path, capsys, bad):
+    # a config passed from Python is checked like a --config file: a usage
+    # error with its record in out, never a traceback or a run on it
+    rc = cli_run("symbol", {"out": str(tmp_path), "shape": "sphere:1", **bad})
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"]["type"] == "ValueError"
+    assert read_report(tmp_path) == record
+
+
 def test_main_rejects_non_dict_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"

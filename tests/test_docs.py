@@ -1,4 +1,6 @@
-"""README's package-layout table names only what the package provides."""
+"""README's package-layout table and the package's modules agree: each row
+names only what its module provides, and each module has a row naming its
+whole public interface."""
 
 import importlib
 import re
@@ -36,3 +38,19 @@ def test_layout_names_resolve(module, contents):
     assert names, f"{module} row names nothing"
     missing = [n for n in names if not hasattr(mod, n)]
     assert not missing, f"{module} lacks {missing}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "immlab").glob("*.py")
+                   if p.stem != "__init__"),
+    ids=lambda p: p.stem)
+def test_layout_names_each_module_interface(path):
+    module = f"immlab.{path.stem}"
+    rows = dict(_layout_rows())
+    assert module in rows, f"README's layout table has no row for {module}"
+    if module == "immlab.cli":
+        return  # an entry point, named by its console script
+    public = importlib.import_module(module).__all__
+    named = set(re.findall(r"`([^`]+)`", rows[module]))
+    missing = [n for n in public if n not in named]
+    assert not missing, f"README's {module} row omits {missing}"
