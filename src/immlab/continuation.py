@@ -100,10 +100,12 @@ class ContinuationTrace:
         return np.array([s.defect for s in self.steps])
 
 
-def _residual(F: ImmersionMap, target: TargetData
+def _residual(F: ImmersionMap, target: TargetData, sign_class: str | None
               ) -> tuple[np.ndarray, EpsilonData]:
-    """Codomain residual at F, and the blended data it was taken from."""
-    data = apply_phi(F, target.epsilon, target.variant, liouville_tol=None)
+    """Codomain residual at F, and the blended data it was taken from,
+    uniformized over the scalar harmonics of sign_class (apply_phi)."""
+    data = apply_phi(F, target.epsilon, target.variant, liouville_tol=None,
+                     sign_class=sign_class)
     return project_codomain(F.grid, data.class_rep - target.class_rep,
                             data.blended - target.blended), data
 
@@ -192,12 +194,15 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     sign classes and the iterates keep the symmetries, so the residual
     and every step lie in the fully symmetric class "+++".  Then only
     that block, about an eighth of the columns and rows, is assembled
-    (sign_class="+++") and solved, by one dense SVD; the residual norm
-    and the convergence test still run over all the dealiased rows.  Any
-    other input, including a rotated copy of a symmetric start, takes the
-    full dealiased system, whose SVD runs by sign class where the matrix
-    is block diagonal (at the round sphere, say).  Both systems truncate
-    by the same rule (_step_candidates).
+    (sign_class="+++") and solved, by one dense SVD.  At eps < 1 each
+    residual's conformal factor is solved over the class's scalar
+    harmonics too (apply_phi with sign_class="+++"), and the assembly
+    linearizes it there.  The residual norm and the convergence test
+    still run over all the dealiased rows.  Any other input, including a
+    rotated copy of a symmetric start, takes the full dealiased system,
+    whose SVD runs by sign class where the matrix is block diagonal (at
+    the round sphere, say).  Both systems truncate by the same rule
+    (_step_candidates).
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
     Returns (F, residual norm history); raises ConvergenceError with the
@@ -218,7 +223,7 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     classes = None if sign_class else block.classes
 
     F = F0
-    r, data = _residual(F, target)
+    r, data = _residual(F, target, sign_class)
     history = [float(np.linalg.norm(r[rows]))]
     for _ in range(_MAX_ITER):
         if history[-1] <= tol:
@@ -240,7 +245,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                                                       F.positions + step * X)
                     if trial.geometry.det_gamma.min() < det_floor:
                         raise ImmersionRegularityError("det gamma under floor")
-                    r_trial, data_trial = _residual(trial, target)
+                    r_trial, data_trial = _residual(trial, target,
+                                                      sign_class)
                 except (ImmersionRegularityError, FloatingPointError):
                     step *= 0.5
                     continue
@@ -252,8 +258,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                 break
         if accepted is None:
             raise ConvergenceError(
-                f"newton stalled at residual {history[-1]:.3e} "
-                f"(eps={target.epsilon}, no descent step found)",
+                f"newton diverged at residual {history[-1]:.3e} "
+                f"(eps={target.epsilon}): no candidate step descends",
                 "diverged", history)
         F, r, data = accepted
         history.append(float(np.linalg.norm(r[rows])))
@@ -261,8 +267,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     if history[-1] <= tol:
         return F, np.array(history)
     raise ConvergenceError(
-        f"newton used {_MAX_ITER} iterations, residual {history[-1]:.3e} > "
-        f"tol {tol:.1e}", "stalled", history)
+        f"newton stalled at residual {history[-1]:.3e} > tol {tol:.1e} "
+        f"(eps={target.epsilon}): iteration limit {_MAX_ITER} reached",
+        "stalled", history)
 
 
 def procrustes_align(F: ImmersionMap, G: ImmersionMap

@@ -51,6 +51,7 @@ analyzes to parallel coefficient vectors -- which is why the columns are
 evaluated on the fields themselves rather than on their truncations.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ from .geometry import ImmersionMap, SurfaceGeometry
 from .spectral import (SphereGrid, _frequency_tables, _ring_dft,
                        coeff_degrees)
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
-                         _WeakForms, conformal_class, solve_liouville)
+                         _EVERY_MODE, _WeakForms, conformal_class,
+                         solve_liouville)
 
 __all__ = [
     "EpsilonData",
@@ -98,17 +100,28 @@ class EpsilonData:
 
 
 def apply_phi(F: ImmersionMap, epsilon: float, variant: str = "additive",
-              *, liouville_tol: float | None = 1e-9) -> EpsilonData:
+              *, liouville_tol: float | None = 1e-9,
+              sign_class: str | None = None) -> EpsilonData:
     """Evaluate the blended data map at an immersion.
 
     The multiplicative variant requires H > 0 at every node.  Liouville
     non-convergence propagates from the uniformization solve; liouville_tol
     is the strong-residual certificate (None skips it, see solve_liouville).
+
+    sign_class, when given, names a reflection sign class as in
+    assemble_linearization, and the conformal factor is solved over that
+    class's scalar harmonics alone (solve_liouville's modes), so that
+    conformal.forms run over them.  It is meant for the fully symmetric
+    class "+++" at an immersion with the three coordinate reflection
+    symmetries, where phi lies in it and the result is the full solve's
+    up to rounding; assemble_linearization with the same sign_class takes
+    these data.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if variant not in ("additive", "multiplicative"):
         raise ValueError(f"unknown variant {variant!r}")
+    modes = _class_harmonics(F.grid, sign_class)
     geo = F.geometry
     H = geo.H
     if variant == "multiplicative" and np.any(H <= 0.0):
@@ -119,7 +132,8 @@ def apply_phi(F: ImmersionMap, epsilon: float, variant: str = "additive",
     if epsilon == 1.0:
         blended = H if variant == "additive" else 1.0 / H
         return EpsilonData(epsilon, variant, class_rep, blended, H, None, None)
-    conf = solve_liouville(MetricData.from_immersion(F), tol=liouville_tol)
+    conf = solve_liouville(MetricData.from_immersion(F), tol=liouville_tol,
+                           modes=modes)
     l2 = conf.lambda2
     return EpsilonData(epsilon, variant, class_rep,
                        _blend(l2, H, epsilon, variant), H, l2, conf)
@@ -459,14 +473,14 @@ class _ModeCut:
 def _class_harmonics(g: SphereGrid, sign_class: str | None):
     """The scalar harmonics of the sign class of that name
     (_SIGN_CLASS_NAMES) as an index array, built once per grid; every
-    one, slice(None), for None.
+    one, _EVERY_MODE (slice(None)), for None.
 
     At an immersion with the three reflection symmetries the Galerkin
     forms map each class of harmonics to itself, so the forms over one
     class (_WeakForms with these modes) are the full forms' block.
     """
     if sign_class is None:
-        return slice(None)
+        return _EVERY_MODE
     if sign_class not in _SIGN_CLASS_NAMES:
         raise ValueError(f"unknown sign class {sign_class!r}")
     code = _SIGN_CLASS_NAMES.index(sign_class)
@@ -552,7 +566,9 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     evaluated at this F (a Newton iterate whose residual was just taken,
     say); it is used as is instead of uniformizing again, and
     liouville_tol is then ignored.  Its epsilon and variant must match the
-    arguments and its H must be F's own (ValueError otherwise).
+    arguments and its H must be F's own (ValueError otherwise).  Its
+    conformal factor must be solved over every harmonic or over sign_class
+    (apply_phi's sign_class); data over another class raise ValueError.
 
     degree, when given, restricts both bases to the modes of degree
     <= degree: only those columns and rows are computed, and the labels
@@ -568,23 +584,34 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     the Galerkin Laplacian of the normal speeds is formed over the class's
     scalar harmonics alone, and the entries are those of the full
     matrix's class block up to rounding.  At other immersions the classes
-    couple and the result is not a block of the full matrix.
+    couple and the result is not a block of the full matrix.  At eps < 1
+    the linearized Liouville solve runs over the class's harmonics too:
+    on the forms of data over the class, or on class forms built from the
+    metric of data over every harmonic.
     """
     g = F.grid
     geo = F.geometry
     if data is None:
-        data = apply_phi(F, epsilon, variant, liouville_tol=liouville_tol)
+        data = apply_phi(F, epsilon, variant, liouville_tol=liouville_tol,
+                         sign_class=sign_class)
     elif (data.epsilon, data.variant) != (epsilon, variant):
         raise ValueError(
             f"data is for eps={data.epsilon}, {data.variant!r}; "
             f"assembling eps={epsilon}, {variant!r}")
     elif data.H is not geo.H:
         raise ValueError("data was not evaluated at this immersion")
-    if data.conformal is None or sign_class is not None:
-        forms = _WeakForms(MetricData.from_immersion(F),
-                           _class_harmonics(g, sign_class))
+    modes = _class_harmonics(g, sign_class)
+    conformal = data.conformal
+    if conformal is None:
+        forms = _WeakForms(MetricData.from_immersion(F), modes)
     else:
-        forms = data.conformal.forms
+        forms = conformal.forms
+        if forms.modes is not modes:
+            if forms.modes is not _EVERY_MODE:
+                raise ValueError("data was uniformized over another sign "
+                                 f"class than {sign_class!r}")
+            forms = _WeakForms(conformal.metric, modes)
+            conformal = dataclasses.replace(conformal, forms=forms)
     # after the forms: a grid's first assembly builds the basis tables
     # here, and built before the forms' temporaries they raised the L = 20
     # index workload's peak RSS from 285 to 314 MB in 5 of 12 runs
@@ -611,8 +638,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     # the blended slot's variation c H' + a (lambda^2)', formed in Hp
     a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
     Hp *= np.reshape(c, (-1, 1))
-    if data.conformal is not None:
-        lin = LinearizedLiouville(data.conformal)
+    if conformal is not None:
+        lin = LinearizedLiouville(conformal)
         Hp += np.reshape(a, (-1, 1)) * lin.solve_batch(
             gp.reshape(n, 2, 2, n_dom))[1]
     crp = _class_map(geo) @ gp

@@ -21,6 +21,15 @@ system in the least-squares sense.
 The linearization solver differentiates the discrete residual exactly in the
 metric, so finite-difference checks of lambda^2 along metric paths converge
 at second order down to roundoff.
+
+Both solves run over a chosen set of scalar harmonics, every one by
+default.  At a metric with the three coordinate reflection symmetries phi
+lies in the fully symmetric sign class, and the solves over that class's
+harmonics alone (solve_liouville's modes) are the full solves' blocks; the
+Galerkin forms record the modes they run over, and the linearization
+takes them from there.  The strong residual, five syntheses of phi's
+derivatives, is computed when first read (ConformalData.strong_residual),
+so callers that skip the certificate never pay for it.
 """
 
 from dataclasses import dataclass, field
@@ -147,6 +156,12 @@ class MetricData:
         return np.einsum("nij,nij->n", self.inv_gamma, hess)
 
 
+# the mode selection of every scalar harmonic; the defaults below and
+# operators._class_harmonics share it, so forms over every harmonic are
+# recognized by identity
+_EVERY_MODE = slice(None)
+
+
 def _degree_one_mask(g: SphereGrid) -> np.ndarray:
     keep = np.ones(g.n_coeffs, dtype=bool)
     keep[1:4] = False
@@ -159,12 +174,14 @@ class _WeakForms:
     modes, when given, selects the scalar harmonics (an index array or a
     slice) that the forms run over, such as those of one reflection sign
     class (operators._class_harmonics); by default they run over all of
-    them.
+    them.  The forms record them: coefficient vectors and Galerkin
+    matrices are over those modes, in their order.
     """
 
-    def __init__(self, metric: MetricData, modes=slice(None)):
+    def __init__(self, metric: MetricData, modes=_EVERY_MODE):
         g = metric.grid
         self.metric = metric
+        self.modes = modes
         self.Y = g.node_matrix(0, 0)[:, modes]
         self.dY = (g.node_matrix(1, 0)[:, modes], g.node_matrix(0, 1)[:, modes])
         # stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv = (A^T A)[k, c]
@@ -217,16 +234,17 @@ class ConformalData:
     holds at the nodes; conformal_class gives the pointwise unimodular
     class representative.  The Moebius gauge pins the three degree-one
     coefficients of phi to zero; rotations are not fixed, since
-    comparisons treat them as an equivalence.  residual_history holds the weak residual norm per Newton
-    iterate.
-    forms are the Galerkin matrices of metric that the solve used; the
-    linearization and the Galerkin Laplacian at this metric reuse them.
+    comparisons treat them as an equivalence.  residual_history holds the
+    weak residual norm per Newton iterate.
+    forms are the Galerkin matrices of metric that the solve used, over
+    the scalar harmonics it solved over (forms.modes; phi has no other
+    coefficients); the linearization and the Galerkin Laplacian at this
+    metric reuse them.  strong_residual is computed when first read.
     """
 
     metric: MetricData
     phi: HarmonicField
     lambda2: np.ndarray        # (n,)
-    strong_residual: float
     iterations: int
     forms: _WeakForms = field(compare=False, repr=False)
     residual_history: tuple = ()
@@ -236,13 +254,23 @@ class ConformalData:
         e2p = np.exp(2.0 * self.phi.samples)
         return self.metric.gamma * e2p[:, None, None]
 
+    @cached_property
+    def strong_residual(self) -> float:
+        """max |Delta_gamma phi - K + e^{2 phi}| over the nodes, with the
+        strong (chart) Laplacian of MetricData.laplacian."""
+        m = self.metric
+        strong = (m.laplacian(self.phi.coeffs) - m.K
+                  + np.exp(2.0 * self.phi.samples))
+        return float(np.max(np.abs(strong)))
+
 
 # Gauss-Newton iterations solve_liouville takes at most
 _MAX_ITER = 40
 
 
 def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
-                    initial: np.ndarray | None = None) -> ConformalData:
+                    initial: np.ndarray | None = None,
+                    modes=_EVERY_MODE) -> ConformalData:
     """Uniformize a metric by damped Gauss-Newton on the weak Liouville system.
 
     The default initial guess -(1/4) log(det gamma / det round) is exact for
@@ -252,9 +280,18 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     max |Delta_gamma phi - K + e^{2 phi}| <= tol (a coarse grid can converge
     in the weak sense yet carry a truncation tail above tol; raising is the
     honest report in that case), or if the gauge-reduced Jacobian degenerates.
-    tol=None skips the strong certificate (the residual is still recorded);
-    finite-difference probes of the discrete solution map use that mode,
-    since the weak solve is smooth in the metric regardless of the tail.
+    tol=None skips the strong certificate (ConformalData.strong_residual
+    still computes it when read); finite-difference probes of the discrete
+    solution map use that mode, since the weak solve is smooth in the
+    metric regardless of the tail.
+
+    modes, when given, selects the scalar harmonics phi is solved over (an
+    index array, such as one reflection sign class's,
+    operators._class_harmonics): the weak system is tested against them
+    alone and phi's other coefficients are zero.  At a metric with the
+    three coordinate reflection symmetries phi lies in the fully
+    symmetric class, and the solve over it is the full solve's block.
+    By default every harmonic is used.
 
     Each Newton step is the least-squares solution of the gauge-reduced
     system (degree-one columns dropped), taken by economic QR and a
@@ -262,15 +299,15 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     counts as a degenerate reduced Jacobian.
     """
     g = metric.grid
-    forms = _WeakForms(metric)
-    keep = _degree_one_mask(g)
+    forms = _WeakForms(metric, modes)
+    keep = _degree_one_mask(g)[modes]
 
     if initial is None:
         # determinant-based guess: exact for conformal-to-round metrics
         phi0 = -0.25 * np.log(metric.det_gamma / np.sin(g.theta) ** 2)
-        coeffs = g.analyze(phi0)
+        coeffs = g.analyze(phi0)[modes]
     else:
-        coeffs = np.array(initial, dtype=float)
+        coeffs = np.array(initial, dtype=float)[modes]
     coeffs[~keep] = 0.0
 
     r = forms.residual(coeffs)
@@ -306,16 +343,16 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
         history.append(rnorm)
         iterations += 1
 
-    phi = HarmonicField(g, coeffs)
-    strong = metric.laplacian(coeffs) - metric.K + np.exp(2.0 * phi.samples)
-    strong_residual = float(np.max(np.abs(strong)))
-    if tol is not None and strong_residual > tol:
-        raise ConvergenceError(
-            f"uniformization residual {strong_residual:.3e} exceeds {tol:.1e}; "
-            "increase the band limit")
-    lambda2 = np.exp(-2.0 * phi.samples)
-    return ConformalData(metric, phi, lambda2, strong_residual, iterations,
+    full = np.zeros(g.n_coeffs)
+    full[modes] = coeffs
+    phi = HarmonicField(g, full)
+    conf = ConformalData(metric, phi, np.exp(-2.0 * phi.samples), iterations,
                          forms, residual_history=tuple(history))
+    if tol is not None and conf.strong_residual > tol:
+        raise ConvergenceError(
+            f"uniformization residual {conf.strong_residual:.3e} exceeds "
+            f"{tol:.1e}; increase the band limit")
+    return conf
 
 
 def _residual_map(conformal: ConformalData) -> np.ndarray:
@@ -374,18 +411,27 @@ class LinearizedLiouville:
     product with it, then one (nc, n) @ (n, B) GEMM per derivative of Y.
 
     The linearization is taken at the metric that conformal solved for,
-    with the Galerkin matrices of that solve.
+    with the Galerkin matrices of that solve, over its modes
+    (conformal.forms.modes): only that block of the gauge-reduced Jacobian
+    is factored, the residual derivative is tested against those
+    harmonics alone, and phi' has no other coefficients.  Over one sign
+    class that is the full map's block for variations h of the class, at
+    a metric with the three reflection symmetries.
     """
 
     conformal: ConformalData
-    _keep: np.ndarray = field(init=False, repr=False)
+    _cols: np.ndarray = field(init=False, repr=False)
     _qr: tuple = field(init=False, repr=False)
     _map: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         forms = self.conformal.forms
-        self._keep = _degree_one_mask(forms.metric.grid)
-        J = forms.jacobian(self.conformal.phi.coeffs)[:, self._keep]
+        modes = forms.modes
+        g = forms.metric.grid
+        keep = _degree_one_mask(g)[modes]
+        # the solved coefficients' positions among all harmonics
+        self._cols = np.arange(g.n_coeffs)[modes][keep]
+        J = forms.jacobian(self.conformal.phi.coeffs[modes])[:, keep]
         Q, R = qr(J, mode="economic")
         self._qr = (Q, R)
         self._map = _residual_map(self.conformal)
@@ -400,16 +446,21 @@ class LinearizedLiouville:
         g = self.conformal.metric.grid
         if h.ndim != 4 or h.shape[:3] != (g.n_nodes, 2, 2):
             raise DegreeMismatchError(f"bad variation batch shape {h.shape}")
+        forms = self.conformal.forms
+        modes = forms.modes
         w = self._map @ h.reshape(g.n_nodes, 4, h.shape[3])
-        dres = g.node_matrix(0, 0).T @ w[:, 0]
-        for k, d in enumerate(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), 1):
-            dres += g.node_matrix(*d).T @ w[:, k]
-        del w  # dead: free it before the solve's (n, B) arrays
+        # the test functions' value and five derivatives over modes: the
+        # forms hold the first three; over every mode all six are views
+        tables = (forms.Y, *forms.dY, *(g.node_matrix(*d)[:, modes]
+                                        for d in ((2, 0), (1, 1), (0, 2))))
+        dres = tables[0].T @ w[:, 0]
+        for k in range(1, 6):
+            dres += tables[k].T @ w[:, k]
+        del w, tables  # dead: free them before the solve's (n, B) arrays
         Q, R = self._qr
         sol = solve_triangular(R, Q.T @ -dres)
         phi_prime = np.zeros((g.n_coeffs, h.shape[3]))
-        phi_prime[self._keep] = sol
+        phi_prime[self._cols] = sol
         l2 = self.conformal.lambda2
-        Y = self.conformal.forms.Y
-        lambda2_prime = -2.0 * l2[:, None] * (Y @ phi_prime)
+        lambda2_prime = -2.0 * l2[:, None] * (forms.Y @ phi_prime[modes])
         return phi_prime, lambda2_prime

@@ -195,6 +195,26 @@ def test_newton_reports_infeasible_blend():
         newton_solve(F, tneg)
     assert exc.value.status in ("diverged", "stalled")
     assert exc.value.history[0] > 0.0
+    _assert_message_names_status(exc.value)
+
+
+def _assert_message_names_status(exc):
+    # a failure record carries both, so they must name the same condition
+    other = {"diverged": "stalled", "stalled": "diverged"}[exc.status]
+    assert exc.status in str(exc) and other not in str(exc), (exc.status,
+                                                              str(exc))
+
+
+def test_newton_iteration_limit_reports_stalled(monkeypatch):
+    g = grid(8)
+    target = TargetData.from_immersion(ellipsoid_immersion(g, 1.0, 1.05, 0.95),
+                                       1.0)
+    monkeypatch.setattr(continuation, "_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        newton_solve(sphere_immersion(g), target)
+    assert exc.value.status == "stalled"
+    assert len(exc.value.history) == 2
+    _assert_message_names_status(exc.value)
 
 
 @pytest.mark.parametrize("exc,status,residual", [

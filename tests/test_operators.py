@@ -360,6 +360,31 @@ def test_class_assembly_rejects_unknown_class():
     g = grid(8)
     with pytest.raises(ValueError):
         assemble_linearization(sphere_immersion(g), 1.0, sign_class="+-0")
+    with pytest.raises(ValueError):
+        apply_phi(sphere_immersion(g), 1.0, sign_class="+-0")
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_class_assembly_takes_full_or_class_data(L, variant):
+    # data uniformized over "+++" (apply_phi's sign_class) and over every
+    # harmonic give the same "+++" block: class forms built from the full
+    # data's metric stand in for the class solve's forms
+    g = grid(L)
+    F = ellipsoid_immersion(g, 1.03, 0.97, 1.02)
+    full = apply_phi(F, 0.2, variant, liouville_tol=None)
+    cls = apply_phi(F, 0.2, variant, liouville_tol=None, sign_class="+++")
+    assert cls.conformal.forms.modes is operators._class_harmonics(g, "+++")
+    M = assemble_linearization(F, 0.2, variant, data=cls, degree=L - 2,
+                               sign_class="+++").matrix
+    ref = assemble_linearization(F, 0.2, variant, data=full, degree=L - 2,
+                                 sign_class="+++").matrix
+    npt.assert_allclose(M, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # data over one class have no block at another, nor at every class
+    for other in ("+-+", None):
+        with pytest.raises(ValueError, match="sign class"):
+            assemble_linearization(F, 0.2, variant, data=cls,
+                                   sign_class=other)
 
 
 def _dense_projection(g, class_part, blended_part):

@@ -9,7 +9,7 @@ import pytest
 from immlab import uniformize
 from immlab.errors import ConvergenceError, ImmersionRegularityError
 from immlab.geometry import ImmersionMap
-from immlab.operators import VariationField, delta_star
+from immlab.operators import VariationField, _class_harmonics, delta_star
 from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
                            sphere_immersion)
 from immlab.spectral import HarmonicField, coeff_index, grid
@@ -356,3 +356,65 @@ def test_linearized_factor_finite_difference():
     # O(s^2): a decade in s is two decades in error
     assert errs[1e-4] <= errs[1e-3] / 50.0
 
+
+
+def _symmetric_metric(L):
+    """An axis-aligned ellipsoid's metric and the "+++" scalar harmonics."""
+    g = grid(L)
+    F = ellipsoid_immersion(g, 1.03, 0.97, 1.02)
+    return F, MetricData.from_immersion(F), _class_harmonics(g, "+++")
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_class_liouville_is_the_full_solve(L):
+    # at a reflection-symmetric metric phi lies in "+++": the solve over
+    # those harmonics alone is the full one, with the forms' block
+    F, m, modes = _symmetric_metric(L)
+    full = solve_liouville(m, tol=None)
+    cls = solve_liouville(m, tol=None, modes=modes)
+    assert cls.forms.modes is modes and cls.forms.S.shape == (modes.size,) * 2
+    off = np.ones(m.grid.n_coeffs, dtype=bool)
+    off[modes] = False
+    assert not np.any(cls.phi.coeffs[off])
+    npt.assert_allclose(cls.phi.coeffs, full.phi.coeffs, rtol=0,
+                        atol=1e-13 * np.abs(full.phi.coeffs).max())
+    npt.assert_allclose(cls.lambda2, full.lambda2, rtol=0,
+                        atol=1e-13 * np.abs(full.lambda2).max())
+    assert cls.iterations == full.iterations
+
+
+def _class_variations(F, modes, n_fields=5, seed=0):
+    """Metric variations (n, 2, 2, B) of "+++" ambient fields: X_mu =
+    x_mu f with f in "+++" keeps all three reflection symmetries."""
+    g = F.grid
+    rng = np.random.default_rng(seed)
+    h = []
+    for _ in range(n_fields):
+        c = np.zeros(g.n_coeffs)
+        c[modes] = 0.1 * rng.standard_normal(modes.size)
+        X = F.positions * g.synthesize(c)[:, None] * rng.standard_normal(3)
+        h.append(_metric_variation(F, X))
+    return np.stack(h, axis=-1)
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_class_linearized_liouville_is_the_full_map(L):
+    F, m, modes = _symmetric_metric(L)
+    h = _class_variations(F, modes)
+    full = LinearizedLiouville(solve_liouville(m, tol=None)).solve_batch(h)
+    cls = LinearizedLiouville(
+        solve_liouville(m, tol=None, modes=modes)).solve_batch(h)
+    for got, ref in zip(cls, full):
+        npt.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("modes", [None, "+++"])
+def test_strong_residual_is_computed_on_read(modes):
+    F, m, harmonics = _symmetric_metric(8)
+    conf = solve_liouville(m, tol=None,
+                           modes=slice(None) if modes is None else harmonics)
+    assert "strong_residual" not in vars(conf)
+    strong = (m.laplacian(conf.phi.coeffs) - m.K
+              + np.exp(2.0 * conf.phi.samples))
+    assert conf.strong_residual == float(np.max(np.abs(strong)))
+    assert "strong_residual" in vars(conf)
