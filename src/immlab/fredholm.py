@@ -15,11 +15,10 @@ normal speeds (degree-one scalar modes).  The based variant removes the six
 ambient-isometry modes from the domain before the SVD.
 """
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack, qr, svd
+from scipy.linalg import qr, svd
 from scipy.linalg.lapack import dormqr
 
 from .geometry import ImmersionMap
@@ -165,64 +164,6 @@ def _label_left_modes(U_null: np.ndarray, labels: list) -> list:
     return out
 
 
-# The SVD kernel calls three LAPACK routines that scipy.linalg.lapack does
-# not wrap, through the C function pointers scipy.linalg.cython_lapack
-# exports.  Each capsule is named by its C signature (c = char *, i = int *,
-# d = double *), which is checked here so that a change in scipy fails at
-# import rather than in a call.
-_CAPI_TYPES = {"c": "char *", "i": "int *",
-               "d": "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                     ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _bind(name: str, args: str):
-    capsule = cython_lapack.__pyx_capi__.get(name)
-    signature = ("void (" + ", ".join(_CAPI_TYPES[a] for a in args)
-                 + ")").encode()
-    if capsule is None or _CAPSULE_NAME(capsule) != signature:
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} is missing or "
-                          f"no longer has the signature {signature.decode()}")
-    proto = ctypes.CFUNCTYPE(None, *(ctypes.c_char_p if a == "c"
-                                     else ctypes.c_void_p for a in args))
-    return proto(_CAPSULE_POINTER(capsule, signature))
-
-
-_LAPACK = {name: _bind(name, args) for name, args in (
-    ("dgebrd", "iididddddii"),
-    ("dbdsdc", "ccidddidididii"),
-    ("dormbr", "ccciiididdidii"))}
-
-
-def _call(name: str, *args) -> int:
-    """Run a bound routine and return its INFO, which it takes last.
-
-    A str is passed as a character, an int as a pointer to an int, and an
-    array (Fortran-contiguous float64 or int32) as a pointer to its data.
-    """
-    ptrs = []
-    for a in args:
-        if isinstance(a, str):
-            ptrs.append(a.encode())
-        elif isinstance(a, int):
-            if ctypes.c_int(a).value != a:
-                raise OverflowError(f"{name}: {a} does not fit a C int")
-            ptrs.append(ctypes.byref(ctypes.c_int(a)))
-        elif (a.dtype in (np.float64, np.int32) and a.flags.f_contiguous
-              and a.flags.writeable):
-            ptrs.append(a.ctypes.data)
-        else:
-            raise TypeError(f"{name}: unsupported LAPACK argument {a!r:.40}")
-    info = ctypes.c_int(0)
-    _LAPACK[name](*ptrs, ctypes.byref(info))
-    if info.value < 0:
-        raise RuntimeError(f"{name}: argument {-info.value} is invalid")
-    return info.value
-
-
 # The block path's certificate: a matrix is factored one sign class at a
 # time when its off-class part E has ||E||_F <= _OFF_CLASS_MAX ||A||_F
 _OFF_CLASS_MAX = 1e-12
@@ -260,30 +201,16 @@ def _class_blocks(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 class _SVD:
-    """SVD of a dense matrix whose singular vectors are formed on request.
+    """SVD of a dense matrix, one sign class at a time where it can be.
 
-    Runs gesdd's own steps: gebrd reduces A = Q B P^T with B bidiagonal
-    (upper when m >= n, lower otherwise, as gesdd orients it), bdsdc
-    factors B = W diag(s) Z^T by divide and conquer, and ormbr applies the
-    Householder reflectors of Q and P only to the vectors that are asked
-    for.  So s is gesdd's, and what is skipped is gesdd's last step, which
-    turns all of W and Z into U and V^T.  gesdd first takes a QR or LQ
-    factor when one side exceeds 11/6 of the other; no linearization is
-    that far from square, and the kernel never does.
-
-    A left (right) index at or beyond min(m, n) gives the null direction
-    Q e_j (P e_j), as np.linalg.svd(full_matrices=True) does.
-
-    bdsdc can fail to converge on a well-conditioned matrix, where gesdd,
-    which gets the same bidiagonal, raises LinAlgError.  On the clustered
-    spectra of L = 20 round-sphere linearizations that hinges on the last
-    bits of the input and hit a few percent of them.  The kernel then
-    factors B^T, the same two diagonals read in the other orientation: it
-    has the same singular values with W and Z swapped, and bdsdc takes
-    another path through it (it first rotates a lower bidiagonal to upper
-    form).
-    Only when that fails too is the SVD redone with LAPACK's gesvd (QR
-    iteration), which at L = 20 takes about 20 times as long.
+    The dense path is np.linalg.svd (LAPACK gesdd) with full_matrices=True,
+    so a left (right) index at or beyond min(m, n) gives a null direction
+    of the full U (V).  gesdd's divide and conquer can fail to converge on
+    a well-conditioned matrix (on the clustered spectra of dense L = 20
+    round-sphere linearizations that hinged on the last bits of the
+    input), and np.linalg.svd then raises LinAlgError.  The SVD is redone
+    with LAPACK's gesvd (QR iteration), which at L = 20 takes about 20
+    times as long.  A matrix with a non-finite entry raises ValueError.
 
     classes, when given, is the pair (row classes, column classes) of the
     reflection sign classes of the matrix's labels (operators._sign_classes).
@@ -291,7 +218,7 @@ class _SVD:
     rigid motion of one, the linearization maps each class to itself: its
     entries between different classes are round-off.  When their part E
     has ||E||_F <= _OFF_CLASS_MAX ||A||_F, each diagonal block is factored
-    on its own by the steps above, retries and all, which at L = 20 takes
+    on its own as above, fallback and all, which at L = 20 takes
     about a twentieth of the time of one dense factorization.  The blocks
     are the SVD of A - E, and by Weyl's inequality each singular value of A
     lies within ||E||_F of the matching one of A - E.  The block values are
@@ -310,17 +237,18 @@ class _SVD:
         if blocks is not None:
             self._merge(blocks, compute_uv)
             return
-        self._a = np.array(matrix, dtype=float, order="F")
-        if not (np.isfinite(self._a).all() and self._factor(compute_uv)):
-            # free the factors and retry; like the gesdd path before it,
-            # gesvd raises ValueError on a non-finite matrix
-            self._a = None
+        if not np.isfinite(matrix).all():
+            # gesdd would return NaN values for an infinite entry
+            raise ValueError("the matrix has non-finite entries")
+        try:
+            out = np.linalg.svd(matrix, compute_uv=compute_uv)
+        except np.linalg.LinAlgError:
             out = svd(matrix, compute_uv=compute_uv, lapack_driver="gesvd")
-            if compute_uv:
-                self._w, self.s, vt = out
-                self._z = vt.T
-            else:
-                self.s = out
+        if compute_uv:
+            self._u, self.s, vt = out
+            self._v = vt.T
+        else:
+            self.s = out
 
     @classmethod
     def from_blocks(cls, shape: tuple, blocks: list,
@@ -368,46 +296,17 @@ class _SVD:
         return [(k, r.size, c.size, int(n))
                 for (k, r, c, _), n in zip(self._blocks, self._ranks(rank))]
 
-    def _factor(self, compute_uv: bool) -> bool:
-        a = self._a
-        m, n = a.shape
-        p = min(m, n)
-        d, e = np.empty(p), np.empty(max(p - 1, 1))
-        tauq, taup = np.empty(p), np.empty(p)
-        work = np.empty(1)
-        _call("dgebrd", m, n, a, m, d, e, tauq, taup, work, -1)
-        work = np.empty(int(work[0]))
-        _call("dgebrd", m, n, a, m, d, e, tauq, taup, work, work.size)
-        w = np.zeros((p, p) if compute_uv else (1, 1), order="F")
-        zt = np.zeros_like(w)
-        work = np.empty(3 * p * p + 4 * p if compute_uv else 4 * p)
-        iwork = np.empty(8 * p, dtype=np.int32)
-        q, iq = np.empty(1), np.empty(1, dtype=np.int32)  # unreferenced
-        # gesdd's orientation first, then B^T (bdsdc overwrites d and e)
-        for uplo in ("U", "L") if m >= n else ("L", "U"):
-            s = d.copy()
-            if not _call("dbdsdc", uplo, "I" if compute_uv else "N", p, s,
-                         e.copy(), w, len(w), zt, len(w), q, iq, work, iwork):
-                break
-        else:
-            return False
-        if (uplo == "U") != (m >= n):
-            w, zt = zt.T, w.T
-        self.s, self._tauq, self._taup = s, tauq, taup
-        self._w, self._z = w, zt.T
-        return True
-
     def left(self, idx) -> np.ndarray:
         """Left singular vectors as columns, for the indices idx."""
         if self._blocks is not None:
             return self._gather(idx, 0)
-        return self._vectors(idx, self._w, "Q")
+        return self._u[:, np.asarray(idx, dtype=int)]
 
     def right(self, idx) -> np.ndarray:
         """Right singular vectors as columns, for the indices idx."""
         if self._blocks is not None:
             return self._gather(idx, 1)
-        return self._vectors(idx, self._z, "P")
+        return self._v[:, np.asarray(idx, dtype=int)]
 
     def solve(self, b: np.ndarray, k: int) -> np.ndarray:
         """V_k S_k^-1 U_k^T b: the rank-k truncated pseudo-inverse of b."""
@@ -417,11 +316,7 @@ class _SVD:
                 if kb:
                     x[c] = f.solve(b[r], int(kb))
             return x
-        c = self._reflect("Q", "T", np.array(b, dtype=float)[:, None])[:, 0]
-        x = np.zeros(self.shape[1])
-        x[:len(self._z)] = self._z[:, :k] @ (
-            (self._w[:, :k].T @ c[:len(self._w)]) / self.s[:k])
-        return self._reflect("P", "N", x[:, None])[:, 0]
+        return self._v[:, :k] @ ((self._u[:, :k].T @ b) / self.s[:k])
 
     def _gather(self, idx, side: int) -> np.ndarray:
         """Block path of left (side 0) and right (side 1): each block's
@@ -434,32 +329,6 @@ class _SVD:
                 vectors = f.right if side else f.left
                 out[np.ix_(c if side else r, sel)] = vectors(local[sel])
         return out
-
-    def _vectors(self, idx, B: np.ndarray, vect: str) -> np.ndarray:
-        idx = np.asarray(idx, dtype=int)
-        C = np.zeros((self.shape[0 if vect == "Q" else 1], idx.size),
-                     order="F")
-        inner = idx < len(B)
-        C[:len(B), inner] = B[:, idx[inner]]
-        C[idx[~inner], np.flatnonzero(~inner)] = 1.0
-        return self._reflect(vect, "N", C)
-
-    def _reflect(self, vect: str, trans: str, C: np.ndarray) -> np.ndarray:
-        """C (Fortran order, overwritten) times gebrd's Q or P, or their
-        transposes; C itself after the gesvd fallback, which has none."""
-        if self._a is None:
-            return C
-        a = self._a
-        m, n = a.shape
-        tau, k = (self._tauq, n) if vect == "Q" else (self._taup, m)
-        rows, cols = C.shape
-        work = np.empty(1)
-        _call("dormbr", vect, "L", trans, rows, cols, k, a, m, tau, C, rows,
-              work, -1)
-        work = np.empty(int(work[0]))
-        _call("dormbr", vect, "L", trans, rows, cols, k, a, m, tau, C, rows,
-              work, work.size)
-        return C
 
 
 def _classes(M: OperatorMatrix) -> tuple:

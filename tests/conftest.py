@@ -1,8 +1,10 @@
 """Session-wide checks for the test suite."""
 
 import os
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,29 +32,28 @@ def repository_left_clean():
 
 
 @pytest.fixture
-def fail_bdsdc(monkeypatch):
-    """A switch that makes later divide-and-conquer bidiagonal SVDs report
-    no convergence.
+def fail_gesdd(monkeypatch):
+    """A switch that makes later calls of numpy.linalg.svd from
+    immlab.fredholm raise LinAlgError, as gesdd does when its divide and
+    conquer fails to converge.
 
-    fredholm._SVD factors the transposed bidiagonal when bdsdc fails, and
-    redoes the SVD with gesvd when that fails too: the branches a gesdd
-    failure on an L = 20 round-sphere linearization needed.  switch(uplo)
-    fails the calls on an upper ("U") or lower ("L") bidiagonal, both by
-    default, and returns the list of the (uplo, compq, n) of each forced
+    fredholm._SVD then redoes the SVD with gesvd: the branch a gesdd
+    failure on an L = 20 round-sphere linearization needed.  Calls from
+    anywhere else, the tests' own reference SVDs among them, run as usual.
+    switch() returns the list of the (shape, compute_uv) of each forced
     failure, so a test can check that the branch ran.
     """
-    from immlab import fredholm
-    call = fredholm._call
+    svd = np.linalg.svd
     failures = []
 
-    def switch(uplo="UL"):
-        def failing(name, *args):
-            if name == "dbdsdc" and args[0] in uplo:
-                failures.append(args[:3])
-                return 1
-            return call(name, *args)
+    def failing(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") != "immlab.fredholm":
+            return svd(a, *args, **kwargs)
+        failures.append((a.shape, kwargs.get("compute_uv", True)))
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(fredholm, "_call", failing)
+    def switch():
+        monkeypatch.setattr(np.linalg, "svd", failing)
         return failures
 
     return switch

@@ -40,19 +40,18 @@ def test_newton_recovers_ellipsoid():
     assert hist[-1] / hist[-2] <= 0.1
 
 
-def test_newton_survives_gesdd_failure(fail_bdsdc):
+def test_newton_survives_gesdd_failure(fail_gesdd):
     # the Newton step redoes an SVD whose divide and conquer fails to
     # converge with gesvd (see fredholm._SVD) and takes the same steps
     g = grid(8)
     E = ellipsoid_immersion(g, 1.02, 0.98, 1.01)
     target = TargetData.from_immersion(E, 0.2, liouville_tol=None)
     ref, ref_hist = newton_solve(sphere_immersion(g), target)
-    failures = fail_bdsdc()
+    failures = fail_gesdd()
     sol, hist = newton_solve(sphere_immersion(g), target)
     # one SVD per iteration, of the fully symmetric block that Newton
-    # solves at the axis-aligned ellipsoid (one sign class), failed in
-    # both orientations
-    assert len(failures) == 2 * (len(hist) - 1)
+    # solves at the axis-aligned ellipsoid (one sign class)
+    assert len(failures) == len(hist) - 1
     assert len(hist) == len(ref_hist)
     npt.assert_allclose(hist, ref_hist, rtol=0, atol=1e-12 * ref_hist[0])
     npt.assert_allclose(sol.coeffs, ref.coeffs, rtol=0,
@@ -316,18 +315,18 @@ def test_continuation_records_fresh_singular_values():
     npt.assert_allclose(np.asarray(last.singular_values), fresh, atol=1e-9)
 
 
-def test_continuation_survives_gesdd_failure(fail_bdsdc):
+def test_continuation_survives_gesdd_failure(fail_gesdd):
     # the Newton steps and the recorded singular values come from
     # fredholm._SVD, which redoes an SVD whose divide and conquer fails to
     # converge with gesvd, so the path runs as it would without the failure
     g = grid(8)
     metric = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.02, 0.98))
     ref = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
-    failures = fail_bdsdc()
+    failures = fail_gesdd()
     trace = epsilon_continuation(metric, [1.0, 0.7], liouville_tol=None)
-    # a values-only SVD (compq "N") of each of the eight sign classes,
-    # failed in both orientations, records each accepted step
-    assert sum(f[1] == "N" for f in failures) == 2 * 8 * len(trace.steps)
+    # a values-only SVD of each of the eight sign classes records each
+    # accepted step
+    assert sum(not uv for _, uv in failures) == 8 * len(trace.steps)
     assert trace.status == ref.status == "reached eps_min"
     npt.assert_array_equal(trace.epsilons, ref.epsilons)
     for step, ref_step in zip(trace.steps, ref.steps):
