@@ -21,8 +21,11 @@ family is sqrt(l(l+1)(l(l+1)-2)/2).
 Each basis is built once per grid and stored on it (SphereGrid.cached), so
 every caller shares one instance: its arrays are read-only and its labels
 are tuples.  The vector basis keeps one jet table, its fields with their
-chart derivatives; the tensor basis keeps only its per-|m| tables, the
-ones that project a tensor field onto it.
+chart derivatives, filled in place; the tensor basis keeps only its
+per-|m| tables, the ones that project a tensor field onto it.  They are
+cut from the ring DFTs of the weighted basis tensors, which are built in
+one array (_weighted_tensor_fields), so that the build holds about two
+(n, 4, n_ten) arrays at its peak.
 """
 
 from dataclasses import dataclass
@@ -113,18 +116,6 @@ def _build_vector_basis(g: SphereGrid) -> VectorBasis:
     return VectorBasis(g, jets, labels)
 
 
-def _round_hessians(g: SphereGrid) -> np.ndarray:
-    """Covariant round Hessian of every basis function, (n, 2, 2, nc)."""
-    s, c = np.sin(g.theta)[:, None], np.cos(g.theta)[:, None]
-    Yt, Yp = g.node_matrix(1, 0), g.node_matrix(0, 1)
-    H = np.empty((g.n_nodes, 2, 2, g.n_coeffs))
-    # Gamma0: ^th_phph = -s c, ^ph_thph = c/s
-    H[:, 0, 0] = g.node_matrix(2, 0)
-    H[:, 0, 1] = H[:, 1, 0] = g.node_matrix(1, 1) - (c / s) * Yp
-    H[:, 1, 1] = g.node_matrix(0, 2) + s * c * Yt
-    return H
-
-
 @dataclass(frozen=True)
 class TensorBasis:
     """Orthonormal trace-free symmetric 2-tensor basis on the round sphere.
@@ -148,18 +139,6 @@ class TensorBasis:
         return len(self.labels)
 
 
-def _raise_indices(g: SphereGrid, B: np.ndarray) -> np.ndarray:
-    """g0^{ik} g0^{jl} B_kl for covariant tensors B (n, 2, 2, ...)."""
-    s2 = np.sin(g.theta) ** 2
-    s2 = s2.reshape((-1,) + (1,) * (B.ndim - 3))
-    Bu = np.empty_like(B)
-    Bu[:, 0, 0] = B[:, 0, 0]
-    Bu[:, 0, 1] = B[:, 0, 1] / s2
-    Bu[:, 1, 0] = B[:, 1, 0] / s2
-    Bu[:, 1, 1] = B[:, 1, 1] / s2**2
-    return Bu
-
-
 def tensor_basis(g: SphereGrid) -> TensorBasis:
     return g.cached("tensor_basis", lambda: _build_tensor_basis(g))
 
@@ -171,38 +150,52 @@ def _weighted_tensor_fields(g: SphereGrid) -> np.ndarray:
     round L2 pairing of a covariant field T with basis tensor b is the sum
     of this array's column b times T over nodes and indices.  Not cached:
     the tensor basis keeps only its per-frequency tables.
+
+    Built in the one result array: the covariant even tensors first, from
+    the round Hessian Hess_0 Y_ij = d_ij Y - Gamma0^k_ij d_k Y, then the odd
+    ones from them, then both indices raised and the scale applied in
+    place, so that besides the result only (n, n_ten) temporaries live.
     """
     ls, _ = coeff_degrees(g.L)
-    sel = ls >= 2
+    sel = slice(int(np.searchsorted(ls, 2)), None)   # the degrees l >= 2
     ll = (ls * (ls + 1.0))[sel]
-    s = np.sin(g.theta)[:, None]
+    k = ll.size
+    s, c = np.sin(g.theta)[:, None], np.cos(g.theta)[:, None]
     s2 = s * s
-
-    hess = _round_hessians(g)[..., sel]
     Y = g.node_matrix(0, 0)[:, sel]
-    even = hess.copy()
+    out = np.empty((g.n_nodes, 2, 2, 2 * k))
+    even, odd = out[..., :k], out[..., k:]
+
+    # even family: Hess_0 Y + (l(l+1)/2) g0 Y, with Gamma0^th_phph = -s c
+    # and Gamma0^ph_thph = c/s
+    even[:, 0, 0] = g.node_matrix(2, 0)[:, sel]
     even[:, 0, 0] += 0.5 * ll * Y
+    np.subtract(g.node_matrix(1, 1)[:, sel],
+                (c / s) * g.node_matrix(0, 1)[:, sel], out=even[:, 0, 1])
+    even[:, 1, 0] = even[:, 0, 1]
+    np.add(g.node_matrix(0, 2)[:, sel], s * c * g.node_matrix(1, 0)[:, sel],
+           out=even[:, 1, 1])
     even[:, 1, 1] += 0.5 * ll * (s2 * Y)
 
     # odd family: J applied to the first index of the even tensor, (JT)_ij =
     # J^k_i T_kj with J^ph_th = 1/s, J^th_ph = -s (same rotation as the curl
     # fields).  J is parallel, so this equals Sym grad(J grad Y) up to the
     # normalization; trace-freeness of T keeps JT symmetric.
-    odd = np.empty_like(even)
-    odd[:, 0, 0] = even[:, 0, 1] / s
-    odd[:, 0, 1] = odd[:, 1, 0] = -even[:, 0, 0] * s
-    odd[:, 1, 1] = -even[:, 0, 1] * s
+    np.divide(even[:, 0, 1], s, out=odd[:, 0, 0])
+    np.multiply(even[:, 0, 0], -s, out=odd[:, 0, 1])
+    odd[:, 1, 0] = odd[:, 0, 1]
+    np.multiply(even[:, 0, 1], -s, out=odd[:, 1, 1])
 
-    fields = np.concatenate([even, odd], axis=3)
-    weighted = _raise_indices(g, fields)
-    # pointwise round inner product of each field with itself
-    inner = (weighted[:, 0, 0] * fields[:, 0, 0]
-             + weighted[:, 0, 1] * fields[:, 0, 1]
-             + weighted[:, 1, 0] * fields[:, 1, 0]
-             + weighted[:, 1, 1] * fields[:, 1, 1])
+    # g0^{ik} g0^{jl} T_kl: component ij is divided by s2 once per phi
+    # index; the pointwise round inner product of each field with itself
+    # pairs each raised component with its covariant one
+    inner = out[:, 0, 0] * out[:, 0, 0]
+    for (i, j), scale in (((0, 1), s2), ((1, 0), s2), ((1, 1), s2**2)):
+        inner += out[:, i, j] / scale * out[:, i, j]
+        out[:, i, j] /= scale
     norms = np.sqrt(np.sum(g.weights[:, None] * inner, axis=0))
-    weighted *= g.weights[:, None, None, None] / norms
-    return weighted
+    out *= g.weights[:, None, None, None] / norms
+    return out
 
 
 def _build_tensor_basis(g: SphereGrid) -> TensorBasis:

@@ -252,8 +252,9 @@ def cli_run(command: str, config: dict) -> int:
     """Run one subcommand with a merged config; returns the exit status.
 
     Every config key must be one of _DEFAULTS and have its default's type
-    (_check_config_type); else the run exits 2 with a ValueError record,
-    written to the config's out when that names a writable directory.
+    (_check_config_type), and tol must be positive and finite; else the run
+    exits 2 with a ValueError record, before any work, written to the
+    config's out when that names a writable directory.
     """
     try:
         unknown = set(config) - set(_DEFAULTS)
@@ -261,6 +262,10 @@ def cli_run(command: str, config: dict) -> int:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         for key, val in config.items():
             _check_config_type(key, val)
+        if "tol" in config and not 0.0 < config["tol"] < np.inf:
+            # no residual meets a bound <= 0 or NaN, and inf certifies none
+            raise ValueError("config key 'tol' must be a positive finite "
+                             f"number, got {config['tol']!r}")
     except ValueError as exc:
         out = config.get("out")
         _emit_error(out if isinstance(out, str) else None, "ValueError",

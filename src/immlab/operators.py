@@ -23,15 +23,18 @@ solve with the integrated-by-parts curvature variation.  Each formula is
 written once.  The Lie derivative is linear in a tangent field's first jet
 (V^k, d_i V^k) at each node, so it is a fixed (4 x 6) map per node
 (_tangent_map); the class part of a metric variation is a fixed (4 x 4)
-map per node (_class_map).  assemble_linearization applies them to the
-vector basis's jet table (VectorBasis.jets) and to all columns, each as one
-batched matrix product, and delta_star and mean_curvature_prime apply the
-same kernels to the (n, 6, 1) jets of one VariationField, so the
-single-field functions the tests check are the code that builds the
-matrix.  The blended slot varies by c H' + a (lambda^2)', with the blend's
-slopes (a, c) per node (_blend_slopes, which principal_symbol reads too);
-(lambda^2)' is the linearized Liouville solve, whose residual derivative
-is a fixed (6 x 4) map per node (uniformize._residual_map).  Columns live
+map per node (_class_map).  assemble_linearization runs its columns in
+panels of _PANEL: it applies the maps to the panel's slice of the vector
+basis's jet table (VectorBasis.jets) and to the panel's class parts, each
+as one batched matrix product, and writes the panel's projected columns
+into the result, so that its work arrays are panel-sized; delta_star and
+mean_curvature_prime apply the same kernels to the (n, 6, 1) jets of one
+VariationField, so the single-field functions the tests check are the
+code that builds the matrix.  The blended slot varies by
+c H' + a (lambda^2)', with the blend's slopes (a, c) per node
+(_blend_slopes, which principal_symbol reads too); (lambda^2)' is the
+linearized Liouville solve, whose residual derivative is a fixed (6 x 4)
+map per node (uniformize._residual_map), run on each panel.  Columns live
 over an explicit variation basis (gradient and curl vector harmonics for
 the tangential part, scalar harmonics for the normal speed; push_forward
 maps coordinates over it to the ambient field V^k d_k F + nu N); rows pair
@@ -325,6 +328,15 @@ def push_forward(F: ImmersionMap, v: np.ndarray) -> np.ndarray:
     return X
 
 
+# columns per panel of assemble_linearization: its column pipeline runs on
+# this many at a time, so that its work arrays stay panel-sized.  On one
+# core of a 2-core x86 VM, 128 and 256 tied at eps = 1; at eps < 1, where
+# each panel reads the linearized Liouville solve's node tables again, 256
+# took 10-25% less time at L = 20-32, but its live peak at L = 12 was
+# 1.5-1.8 times that of 128
+_PANEL = 128
+
+
 # ADN row orders of the mixed-order system: order 1 for the class rows,
 # order 2 for the blended rows
 _ROW_ORDERS = {"class": 1, "blended": 2}
@@ -391,16 +403,19 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
 
 
 def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
-             cut: "_ModeCut", work: np.ndarray) -> np.ndarray:
+             cut: "_ModeCut", work: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """project_codomain of batched parts (n, 2, 2, B) or (n, 4, B), and (n, B).
 
-    Only the rows that cut keeps are formed, in codomain order.  work, a
-    C-contiguous array of class_part's size, receives the longitude DFTs
-    of both parts, so that the caller can lend it a buffer it no longer
-    needs.
+    Only the rows that cut keeps are formed, in codomain order, into out
+    (n_rows, B) when it is given, a column slice of a larger matrix say,
+    and else into a new array; returns it.  work, a C-contiguous array at
+    least class_part's size, receives the longitude DFTs of both parts, so
+    that the caller can lend it a buffer it no longer needs.
     """
     b = class_part.shape[-1]
-    out = np.empty((len(cut.codomain), b))
+    if out is None:
+        out = np.empty((len(cut.codomain), b))
     for part, blocks in ((class_part, cut.tensor), (blended_part, cut.blended)):
         spec = _ring_dft(g, part, work)
         for m, table, rows in blocks:
@@ -601,6 +616,10 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     elif data.H is not geo.H:
         raise ValueError("data was not evaluated at this immersion")
     modes = _class_harmonics(g, sign_class)
+    # before the forms: a grid's first assembly builds the basis tables
+    # here, and built after the forms they left the L = 20 index
+    # workload's peak RSS at 240 MB against 235 MB, in 10 of 10 runs
+    cut = _mode_cut(g, degree, sign_class)
     conformal = data.conformal
     if conformal is None:
         forms = _WeakForms(MetricData.from_immersion(F), modes)
@@ -612,41 +631,52 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
                                  f"class than {sign_class!r}")
             forms = _WeakForms(conformal.metric, modes)
             conformal = dataclasses.replace(conformal, forms=forms)
-    # after the forms: a grid's first assembly builds the basis tables
-    # here, and built before the forms' temporaries they raised the L = 20
-    # index workload's peak RSS from 285 to 314 MB in 5 of 12 runs
-    cut = _mode_cut(g, degree, sign_class)
-
-    n_vec = sum(jets.shape[2] for jets in cut.jets)
-    Y = forms.Y[:, cut.scalar]
+    Y, S = forms.Y[:, cut.scalar], forms.S[:, cut.scalar]
+    # the column sources in domain order, as (first column, end, jet
+    # table): each jet table of the cut's vector columns, then the normal
+    # speeds (None)
+    bounds = np.cumsum([0] + [j.shape[2] for j in cut.jets] + [Y.shape[1]])
+    sources = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(),
+                       cut.jets + (None,)))
     n = g.n_nodes
-    n_dom = n_vec + Y.shape[1]
-    gp = np.empty((n, 4, n_dom))
-    Hp = np.empty((n, n_dom))
+    n_dom = int(bounds[-1])
 
-    # tangential block, one jet table of the cut at a time
     G = _tangent_map(geo)
     dH = g.gradient(g.analyze(geo.H))
-    start = 0
-    for jets in cut.jets:
-        cols = slice(start, start + jets.shape[2])
-        _tangential_prime(G, dH, jets, gp[..., cols], Hp[:, cols])
-        start = cols.stop
-    _normal_prime(geo, forms, Y, forms.S[:, cut.scalar],
-                  gp[..., n_vec:], Hp[:, n_vec:])
-
-    # the blended slot's variation c H' + a (lambda^2)', formed in Hp
+    P = _class_map(geo)
     a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
-    Hp *= np.reshape(c, (-1, 1))
-    if conformal is not None:
-        lin = LinearizedLiouville(conformal)
-        Hp += np.reshape(a, (-1, 1)) * lin.solve_batch(
-            gp.reshape(n, 2, 2, n_dom))[1]
-    crp = _class_map(geo) @ gp
-
-    # gp is dead: it takes the longitude DFT of crp
-    rows = _project(g, crp, Hp, cut, gp)
-    return OperatorMatrix(rows, epsilon, variant, cut.domain, cut.codomain)
+    a, c = np.reshape(a, (-1, 1)), np.reshape(c, (-1, 1))
+    lin = None if conformal is None else LinearizedLiouville(conformal)
+    out = np.empty((len(cut.codomain), n_dom))
+    # the panel buffers, reused: gamma' (lent to the ring DFTs once the
+    # class part is formed), the class part and the blended slot
+    width = min(_PANEL, n_dom)
+    gp_buf, crp_buf = np.empty((2, n * 4 * width))
+    hp_buf = np.empty(n * width)
+    for first in range(0, n_dom, width):
+        b = min(width, n_dom - first)
+        gp = gp_buf[:n * 4 * b].reshape(n, 4, b)
+        crp = crp_buf[:n * 4 * b].reshape(n, 4, b)
+        Hp = hp_buf[:n * b].reshape(n, b)
+        for lo, hi, jets in sources:
+            start, stop = max(lo, first), min(hi, first + b)
+            if start >= stop:
+                continue
+            cols, src = (slice(start - first, stop - first),
+                         slice(start - lo, stop - lo))
+            if jets is None:
+                _normal_prime(geo, forms, Y[:, src], S[:, src],
+                              gp[..., cols], Hp[:, cols])
+            else:
+                _tangential_prime(G, dH, jets[..., src], gp[..., cols],
+                                  Hp[:, cols])
+        # the blended slot's variation c H' + a (lambda^2)', formed in Hp
+        Hp *= c
+        if lin is not None:
+            Hp += a * lin.solve_batch(gp.reshape(n, 2, 2, b))[1]
+        np.matmul(P, gp, out=crp)
+        _project(g, crp, Hp, cut, gp, out[:, first:first + b])
+    return OperatorMatrix(out, epsilon, variant, cut.domain, cut.codomain)
 
 
 def _blended_tables(g: SphereGrid) -> tuple[tuple, tuple]:

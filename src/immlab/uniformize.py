@@ -221,9 +221,14 @@ class _WeakForms:
 
         rhs = S @ c (columns (nc, B)) gives Delta_gamma of the fields with
         coefficients c; rhs = S gives it for every basis function.  Exact
-        for band-limited inputs when the metric is round.
+        for band-limited inputs when the metric is round.  M is factored
+        on the first call and the factor kept for the next ones.
         """
-        return self.Y @ cho_solve(cho_factor(self.mass(1.0)), -rhs)
+        return self.Y @ cho_solve(self._mass_factor, -rhs)
+
+    @cached_property
+    def _mass_factor(self) -> tuple:
+        return cho_factor(self.mass(1.0))
 
 
 @dataclass(frozen=True)

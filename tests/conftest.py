@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +58,24 @@ def fail_gesdd(monkeypatch):
         return failures
 
     return switch
+
+
+@pytest.fixture
+def live_peak():
+    """A function that runs fn() and returns (its result, the peak bytes
+    that tracemalloc counted live during the call beyond those live
+    before it): numpy's array allocations, not the heap that the
+    allocator retains."""
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+    return measure

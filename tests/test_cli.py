@@ -150,6 +150,36 @@ def test_continue_tol_sets_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["uniformize", "solve", "continue"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_main_rejects_a_tol_that_is_not_positive_finite(tmp_path, capsys,
+                                                        command, tol):
+    # a bound that no residual meets (or that certifies nothing) is a usage
+    # error found before any work, not a reported numerical failure
+    rc = main([command, "--shape", "ellipsoid:1,1.02,0.98", "--L", "6",
+               "--tol", tol, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"]["type"] == "ValueError"
+    assert "'tol'" in record["error"]["message"]
+    assert read_report(tmp_path) == record
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("command", ["uniformize", "solve", "continue"])
+@pytest.mark.parametrize("tol", [-1.0, 0, float("nan"), float("-inf")])
+def test_cli_run_rejects_a_tol_that_is_not_positive_finite(tmp_path, capsys,
+                                                           command, tol):
+    rc, rep = run(command, tmp_path, shape="sphere:1", tol=tol)
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "ValueError"
+    assert "'tol'" in rep["error"]["message"]
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     rc, rep = run("solve", tmp_path, shape="ellipsoid:1,1.3,0.7",
                   epsilon=1.0, tol=1e-16)
