@@ -19,7 +19,7 @@ from .continuation import (TargetData, epsilon_continuation, newton_solve,
                            procrustes_align)
 from .errors import (ConvergenceError, DegreeMismatchError,
                      ImmersionRegularityError, ShapeSpecError)
-from .fredholm import kernel_vs_epsilon, svd_report
+from .fredholm import based_report, kernel_vs_epsilon, svd_report
 from .geometry import ImmersionMap, darboux_residual, gauss_check
 from .operators import apply_phi, assemble_linearization, principal_symbol
 from .shapes import parse_shape_spec, save_immersion, sphere_immersion
@@ -173,12 +173,14 @@ def _cmd_symbol(cfg: dict, F: ImmersionMap) -> dict:
 
 
 def _cmd_index(cfg: dict, F: ImmersionMap) -> dict:
-    rep = svd_report(assemble_linearization(F, cfg["epsilon"], cfg["variant"],
-                                            liouville_tol=None))
-    print(f"kernel {rep.kernel_dim}, cokernel {rep.cokernel_dim}, "
-          f"index {rep.index} (gap {rep.gap_ratio:.2e}, "
-          f"reliable {rep.reliable})")
-    return {"report": _report_dict(rep)}
+    M = assemble_linearization(F, cfg["epsilon"], cfg["variant"],
+                               liouville_tol=None)
+    rep, based = svd_report(M), based_report(M)
+    for name, r in (("", rep), ("based: ", based)):
+        print(f"{name}kernel {r.kernel_dim}, cokernel {r.cokernel_dim}, "
+              f"index {r.index} (gap {r.gap_ratio:.2e}, "
+              f"reliable {r.reliable})")
+    return {"report": _report_dict(rep), "based_report": _report_dict(based)}
 
 
 def _cmd_kernel_sweep(cfg: dict, F: ImmersionMap) -> dict:

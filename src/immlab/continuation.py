@@ -132,8 +132,8 @@ def _step_candidates(matrix: np.ndarray, r: np.ndarray,
     floor-rank step first and falls back to the cut at its largest gap,
     uncertified, for an iterate where inverting a lone near-null mode
     finds no descent.  classes, when given, are the rows' and columns'
-    sign classes, which the SVD factors one at a time when the matrix is
-    block diagonal over them.
+    block keys (operators._block_keys), by which the SVD splits the matrix
+    where it is block diagonal over them.
     """
     f = _SVD(matrix, classes=classes)
     s = f.s
@@ -164,7 +164,7 @@ def _fully_symmetric(F0: ImmersionMap, target: TargetData) -> bool:
     rows = project_codomain(g, target.class_rep, target.blended)
     return (off_class(F0.coeffs, _sign_classes(_scalar_labels(g)),
                       (1 << np.arange(3))[:, None])
-            and off_class(rows, _mode_cut(g).classes[0], 0))
+            and off_class(rows, _mode_cut(g).classes[0] % 8, 0))
 
 
 def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
@@ -200,9 +200,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     linearizes it there.  The residual norm and the convergence test
     still run over all the dealiased rows.  Any other input, including a
     rotated copy of a symmetric start, takes the full dealiased system,
-    whose SVD runs by sign class where the matrix is block diagonal (at
-    the round sphere, say).  Both systems truncate by the same rule
-    (_step_candidates).
+    whose SVD runs by sign class and |m| where the matrix is block
+    diagonal over them (at the round sphere, say).  Both systems
+    truncate by the same rule (_step_candidates).
     Steps are damped by backtracking on the residual norm and rejected
     outright if min det gamma falls below 1e-4 of its initial value.
     Returns (F, residual norm history); raises ConvergenceError with the

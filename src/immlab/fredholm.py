@@ -22,7 +22,7 @@ from scipy.linalg import qr, svd
 from scipy.linalg.lapack import dormqr
 
 from .geometry import ImmersionMap
-from .operators import (_SIGN_CLASS_NAMES, OperatorMatrix, _sign_classes,
+from .operators import (_SIGN_CLASS_NAMES, OperatorMatrix, _block_keys,
                         assemble_linearization)
 
 __all__ = [
@@ -47,14 +47,23 @@ class SpectralReport:
     gap_ratio is s[rank-1] / s[rank].  Where the kernel is exact, as at the
     round sphere, s[rank] is round-off (about 1e-13 of s[0]), so the ratio's
     size is noise, moving with the BLAS thread count, the LAPACK build and
-    whether the SVD ran by sign class.  It certifies gap_ratio >= gap_min;
-    do not compare it bit for bit or read a trend in it.
+    the SVD's blocks.  It certifies gap_ratio >= gap_min; do not compare
+    it bit for bit or read a trend in it.
 
     class_counts maps each reflection sign class, named by its signs under
     x -> -x, y -> -y and z -> -z ("+-+" is odd under y -> -y only), to
-    its (kernel, cokernel) counts when the SVD ran one class at a time
-    (see _SVD), and is None otherwise.  The counts sum to kernel_dim and
-    cokernel_dim.
+    its (kernel, cokernel) counts, summed over |m|, when the SVD's blocks
+    follow the sign classes (see _SVD), and is None otherwise.  The counts
+    sum to kernel_dim and cokernel_dim.
+
+    mode_labels["right"] labels each null vector by its largest overlap,
+    so the labels follow the SVD's basis of a degenerate kernel.  At the
+    round sphere the kernel holds the span of grad and normal at each
+    degree-one (1, m), the translation among its directions; the SVD
+    returns some basis of it, so whether its vectors read "translation",
+    "conformal" or "eigenfunction" (overlaps 0.38 to 0.67) moves with
+    round-off, the blocks and the rotation.  The whole kernel lies in
+    degree one there, so overlap_degree1 reads 1 in any basis.
     """
 
     epsilon: float
@@ -164,44 +173,60 @@ def _label_left_modes(U_null: np.ndarray, labels: list) -> list:
     return out
 
 
-# The block path's certificate: a matrix is factored one sign class at a
-# time when its off-class part E has ||E||_F <= _OFF_CLASS_MAX ||A||_F
+# The block path's certificate: a split of a block into diagonal sub-blocks
+# holds when the part E between them has ||E||_F <= _OFF_CLASS_MAX ||B||_F
 _OFF_CLASS_MAX = 1e-12
 
 
-def _class_blocks(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """The diagonal blocks of matrix over the classes rows and cols.
-
-    rows and cols give each row's and column's class.  Returns a list of
-    (class, row indices, column indices, block), one for each class that
-    has rows or columns, when the entries between different classes are
-    round-off: their Frobenius norm ||E||_F is at most _OFF_CLASS_MAX times
-    the matrix's.  Returns None otherwise, when the classes do not match
-    the shape, or when a class has rows but no columns or columns but no
-    rows.  One class of rows is gathered at a time, so no temporary of the
-    matrix's size is made.
+def _split(block: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The diagonal sub-blocks of block over the keys rows and cols, as
+    (key, row positions, column positions, sub-block), keys ascending,
+    when the entries between different keys are round-off: at most
+    _OFF_CLASS_MAX of the block's Frobenius norm.  None otherwise, or
+    when a key has rows but no columns or columns but no rows.  One key's
+    rows are gathered at a time, so no temporary of the block's size is
+    made.
     """
-    if (len(rows), len(cols)) != matrix.shape:
-        return None
-    blocks = []
+    parts = []
     inner = off = 0.0
     for k in np.union1d(rows, cols):
         r, c = np.flatnonzero(rows == k), np.flatnonzero(cols == k)
         if not (r.size and c.size):
             return None
-        band = matrix[r]
-        block = band[:, c]
+        band = block[r]
+        sub = band[:, c]
         band[:, c] = 0.0
-        inner += np.vdot(block, block)
+        inner += np.vdot(sub, sub)
         off += np.vdot(band, band)
-        blocks.append((int(k), r, c, block))
+        parts.append((int(k), r, c, sub))
     if np.isfinite(off) and off <= _OFF_CLASS_MAX ** 2 * (inner + off):
-        return blocks
+        return parts
     return None
 
 
+def _class_blocks(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The diagonal blocks of matrix over the block keys rows and cols.
+
+    The keys (operators._block_keys) hold the sign class, key % 8, and
+    |m|, key // 8.  _split splits the matrix by sign class, then each
+    class block by |m|; a split that does not hold leaves its block
+    whole.  Returns (class, row indices, column indices, block) per block,
+    class None where the class split failed; None when nothing split or
+    the keys do not match the shape.
+    """
+    if (len(rows), len(cols)) != matrix.shape:
+        return None
+    whole = [(None, np.arange(len(rows)), np.arange(len(cols)), matrix)]
+    blocks = []
+    for k, r, c, block in _split(matrix, rows % 8, cols % 8) or whole:
+        for _, rm, cm, sub in (_split(block, rows[r] // 8, cols[c] // 8)
+                               or [(None, slice(None), slice(None), block)]):
+            blocks.append((k, r[rm], c[cm], sub))
+    return blocks if len(blocks) > 1 else None
+
+
 class _SVD:
-    """SVD of a dense matrix, one sign class at a time where it can be.
+    """SVD of a dense matrix, one diagonal block at a time where it can be.
 
     The dense path is np.linalg.svd (LAPACK gesdd) with full_matrices=True,
     so a left (right) index at or beyond min(m, n) gives a null direction
@@ -212,21 +237,25 @@ class _SVD:
     with LAPACK's gesvd (QR iteration), which at L = 20 takes about 20
     times as long.  A matrix with a non-finite entry raises ValueError.
 
-    classes, when given, is the pair (row classes, column classes) of the
-    reflection sign classes of the matrix's labels (operators._sign_classes).
-    At an immersion with the three coordinate reflection symmetries, or a
-    rigid motion of one, the linearization maps each class to itself: its
-    entries between different classes are round-off.  When their part E
-    has ||E||_F <= _OFF_CLASS_MAX ||A||_F, each diagonal block is factored
-    on its own as above, fallback and all, which at L = 20 takes
-    about a twentieth of the time of one dense factorization.  The blocks
-    are the SVD of A - E, and by Weyl's inequality each singular value of A
-    lies within ||E||_F of the matching one of A - E.  The block values are
-    merged in descending order, ties in block order, and padded with exact
-    zeros to min(m, n) entries.  Index j of left and right is the j-th
-    merged value's vector in its block, and indices past the block values
-    give the blocks' null directions, block by block; solve(b, k) keeps
-    the k largest merged values.  Any other matrix takes the dense path.
+    classes, when given, is the pair (row keys, column keys) of the block
+    keys of the matrix's labels (operators._block_keys: reflection sign
+    class and |m|).  At an immersion with the three coordinate reflection
+    symmetries, or a rigid motion of one, the linearization maps each
+    sign class to itself, and at a surface of revolution about the z axis
+    each |m| to itself.  Where the entries between them are round-off
+    (_class_blocks), each diagonal block is factored on its own as above,
+    fallback and all: at L = 20 a round sphere's 84 blocks take 6 ms, its
+    8 class blocks 25 ms, one dense factorization 0.9 s (one BLAS
+    thread).  The blocks are the SVD of A - E, E the part off the blocks;
+    each split bounds its part by _OFF_CLASS_MAX times the block it
+    splits, so ||E||_F <= sqrt(2) _OFF_CLASS_MAX ||A||_F, and by Weyl's
+    inequality each singular value of A lies within ||E||_F of A - E's.
+    The block values are merged in descending order, ties in block order,
+    and padded with exact zeros to min(m, n) entries.  Index j of left
+    and right is the j-th merged value's vector in its block, and indices
+    past the block values give the blocks' null directions, block by
+    block; solve(b, k) keeps the k largest merged values.  Any other
+    matrix takes the dense path.
     """
 
     def __init__(self, matrix: np.ndarray, compute_uv: bool = True,
@@ -288,13 +317,18 @@ class _SVD:
         return np.bincount(self._index[0][0, :k],
                            minlength=len(self._blocks))
 
-    def kept(self, rank: int) -> list:
-        """(class, rows, columns, kept values) of each block when the rank
-        largest merged values are kept; None on the dense path."""
-        if self._blocks is None:
+    def class_counts(self, rank: int) -> dict | None:
+        """(kernel, cokernel) counts of each sign class, by name, summed
+        over its blocks, when the rank largest merged values are kept; None
+        unless the blocks follow the sign classes."""
+        if self._blocks is None or self._blocks[0][0] is None:
             return None
-        return [(k, r.size, c.size, int(n))
-                for (k, r, c, _), n in zip(self._blocks, self._ranks(rank))]
+        counts = {}
+        for (k, r, c, _), n in zip(self._blocks, self._ranks(rank)):
+            ker, coker = counts.get(_SIGN_CLASS_NAMES[k], (0, 0))
+            counts[_SIGN_CLASS_NAMES[k]] = (ker + c.size - int(n),
+                                            coker + r.size - int(n))
+        return counts
 
     def left(self, idx) -> np.ndarray:
         """Left singular vectors as columns, for the indices idx."""
@@ -323,17 +357,17 @@ class _SVD:
         vectors, placed at its rows or columns."""
         owner, local = self._index[side][:, np.asarray(idx, dtype=int)]
         out = np.zeros((self.shape[side], owner.size))
-        for b, (_, r, c, f) in enumerate(self._blocks):
+        for b in np.unique(owner):
+            _, r, c, f = self._blocks[b]
             sel = np.flatnonzero(owner == b)
-            if sel.size:
-                vectors = f.right if side else f.left
-                out[np.ix_(c if side else r, sel)] = vectors(local[sel])
+            vectors = f.right if side else f.left
+            out[np.ix_(c if side else r, sel)] = vectors(local[sel])
         return out
 
 
 def _classes(M: OperatorMatrix) -> tuple:
-    """(row classes, column classes) of M's labels, as _SVD takes them."""
-    return _sign_classes(M.codomain_basis), _sign_classes(M.domain_basis)
+    """(row keys, column keys) of M's labels, as _SVD takes them."""
+    return _block_keys(M.codomain_basis), _block_keys(M.domain_basis)
 
 
 def _report(f: _SVD, M: OperatorMatrix, gap_min: float,
@@ -352,13 +386,9 @@ def _report(f: _SVD, M: OperatorMatrix, gap_min: float,
         "left": _label_left_modes(f.left(range(rank, n_cod)),
                                   M.codomain_basis),
     }
-    kept = f.kept(rank)
-    class_counts = None if kept is None else {
-        _SIGN_CLASS_NAMES[k]: (cols - n, rows - n)
-        for k, rows, cols, n in kept}
     return SpectralReport(M.epsilon, M.variant, s, kernel_dim, cokernel_dim,
                           kernel_dim - cokernel_dim, gap, reliable,
-                          mode_labels, based, class_counts)
+                          mode_labels, based, f.class_counts(rank))
 
 
 def svd_report(M: OperatorMatrix, gap_min: float = GAP_MIN
@@ -373,32 +403,35 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
 
     The removal is by explicit orthogonal complement of the closed-form
     Killing candidates, not by numerical null-space detection.  Raises if the
-    candidate block is rank-deficient (misidentified modes).  Each candidate
-    lies in one sign class (a rotation in its curl mode's, a translation in
-    its grad and normal modes'), so the complement is built class by
-    class: with K_k = Q_k R_k the candidates of class k over that class's
-    columns, Q_k's last columns span the complement there.  The based
-    matrix is the matrix times each Q_k, less its first columns, and a
-    based null vector maps back through each Q_k [0; v_k].  Q_k is applied
-    as Householder reflectors, to transposed columns.  On the block path
-    they are applied to the diagonal blocks and the based matrix is never
-    formed.
+    candidate block is rank-deficient (misidentified modes).  Each
+    candidate lies in one sign class and one |m| (a rotation in its curl
+    mode's, a translation in its grad and normal modes'), so in one
+    column group of the SVD's blocks (_class_blocks; one group on the
+    dense path), and the complement is built group by group: with
+    K_k = Q_k R_k the candidates of group k over its columns, Q_k's last
+    columns span the complement there.  The based matrix is the matrix
+    times each Q_k, less its first columns, and a based null vector maps
+    back through each Q_k [0; v_k].  Q_k is applied as Householder
+    reflectors, to transposed columns.  On the block path they are
+    applied to the diagonal blocks and the based matrix is never formed.
     """
     Kb = killing_modes(M.domain_basis)
     if Kb.shape[1] != 6 or np.linalg.matrix_rank(Kb, tol=1e-10) != 6:
         raise ValueError("ambient-isometry candidate block is not rank 6")
-    rows, cols = _classes(M)
-    owner = cols[np.argmax(np.abs(Kb), axis=0)]
-    # per class: its columns, their based positions, its candidate count
+    n_cod, n_dom = M.matrix.shape
+    blocks = _class_blocks(M.matrix, *_classes(M))
+    parts = ([np.arange(n_dom)] if blocks is None else
+             [c for _, _, c, _ in blocks])
+    # per group: its columns, their based positions, its candidate count
     # and Q_k's reflectors (None without candidates)
-    groups = {}
+    groups = []
     start = 0
-    for k in np.unique(cols):
-        idx = np.flatnonzero(cols == k)
-        K = Kb[idx][:, owner == k]
+    for idx in parts:
+        K = Kb[idx]
+        K = K[:, K.any(axis=0)]
         width = idx.size - K.shape[1]
-        groups[k] = (idx, np.arange(start, start + width), K.shape[1],
-                     qr(K, mode="raw")[0] if K.shape[1] else None)
+        groups.append((idx, np.arange(start, start + width), K.shape[1],
+                       qr(K, mode="raw")[0] if K.shape[1] else None))
         start += width
 
     def apply_q(reflectors, trans, c):
@@ -409,29 +442,25 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
         lwork = dormqr("L", trans, h, tau, c, -1, overwrite_c=True)[1][0]
         return dormqr("L", trans, h, tau, c, int(lwork))[0]
 
-    def complement(k, columns):
-        # columns (transposed, over class k's columns) times Q_k, less the
+    def complement(i, columns):
+        # columns (transposed, over group i's columns) times Q_k, less the
         # candidates' columns
-        _, _, n_cand, reflectors = groups[k]
+        _, _, n_cand, reflectors = groups[i]
         return apply_q(reflectors, "T", columns)[n_cand:].T
 
     def restore(V):
-        out = np.zeros((len(cols), V.shape[1]))
-        for idx, pos, n_cand, reflectors in groups.values():
+        out = np.zeros((n_dom, V.shape[1]))
+        for idx, pos, n_cand, reflectors in groups:
             out[idx] = apply_q(reflectors, "N", np.vstack(
                 [np.zeros((n_cand, V.shape[1])), V[pos]]))
         return out
 
-    blocks = _class_blocks(M.matrix, rows, cols)
     if blocks is None:
-        based = np.empty((len(rows), start))
-        for k, (idx, pos, _, _) in groups.items():
-            based[:, pos] = complement(k, M.matrix[:, idx].T)
-        f = _SVD(based)
+        f = _SVD(complement(0, M.matrix.T))
     else:
-        f = _SVD.from_blocks((len(rows), start), [
-            (k, r, groups[k][1], complement(k, block.T))
-            for k, r, _, block in blocks])
+        f = _SVD.from_blocks((n_cod, start), [
+            (k, r, groups[i][1], complement(i, block.T))
+            for i, (k, r, _, block) in enumerate(blocks)])
     return _report(f, M, gap_min, domain_restriction=restore, based=True)
 
 

@@ -452,6 +452,14 @@ def _sign_classes(labels) -> np.ndarray:
     return np.where(np.isin(kinds, ("curl", "odd")), cls ^ 7, cls)
 
 
+def _block_keys(labels) -> np.ndarray:
+    """The key _sign_classes(labels) + 8 |m| of each basis label, by which
+    the SVD splits a matrix (fredholm._class_blocks): the linearization at
+    a surface of revolution about z, the round sphere in any position
+    among them, maps each |m| to itself."""
+    return _sign_classes(labels) + 8 * np.abs([m for _, _, m in labels])
+
+
 @dataclass(frozen=True)
 class _ModeCut:
     """The modes of degree <= some degree, and of one reflection sign class
@@ -469,9 +477,9 @@ class _ModeCut:
     their rows in the result), and blended the same for the scalar tables
     of the blended rows; a table lists its modes by degree, so a cut by
     degree alone keeps a prefix of its rows.  The masks select the kept
-    columns and rows of the full matrix, and classes gives the sign class
-    (_sign_classes) of each kept row and column, the row classes first, as
-    the SVD kernel takes them; these arrays are read-only.
+    columns and rows of the full matrix, and classes gives the block key
+    (_block_keys: sign class and |m|) of each kept row and column, the row
+    keys first, as the SVD kernel takes them; these arrays are read-only.
     """
 
     jets: tuple          # (n, 6, k) jet tables of the kept vector columns
@@ -482,7 +490,7 @@ class _ModeCut:
     codomain: tuple      # labels of the kept rows
     domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
     codomain_mask: np.ndarray   # (n_cod,) bool over the full codomain
-    classes: tuple       # (row classes, column classes) of the kept modes
+    classes: tuple       # (row keys, column keys) of the kept modes
 
 
 def _class_harmonics(g: SphereGrid, sign_class: str | None):
@@ -557,7 +565,7 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
             by_frequency(rows, tb.tables, tb.modes, 0),
             by_frequency(rows, *_blended_tables(g), tb.size), domain,
             codomain, cols, rows,
-            (frozen(_sign_classes(codomain)), frozen(_sign_classes(domain))))
+            (frozen(_block_keys(codomain)), frozen(_block_keys(domain))))
     return g.cached(("mode_cut", degree, sign_class), build)
 
 

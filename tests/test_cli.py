@@ -92,6 +92,10 @@ def test_index_report(tmp_path):
     assert r["class_counts"]["+++"] == [0, 0]
     assert sorted(r["class_counts"].values()) == \
         [[0, 0]] * 2 + [[1, 0]] * 3 + [[2, 1]] * 3
+    # the based report of the same matrix: the six isometries quotiented
+    b = rep["based_report"]
+    assert (b["kernel_dim"], b["cokernel_dim"], b["index"]) == (3, 3, 0)
+    assert b["based"] is True and b["reliable"] is True
 
 
 def test_kernel_sweep(tmp_path):

@@ -272,7 +272,10 @@ def _ellipsoid_matrix(L):
 SYMMETRIC = {"sphere-8": lambda: round_matrix(8),
              "sphere-12": lambda: round_matrix(12),
              "ellipsoid-8": lambda: _ellipsoid_matrix(8),
-             "ellipsoid-12": lambda: _ellipsoid_matrix(12)}
+             "ellipsoid-12": lambda: _ellipsoid_matrix(12),
+             "triaxial-12": lambda: assemble_linearization(
+                 ellipsoid_immersion(grid(12), 1.0, 1.2, 0.8), 1.0,
+                 liouville_tol=None)}
 
 
 @pytest.mark.parametrize("retry", ["none", "gesvd"])
@@ -286,9 +289,14 @@ def test_class_blocks_match_dense_svd(name, retry, request):
         # every block's gesdd fails
         failures = request.getfixturevalue("fail_gesdd")()
     f = _SVD(A, classes=_classes(M))
-    assert f._blocks is not None
+    # the spheres split by sign class and |m|; the ellipsoids, without an
+    # axis, fall back to the sign classes
+    if name.startswith("sphere"):
+        assert len(f._blocks) > 8
+    else:
+        assert len(f._blocks) == 8
     if retry == "gesvd":
-        assert len(failures) == 8
+        assert len(failures) == len(f._blocks)
     s0 = dense.s[0]
     npt.assert_allclose(f.s, dense.s, rtol=0, atol=1e-12 * s0)
     rank = _detect_rank(dense.s, 1e3)[0]
@@ -383,4 +391,67 @@ def test_rotated_symmetric_shapes_take_block_path(shape):
     assert based_report(M).class_counts is not None
     cut = _mode_cut(g, g.L - 2)
     Md = assemble_linearization(F, eps, liouville_tol=None, degree=g.L - 2)
-    assert _SVD(Md.matrix, classes=cut.classes)._blocks is not None
+    blocks = _SVD(Md.matrix, classes=cut.classes)._blocks
+    # a round sphere in any position is a surface of revolution about z,
+    # so it keeps one block per sign class and |m|
+    assert len(blocks) == (np.unique(cut.classes[1]).size
+                           if shape == "sphere" else 8)
+
+
+# -- surfaces of revolution: the blocks of each |m| -------------------------
+
+def _radial_graph(g):
+    # a surface of revolution about z that is odd under z -> -z (Y_30)
+    return perturbed_sphere_immersion(g, 1.0, [(2, 0, 0.1), (3, 0, 0.05)])
+
+
+REVOLUTION = {"sphere": sphere_immersion,
+              "spheroid": lambda g: ellipsoid_immersion(g, 1.0, 1.0, 0.8),
+              "radial": _radial_graph}
+
+
+@pytest.mark.parametrize("eps, variant", [(1.0, "additive"),
+                                          (0.2, "additive"),
+                                          (0.2, "multiplicative")])
+@pytest.mark.parametrize("shape", sorted(REVOLUTION))
+def test_surfaces_of_revolution_split_by_frequency(shape, eps, variant):
+    M = assemble_linearization(REVOLUTION[shape](grid(12)), eps, variant,
+                               liouville_tol=None)
+    A = M.matrix
+    m, n = A.shape
+    rows, cols = _classes(M)
+    # the spheroid keeps the three reflections, so its blocks are the
+    # (sign class, |m|) keys; the radial graph couples the classes and
+    # splits by |m| alone
+    if shape == "radial":
+        assert np.abs(A[rows[:, None] % 8 != cols % 8]).max() > \
+            1e-3 * np.abs(A).max()
+        rows, cols = rows // 8, cols // 8
+    assert np.abs(A[rows[:, None] != cols]).max() <= 1e-12 * np.abs(A).max()
+    dense, f = _SVD(A), _SVD(A, classes=_classes(M))
+    assert len(f._blocks) == np.unique(cols).size
+    assert (svd_report(M).class_counts is None) == (shape == "radial")
+
+    s0 = dense.s[0]
+    npt.assert_allclose(f.s, dense.s, rtol=0, atol=1e-12 * s0)
+    rank = _detect_rank(dense.s, 1e3)[0]
+    assert _detect_rank(f.s, 1e3)[0] == rank
+    for side, k in (("right", n), ("left", m)):
+        V, V0 = getattr(f, side)(range(rank, k)), \
+            getattr(dense, side)(range(rank, k))
+        npt.assert_allclose(V @ V.T, V0 @ V0.T, rtol=0, atol=1e-12)
+    # the based report on these blocks against the based matrix's own SVD
+    comp = qr(killing_modes(M.domain_basis), mode="full")[0][:, 6:]
+    npt.assert_allclose(based_report(M).singular_values,
+                        np.linalg.svd(A @ comp, compute_uv=False),
+                        rtol=0, atol=1e-12 * s0)
+
+    # the m = 0 blocks' (kernel, cokernel): (3, 1) at the round sphere,
+    # (2, 0) at the spheroid, index 2 on both
+    m0 = {"sphere": (3, 1), "spheroid": (2, 0)}.get(shape)
+    if m0 is not None:
+        ker = coker = 0
+        for (_, r, c, _), kept in zip(f._blocks, f._ranks(rank)):
+            if rows[r[0]] < 8:
+                ker, coker = ker + c.size - kept, coker + r.size - kept
+        assert (ker, coker) == m0
