@@ -77,6 +77,22 @@ class TargetData:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One schedule point of epsilon_continuation.
+
+    iterations sums the Newton iterations of the step's converged solves,
+    residual is the last entry of the kept solve's history, and defect is
+    max |gamma(F) - gamma*| at the kept solution, whose 12 smallest
+    singular values an accepted step records (NaN otherwise).  A step
+    whose Newton solve fails leaves that solve out of iterations, records
+    its last residual (NaN when a lower layer failed before Newton kept a
+    history) and the defect of the step's start.  A refused step records
+    its candidate's residual and defect.  So on the multiplicative L = 8
+    ellipsoid 1, 1.02, 0.98 the eps 0.16807 record reads iterations 4,
+    those of the converged first solve (the refresh that diverged after
+    13 iterations is not counted), residual 2.415e-3, that refresh's last
+    entry, and defect 4.735e-3, the eps 0.2401 solution's.
+    """
+
     epsilon: float
     iterations: int
     residual: float
@@ -209,9 +225,33 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     history so far on failure: status "diverged" when no candidate step
     descends (every candidate has halved its step _MAX_BACKTRACKS + 1
     times by then), "stalled" when _MAX_ITER iterations end above tol.
+    Raises ValueError unless epsilon > 0 and 0 < tol < inf.
+    """
+    F, history, status = _newton(F0, target, tol)
+    if status == "diverged":
+        raise ConvergenceError(
+            f"newton diverged at residual {history[-1]:.3e} "
+            f"(eps={target.epsilon}): no candidate step descends",
+            "diverged", history)
+    if status == "stalled":
+        raise ConvergenceError(
+            f"newton stalled at residual {history[-1]:.3e} > tol {tol:.1e} "
+            f"(eps={target.epsilon}): iteration limit {_MAX_ITER} reached",
+            "stalled", history)
+    return F, history
+
+
+def _newton(F0: ImmersionMap, target: TargetData, tol: float
+            ) -> tuple[ImmersionMap, np.ndarray, str]:
+    """newton_solve's iteration: (F, residual norm history, status).
+
+    status is "converged", "diverged" or "stalled" (see newton_solve); on
+    failure F is the last accepted iterate.
     """
     if target.epsilon <= 0.0:
         raise ValueError("newton_solve needs epsilon > 0 (elliptic regime)")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"newton_solve needs 0 < tol < inf, got {tol}")
     g = F0.grid
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
     degree = g.L - _DEALIAS
@@ -225,9 +265,9 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     F = F0
     r, data = _residual(F, target, sign_class)
     history = [float(np.linalg.norm(r[rows]))]
-    for _ in range(_MAX_ITER):
-        if history[-1] <= tol:
-            return F, np.array(history)
+    while history[-1] > tol:
+        if len(history) > _MAX_ITER:
+            return F, np.array(history), "stalled"
         M = assemble_linearization(F, target.epsilon, target.variant,
                                    liouville_tol=None, data=data,
                                    degree=degree, sign_class=sign_class)
@@ -243,33 +283,22 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
                 try:
                     trial = ImmersionMap.from_samples(g,
                                                       F.positions + step * X)
-                    if trial.geometry.det_gamma.min() < det_floor:
-                        raise ImmersionRegularityError("det gamma under floor")
-                    r_trial, data_trial = _residual(trial, target,
-                                                      sign_class)
+                    if trial.geometry.det_gamma.min() >= det_floor:
+                        r_trial, data_trial = _residual(trial, target,
+                                                          sign_class)
+                        if np.linalg.norm(r_trial[rows]) < history[-1]:
+                            accepted = (trial, r_trial, data_trial)
+                            break
                 except (ImmersionRegularityError, FloatingPointError):
-                    step *= 0.5
-                    continue
-                if np.linalg.norm(r_trial[rows]) < history[-1]:
-                    accepted = (trial, r_trial, data_trial)
-                    break
+                    pass
                 step *= 0.5
             if accepted is not None:
                 break
         if accepted is None:
-            raise ConvergenceError(
-                f"newton diverged at residual {history[-1]:.3e} "
-                f"(eps={target.epsilon}): no candidate step descends",
-                "diverged", history)
+            return F, np.array(history), "diverged"
         F, r, data = accepted
         history.append(float(np.linalg.norm(r[rows])))
-
-    if history[-1] <= tol:
-        return F, np.array(history)
-    raise ConvergenceError(
-        f"newton stalled at residual {history[-1]:.3e} > tol {tol:.1e} "
-        f"(eps={target.epsilon}): iteration limit {_MAX_ITER} reached",
-        "stalled", history)
+    return F, np.array(history), "converged"
 
 
 def procrustes_align(F: ImmersionMap, G: ImmersionMap
@@ -336,71 +365,67 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     sit at the resolution floor.  A failed or refused step ends the trace
     at its schedule point, with the failure's status.
     """
-    g = target_metric.grid
     schedule = list(default_schedule() if eps_schedule is None else eps_schedule)
     eps_arr = np.array(schedule, dtype=float)
     if len(eps_arr) == 0 or np.any(np.diff(eps_arr) >= 0.0) or \
             eps_arr[0] > 1.0 or eps_arr[-1] <= 0.0:
         raise ValueError("eps_schedule must decrease strictly within (0, 1]")
 
-    conf_star = solve_liouville(target_metric, tol=liouville_tol)
+    lam2_star = solve_liouville(target_metric, tol=liouville_tol).lambda2
     class_star = conformal_class(target_metric.gamma)
-    lam2_star = conf_star.lambda2
-    gamma_star = target_metric.gamma
-
     area = target_metric.vol_weights.sum()
-    F = sphere_immersion(g, radius=float(np.sqrt(area / (4.0 * np.pi))))
+    F = sphere_immersion(target_metric.grid,
+                         radius=float(np.sqrt(area / (4.0 * np.pi))))
+
+    def defect(G):
+        return float(np.abs(G.geometry.gamma - target_metric.gamma).max())
+
+    def step(F, eps, defect_prev):
+        """One schedule point from the solution F, solved and refreshed as
+        above: (the accepted solution or None, the step's StepRecord,
+        status), where status is "converged" for an accepted step, a
+        failed solve's status, or "stalled" for a refused one."""
+        iters, best, base = 0, None, F
+        for _ in range(1 + _SWEEPS):
+            blended = _blend(lam2_star, base.geometry.H, eps, variant)
+            try:
+                base, hist, status = _newton(
+                    base, TargetData(class_star, blended, variant, eps), tol)
+            except ConvergenceError as exc:
+                # a lower layer's failure: solve_liouville's degenerate
+                # reduced Jacobian ends the solve without a history
+                hist, status = exc.history, exc.status
+            if status != "converged":
+                # the record keeps the defect of the step's start
+                best = (F, hist, defect(F))
+                break
+            iters += len(hist) - 1
+            d = defect(base)
+            if best is not None and d >= best[2]:
+                break
+            best = (base, hist, d)
+            if d <= _DEFECT_FLOOR:
+                break
+        F, hist, d = best
+        if status == "converged" and d > max(defect_prev, _DEFECT_FLOOR):
+            status = "stalled"  # refused: the defect would rise
+        if status != "converged":
+            residual = float(hist[-1]) if hist.size else np.nan
+            return None, StepRecord(eps, iters, residual, np.full(12, np.nan),
+                                    False, d), status
+        M = assemble_linearization(F, eps, variant, liouville_tol=None)
+        sv = _SVD(M.matrix, compute_uv=False,
+                  classes=_mode_cut(F.grid).classes).s[::-1][:12]
+        return F, StepRecord(eps, iters, float(hist[-1]), sv, True, d), status
 
     trace = ContinuationTrace()
     defect_prev = np.inf
-
-    def _defect(G):
-        return float(np.abs(G.geometry.gamma - gamma_star).max())
-
     for eps in schedule:
-        F_try = F
-        iters = 0
-        try:
-            # one solve with H frozen from the current F, then
-            # refresh sweeps kept only while the defect keeps dropping
-            # (the refresh map contracts at small eps and repels at mid
-            # eps, so blind iteration to a fixed point is not safe)
-            best = None
-            H_sweep = F.geometry.H
-            base = F
-            for _ in range(1 + _SWEEPS):
-                blended = _blend(lam2_star, H_sweep, eps, variant)
-                target = TargetData(class_star, blended, variant, eps)
-                base, hist = newton_solve(base, target, tol)
-                iters += len(hist) - 1
-                d = _defect(base)
-                if best is not None and d >= best[2]:
-                    break
-                best = (base, hist, d)
-                if d <= _DEFECT_FLOOR:
-                    break
-                H_sweep = base.geometry.H
-            F_try, hist, defect = best
-            if defect > max(defect_prev, _DEFECT_FLOOR):
-                raise ConvergenceError(
-                    f"accepted-step defect would rise {defect_prev:.3e} -> "
-                    f"{defect:.3e} at eps={eps}; refusing the step",
-                    "stalled", hist)
-        except ConvergenceError as exc:
-            last = exc.history[-1] if exc.history.size else np.nan
-            trace.steps.append(StepRecord(
-                eps, iters, float(last), np.full(12, np.nan),
-                False, _defect(F_try)))
-            trace.status = exc.status
+        F_next, record, status = step(F, eps, defect_prev)
+        trace.steps.append(record)
+        if F_next is None:
+            trace.status = status
             break
-
-        F = F_try
-        defect_prev = defect
-        M = assemble_linearization(F, eps, variant, liouville_tol=None)
-        sv = _SVD(M.matrix, compute_uv=False,
-                  classes=_mode_cut(g).classes).s[::-1][:12]
-        trace.steps.append(StepRecord(eps, iters, float(hist[-1]), sv,
-                                      True, defect))
-
+        F, defect_prev = F_next, record.defect
     trace.F = F
     return trace

@@ -195,6 +195,7 @@ def test_newton_reports_infeasible_blend():
     assert exc.value.status in ("diverged", "stalled")
     assert exc.value.history[0] > 0.0
     _assert_message_names_status(exc.value)
+    _assert_core_returns_failure(F, tneg, exc.value)
 
 
 def _assert_message_names_status(exc):
@@ -202,6 +203,15 @@ def _assert_message_names_status(exc):
     other = {"diverged": "stalled", "stalled": "diverged"}[exc.status]
     assert exc.status in str(exc) and other not in str(exc), (exc.status,
                                                               str(exc))
+
+
+def _assert_core_returns_failure(F0, target, exc):
+    # the core returns the failure that newton_solve raises, with the last
+    # accepted iterate
+    F, hist, status = continuation._newton(F0, target, 1e-10)
+    assert status == exc.status
+    npt.assert_array_equal(hist, exc.history)
+    assert np.isfinite(F.coeffs).all()
 
 
 def test_newton_iteration_limit_reports_stalled(monkeypatch):
@@ -214,6 +224,21 @@ def test_newton_iteration_limit_reports_stalled(monkeypatch):
     assert exc.value.status == "stalled"
     assert len(exc.value.history) == 2
     _assert_message_names_status(exc.value)
+    _assert_core_returns_failure(sphere_immersion(g), target, exc.value)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_solvers_reject_bad_tol(tol):
+    # a tol that is not positive and finite is a usage error, not a
+    # numerical failure
+    g = grid(8)
+    target = TargetData.from_immersion(ellipsoid_immersion(g, 1.0, 1.05, 0.95),
+                                       1.0)
+    with pytest.raises(ValueError, match="tol"):
+        newton_solve(sphere_immersion(g), target, tol)
+    with pytest.raises(ValueError, match="tol"):
+        epsilon_continuation(MetricData.round(g, 1.0), [1.0, 0.5], tol,
+                             liouville_tol=None)
 
 
 @pytest.mark.parametrize("exc,status,residual", [
@@ -221,12 +246,15 @@ def test_newton_iteration_limit_reports_stalled(monkeypatch):
     (ConvergenceError("stuck", "stalled", [3.0, 2.0]), "stalled", 2.0),
 ])
 def test_continuation_records_failure(exc, status, residual, monkeypatch):
-    # a failed first step ends the trace there, with the error's status and
-    # last residual
-    def fail(*args, **kwargs):
-        raise exc
+    # a failed first step ends the trace there, with the failure's status
+    # and last residual: Newton returns its own failure with the history,
+    # and a lower layer's error (one without a history) escapes it
+    def fail(F0, target, tol):
+        if not exc.history.size:
+            raise exc
+        return F0, exc.history, exc.status
 
-    monkeypatch.setattr("immlab.continuation.newton_solve", fail)
+    monkeypatch.setattr(continuation, "_newton", fail)
     g = grid(8)
     trace = epsilon_continuation(MetricData.round(g, 1.0), [1.0, 0.5])
     assert trace.status == status
@@ -243,14 +271,15 @@ def test_continuation_ends_at_a_failed_step(monkeypatch):
     # a step whose Newton solve fails ends the path at that schedule point;
     # no epsilon between it and the last accepted one is tried
     solves = []
+    newton = continuation._newton
 
     def second_fails(F0, target, tol):
         solves.append(target.epsilon)
         if len(solves) > 1:
-            raise ConvergenceError("stuck", "stalled", [3.0, 2.0])
-        return newton_solve(F0, target, tol)
+            return F0, np.array([3.0, 2.0]), "stalled"
+        return newton(F0, target, tol)
 
-    monkeypatch.setattr("immlab.continuation.newton_solve", second_fails)
+    monkeypatch.setattr(continuation, "_newton", second_fails)
     trace = epsilon_continuation(MetricData.round(grid(8), 1.0), [1.0, 0.5],
                                  liouville_tol=1e-8)
     assert trace.status == "stalled"
@@ -258,6 +287,33 @@ def test_continuation_ends_at_a_failed_step(monkeypatch):
     npt.assert_array_equal(trace.epsilons, [1.0, 0.5])
     assert [s.accepted for s in trace.steps] == [True, False]
     assert trace.steps[-1].residual == 2.0
+
+
+def test_continuation_refuses_a_rising_defect(monkeypatch):
+    # a candidate whose defect would exceed the previous accepted one's is
+    # refused: the trace ends "stalled" at it with the candidate's record,
+    # and the path keeps the last accepted solution
+    g = grid(8)
+    metric = MetricData.round(g, 1.0)
+    ref = epsilon_continuation(metric, [1.0], liouville_tol=1e-8)
+    newton = continuation._newton
+    candidate = np.array([3e-2, 4e-13])
+
+    def off_target(F0, target, tol):
+        if target.epsilon == 0.5:
+            return sphere_immersion(g, 1.01), candidate, "converged"
+        return newton(F0, target, tol)
+
+    monkeypatch.setattr(continuation, "_newton", off_target)
+    trace = epsilon_continuation(metric, [1.0, 0.5], liouville_tol=1e-8)
+    assert trace.status == "stalled"
+    first, second = trace.steps
+    assert first.accepted and not second.accepted
+    # gamma of the radius-1.01 sphere is 1.01^2 times the round metric
+    npt.assert_allclose(second.defect, 1.01**2 - 1.0, rtol=1e-9)
+    assert second.residual == candidate[-1]
+    assert np.isnan(second.singular_values).all()
+    npt.assert_array_equal(trace.F.coeffs, ref.F.coeffs)
 
 
 def test_newton_rejects_degenerate_epsilon():
