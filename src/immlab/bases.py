@@ -22,10 +22,11 @@ Each basis is built once per grid and stored on it (SphereGrid.cached), so
 every caller shares one instance: its arrays are read-only and its labels
 are tuples.  The vector basis keeps one jet table, its fields with their
 chart derivatives, filled in place; the tensor basis keeps only its
-per-|m| tables, the ones that project a tensor field onto it.  They are
-cut from the ring DFTs of the weighted basis tensors, which are built in
-one array (_weighted_tensor_fields), so that the build holds about two
-(n, 4, n_ten) arrays at its peak.
+per-|m| tables, the ones that project a tensor field onto it, over the
+three components 00, 01 and 11 of a symmetric tensor.  They are cut from
+the ring DFTs of the weighted basis tensors, which are built in one array
+(_weighted_tensor_fields), so that the build holds about two (n, 4, n_ten)
+arrays at its peak; component 10 is left out only as the tables are cut.
 """
 
 from dataclasses import dataclass
@@ -125,13 +126,16 @@ class TensorBasis:
     weights, each basis tensor is in every chart component a ring profile
     times cos(|m| ph) or sin(|m| ph); tables[m] holds those amplitudes for
     the tensors of frequency m, whose label indices modes[m] lists by
-    degree (_frequency_tables gives the layout).  Paired with the ring
-    DFTs of a covariant field at m, its rows are the round L2 pairings.
+    degree (_frequency_tables gives the layout), of the three components
+    T^00, T^01 and T^11.  Every basis tensor is symmetric, so its pairing
+    with a covariant field c is T^00 c_00 + T^01 (c_01 + c_10) + T^11 c_11:
+    paired with the ring DFTs at m of the folded field (c_00, c_01 + c_10,
+    c_11), symmetric or not, its rows are the round L2 pairings.
     """
 
     grid: SphereGrid
     labels: tuple               # (family, l, m)
-    tables: tuple               # per |m|: (n_m, 8 n_theta), read-only
+    tables: tuple               # per |m|: (n_m, 6 n_theta), read-only
     modes: tuple                # per |m|: (n_m,) label indices, by degree
 
     @property
@@ -204,6 +208,8 @@ def _build_tensor_basis(g: SphereGrid) -> TensorBasis:
     labels = tuple([("even", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])]
                    + [("odd", int(l), int(m)) for l, m in zip(ls[sel], ms[sel])])
     weighted = _weighted_tensor_fields(g).reshape(g.n_nodes, 4, -1)
+    # the components 00, 01 and 11: every basis tensor is symmetric, so
+    # component 10 repeats 01 and pairs with the folded part's c01 + c10
     tables, modes = _frequency_tables(g, weighted, np.tile(np.abs(ms[sel]), 2),
-                                      np.tile(ls[sel], 2))
+                                      np.tile(ls[sel], 2), [0, 1, 3])
     return TensorBasis(g, labels, tables, modes)

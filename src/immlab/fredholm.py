@@ -57,13 +57,15 @@ class SpectralReport:
     sum to kernel_dim and cokernel_dim.
 
     mode_labels["right"] labels each null vector by its largest overlap,
-    so the labels follow the SVD's basis of a degenerate kernel.  At the
-    round sphere the kernel holds the span of grad and normal at each
-    degree-one (1, m), the translation among its directions; the SVD
-    returns some basis of it, so whether its vectors read "translation",
-    "conformal" or "eigenfunction" (overlaps 0.38 to 0.67) moves with
-    round-off, the blocks and the rotation.  The whole kernel lies in
-    degree one there, so overlap_degree1 reads 1 in any basis.
+    in a basis of the kernel that does not depend on the SVD's: the
+    kernel's projections of the degree-one family modes (curl, grad and
+    normal), largest first, orthonormalized.  At the round sphere the
+    kernel holds the span of grad and normal at each degree-one (1, m),
+    the translation among its directions, and the nine vectors read three
+    "rotation", three "conformal" and three "eigenfunction"; in the basis
+    the SVD returned, whether they read "translation", "conformal" or
+    "eigenfunction" (overlaps 0.38 to 0.67) moved with round-off.  The
+    whole kernel lies in degree one there, so overlap_degree1 reads 1.
     """
 
     epsilon: float
@@ -104,18 +106,23 @@ def killing_modes(labels: list) -> np.ndarray:
     fam = degree_one_families(labels)
     if any(len(fam[k]) != 3 for k in ("rotation", "conformal", "eigenfunction")):
         raise ValueError("domain basis lacks the three degree-one families")
-    n = len(labels)
-    cols = []
-    for i in fam["rotation"]:
-        v = np.zeros(n)
-        v[i] = 1.0
-        cols.append(v)
-    for ig, iv in zip(fam["conformal"], fam["eigenfunction"]):
-        v = np.zeros(n)
-        v[ig] = np.sqrt(2.0 / 3.0)
-        v[iv] = np.sqrt(1.0 / 3.0)
-        cols.append(v)
-    return np.stack(cols, axis=1)
+    rotations = np.zeros((len(labels), 3))
+    rotations[fam["rotation"], range(3)] = 1.0
+    return np.concatenate([rotations, _translations(labels)], axis=1)
+
+
+def _translations(labels: list) -> np.ndarray:
+    """The translation candidates of killing_modes, by m, whose degree-one
+    grad and normal modes both lie in labels: (n_dom, k) columns, k <= 3
+    (a sign class's basis holds one pair or none)."""
+    at = {(kind, m): i for i, (kind, l, m) in enumerate(labels) if l == 1}
+    pairs = [(at["grad", m], at["normal", m]) for m in (-1, 0, 1)
+             if ("grad", m) in at and ("normal", m) in at]
+    out = np.zeros((len(labels), len(pairs)))
+    for k, (ig, iv) in enumerate(pairs):
+        out[ig, k] = np.sqrt(2.0 / 3.0)
+        out[iv, k] = np.sqrt(1.0 / 3.0)
+    return out
 
 
 def _detect_rank(s: np.ndarray, gap_min: float) -> tuple[int, float, bool]:
@@ -140,7 +147,14 @@ def _detect_rank(s: np.ndarray, gap_min: float) -> tuple[int, float, bool]:
 
 def _label_right_modes(V_null: np.ndarray, labels: list) -> list:
     fam = degree_one_families(labels)
-    trans = killing_modes(labels)[:, 3:] if fam["rotation"] else None
+    trans = _translations(labels)
+    # the SVD returns some basis of a degenerate kernel: rotate it onto
+    # the kernel's projections of the degree-one family modes, largest
+    # first (pivoted QR of their coordinates), so that the labels do not
+    # depend on which basis it returned
+    family = fam["rotation"] + fam["conformal"] + fam["eigenfunction"]
+    if family and V_null.shape[1]:
+        V_null = V_null @ qr(V_null[family].T, pivoting=True)[0]
     out = []
     for v in V_null.T:
         entry = {}
@@ -149,7 +163,7 @@ def _label_right_modes(V_null: np.ndarray, labels: list) -> list:
             frac = float(np.sum(v[idx] ** 2)) if idx else 0.0
             entry["overlap_" + name] = frac
             deg1 += frac
-        if trans is not None:
+        if trans.size:
             entry["overlap_translation"] = float(np.sum((trans.T @ v) ** 2))
         entry["overlap_degree1"] = deg1
         entry["label"] = max(
@@ -262,7 +276,7 @@ class _SVD:
                  classes=None):
         self.shape = matrix.shape
         blocks = None if classes is None else _class_blocks(matrix, *classes)
-        self._blocks = None
+        self._blocks = self.parts = None
         if blocks is not None:
             self._merge(blocks, compute_uv)
             return
@@ -283,15 +297,18 @@ class _SVD:
     def from_blocks(cls, shape: tuple, blocks: list,
                     compute_uv: bool = True) -> "_SVD":
         """The block path on blocks already split, as _class_blocks lists
-        them, of a matrix of the given shape."""
+        them, of a matrix of the given shape.  A block given as an _SVD is
+        taken as its factorization."""
         f = cls.__new__(cls)
         f.shape = shape
         f._merge(blocks, compute_uv)
         return f
 
     def _merge(self, blocks: list, compute_uv: bool) -> None:
-        self._blocks = [(k, r, c, _SVD(b, compute_uv))
-                        for k, r, c, b in blocks]
+        # parts keeps the blocks as split, for based_report
+        self.parts = blocks
+        self._blocks = [(k, r, c, b if isinstance(b, _SVD)
+                         else _SVD(b, compute_uv)) for k, r, c, b in blocks]
         sizes = [f.s.size for *_, f in self._blocks]
         values = np.concatenate([f.s for *_, f in self._blocks])
         order = np.argsort(-values, kind="stable")
@@ -370,6 +387,15 @@ def _classes(M: OperatorMatrix) -> tuple:
     return _block_keys(M.codomain_basis), _block_keys(M.domain_basis)
 
 
+def _factorization(M: OperatorMatrix) -> _SVD:
+    """The SVD of M.matrix over the blocks of _classes(M), with its
+    vectors: made on the first request and kept on M, so that both
+    reports of one matrix split and factor it once."""
+    if "svd" not in M._factors:
+        M._factors["svd"] = _SVD(M.matrix, classes=_classes(M))
+    return M._factors["svd"]
+
+
 def _report(f: _SVD, M: OperatorMatrix, gap_min: float,
             domain_restriction=None, based: bool = False) -> SpectralReport:
     s = f.s
@@ -394,7 +420,7 @@ def _report(f: _SVD, M: OperatorMatrix, gap_min: float,
 def svd_report(M: OperatorMatrix, gap_min: float = GAP_MIN
                ) -> SpectralReport:
     """Kernel/cokernel/index of the assembled linearization by gapped SVD."""
-    return _report(_SVD(M.matrix, classes=_classes(M)), M, gap_min)
+    return _report(_factorization(M), M, gap_min)
 
 
 def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
@@ -413,13 +439,16 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
     times each Q_k, less its first columns, and a based null vector maps
     back through each Q_k [0; v_k].  Q_k is applied as Householder
     reflectors, to transposed columns.  On the block path they are
-    applied to the diagonal blocks and the based matrix is never formed.
+    applied to the diagonal blocks and the based matrix is never formed;
+    the split is svd_report's (_factorization), and a block without
+    candidates keeps its factorization from there.
     """
     Kb = killing_modes(M.domain_basis)
     if Kb.shape[1] != 6 or np.linalg.matrix_rank(Kb, tol=1e-10) != 6:
         raise ValueError("ambient-isometry candidate block is not rank 6")
     n_cod, n_dom = M.matrix.shape
-    blocks = _class_blocks(M.matrix, *_classes(M))
+    unbased = _factorization(M)
+    blocks = unbased.parts
     parts = ([np.arange(n_dom)] if blocks is None else
              [c for _, _, c, _ in blocks])
     # per group: its columns, their based positions, its candidate count
@@ -459,7 +488,8 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
         f = _SVD(complement(0, M.matrix.T))
     else:
         f = _SVD.from_blocks((n_cod, start), [
-            (k, r, groups[i][1], complement(i, block.T))
+            (k, r, groups[i][1], complement(i, block.T) if groups[i][2]
+             else unbased._blocks[i][3])
             for i, (k, r, _, block) in enumerate(blocks)])
     return _report(f, M, gap_min, domain_restriction=restore, based=True)
 

@@ -22,12 +22,16 @@ the conformal-factor variation reuses the prefactored linearized Liouville
 solve with the integrated-by-parts curvature variation.  Each formula is
 written once.  The Lie derivative is linear in a tangent field's first jet
 (V^k, d_i V^k) at each node, so it is a fixed (4 x 6) map per node
-(_tangent_map); the class part of a metric variation is a fixed (4 x 4)
+(_tangent_map); the class part of a metric variation, folded to the three
+components that the symmetric tensor harmonics read, is a fixed (3 x 4)
 map per node (_class_map).  assemble_linearization runs its columns in
 panels of _PANEL: it applies the maps to the panel's slice of the vector
-basis's jet table (VectorBasis.jets) and to the panel's class parts, each
-as one batched matrix product, and writes the panel's projected columns
-into the result, so that its work arrays are panel-sized; delta_star and
+basis's jet table (VectorBasis.jets) and to the panel's metric variations,
+each as one batched matrix product, and writes the panel's projected
+columns into the result, so that its work arrays are panel-sized.  At
+eps = 1 nothing else reads the metric variation, so the class map is
+composed with the tangent and normal maps once and the class part formed
+from the jets and speeds in one product; delta_star and
 mean_curvature_prime apply the same kernels to the (n, 6, 1) jets of one
 VariationField, so the single-field functions the tests check are the
 code that builds the matrix.  The blended slot varies by
@@ -237,18 +241,34 @@ def _tangent_map(geo: SurfaceGeometry) -> np.ndarray:
          mixed.reshape(n, 4, 4)], axis=2)
 
 
+def _normal_map(geo: SurfaceGeometry) -> np.ndarray:
+    """The normal first variation of the metric per node, gamma' = 2 nu A:
+    the (n, 4) components of 2 A flattened as 2 i + j."""
+    return 2.0 * geo.second.reshape(-1, 4)
+
+
 def _class_map(geo: SurfaceGeometry) -> np.ndarray:
     """The variation of the class rep gamma / sqrt(det gamma), per node.
 
     gamma' maps to (gamma' - 1/2 tr(gamma^-1 gamma') gamma) / sqrt(det
-    gamma), the trace-free unit-determinant part: (n, 4, 4), acting on
-    components flattened as 2 i + j.
+    gamma), the trace-free unit-determinant part, folded: (n, 3, 4), the
+    rows giving its components 00, 01 + 10 and 11 (_fold), the columns
+    acting on gamma' flattened as 2 i + j.  The tensor harmonics are
+    symmetric, so the folded part is all that their pairing reads.
     """
     n = geo.gamma.shape[0]
     P = np.eye(4) - 0.5 * np.einsum("nij,nkl->nijkl", geo.gamma,
                                     geo.inv_gamma).reshape(n, 4, 4)
     P /= np.sqrt(geo.det_gamma)[:, None, None]
-    return P
+    return _fold(P)
+
+
+def _fold(part: np.ndarray) -> np.ndarray:
+    """Tensor components (n, 4, ...), flattened as 2 i + j, folded to the
+    three (n, 3, ...) of TensorBasis.tables: 00, 01 + 10 and 11."""
+    out = part[:, [0, 1, 3]]
+    out[:, 1] += part[:, 2]
+    return out
 
 
 def _tangential_prime(G: np.ndarray, dH: np.ndarray, jets: np.ndarray,
@@ -258,23 +278,29 @@ def _tangential_prime(G: np.ndarray, dH: np.ndarray, jets: np.ndarray,
     For fields with first jets jets (n, 6, B), in the row order of
     VectorBasis.jets, the metric varies by gamma' = G jet at each node
     (G = _tangent_map(geo)), one batched product of (4 x 6) maps, and H by
-    advection, H' = V . dH, with dH the chart gradient of H.  gp (n, 4, B)
-    and Hp (n, B) receive the result in place.
+    advection, H' = V . dH, with dH the chart gradient of H.  gp (n, k, B)
+    and Hp (n, B) receive the result in place.  G may be any (n, k, 6)
+    map that a linear map of gamma' composes with _tangent_map: with the
+    class map's, P G, gp receives the folded class part instead.
     """
     np.matmul(G, jets, out=gp)
     np.matmul(dH[:, None], jets[:, :2], out=Hp[:, None])
 
 
-def _normal_prime(geo: SurfaceGeometry, forms: _WeakForms, nu: np.ndarray,
-                  Sc: np.ndarray, gp: np.ndarray, Hp: np.ndarray) -> None:
+def _normal_prime(N: np.ndarray, geo: SurfaceGeometry, forms: _WeakForms,
+                  nu: np.ndarray, Sc: np.ndarray, gp: np.ndarray,
+                  Hp: np.ndarray) -> None:
     """First variation along normal speeds, written into gp and Hp.
 
     For nodal speeds nu (n, B) with coefficients c and Galerkin right-hand
-    side Sc = forms.S @ c (nc, B): gamma' = 2 nu A, components flattened
-    into gp (n, 4, B), and H' = -Delta nu - |A|^2 nu, with the Galerkin
-    Laplacian of forms.
+    side Sc = forms.S @ c (nc, B): gamma' = 2 nu A, with N = _normal_map
+    (geo), components flattened into gp (n, 4, B), and H' = -Delta nu -
+    |A|^2 nu, with the Galerkin Laplacian of forms.  As for
+    _tangential_prime, N may be composed with a linear map of gamma'
+    (n, k): with the class map's, P N, gp (n, k, B) receives the folded
+    class part.
     """
-    np.multiply(2.0 * geo.second.reshape(-1, 4, 1), nu[:, None], out=gp)
+    np.multiply(N[..., None], nu[:, None], out=gp)
     np.subtract(-forms.laplacian(Sc), geo.norm_A_sq[:, None] * nu, out=Hp)
 
 
@@ -289,7 +315,8 @@ def _first_variation(F: ImmersionMap, V: VariationField
                       V.jets[..., None], gp[0], Hp[0])
     forms = _WeakForms(MetricData.from_immersion(F))
     Sc = forms.S @ g.analyze(V.nu)[:, None]
-    _normal_prime(geo, forms, V.nu[:, None], Sc, gp[1], Hp[1])
+    _normal_prime(_normal_map(geo), geo, forms, V.nu[:, None], Sc, gp[1],
+                  Hp[1])
     return gp.sum(axis=0).reshape(n, 2, 2), Hp.sum(axis=0)[:, 0]
 
 
@@ -351,6 +378,11 @@ class OperatorMatrix:
     modes (all l).  Codomain labels: ("even"/"odd", l, m) for the trace-free
     tensor slots of the class row block (l >= 2), ("scalar", l, m) for the
     blended rows.  row_orders gives each row's ADN order (_ROW_ORDERS).
+
+    The reports factor matrix once and keep the factorization here
+    (fredholm._factorization), so treat an instance as immutable: for
+    another matrix, make another instance (dataclasses.replace, which
+    starts it without a factorization).
     """
 
     matrix: np.ndarray
@@ -358,6 +390,8 @@ class OperatorMatrix:
     variant: str
     domain_basis: tuple
     codomain_basis: tuple
+    _factors: dict = dataclasses.field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     @property
     def row_orders(self) -> np.ndarray:
@@ -385,8 +419,10 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
     class_part: (n, 2, 2) or (n, 2, 2, B); blended_part: (n,) or (n, B).
     Rows are round L2 pairings by quadrature, of the class part with the
     tensor harmonics and of the blended part with the scalar harmonics.
-    Each part is transformed ring by ring (SphereGrid.longitude_dft), and
-    each |m| takes one product with its cached table (TensorBasis,
+    The class part is folded to its components (00, 01 + 10, 11) (_fold),
+    all that the symmetric tensor harmonics read.  Each part is
+    transformed ring by ring (SphereGrid.longitude_dft), and each |m|
+    takes one product with its cached table (TensorBasis,
     _blended_tables).  A harmonic has the one longitude frequency
     |m| <= L, below the Nyquist frequency L + 1, so its sum against a
     ring of node values is the pairing of the two ring DFTs at |m|: the
@@ -397,15 +433,17 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
     if single:
         class_part = class_part[..., None]
         blended_part = blended_part[..., None]
-    out = _project(g, class_part, blended_part, _mode_cut(g),
-                   np.empty(class_part.shape))
+    folded = _fold(class_part.reshape(g.n_nodes, 4, -1))
+    out = _project(g, folded, blended_part, _mode_cut(g),
+                   np.empty(folded.shape))
     return out[:, 0] if single else out
 
 
 def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
              cut: "_ModeCut", work: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-    """project_codomain of batched parts (n, 2, 2, B) or (n, 4, B), and (n, B).
+    """project_codomain of a batched folded class part (n, 3, B) (_fold)
+    and blended part (n, B).
 
     Only the rows that cut keeps are formed, in codomain order, into out
     (n_rows, B) when it is given, a column slice of a larger matrix say,
@@ -649,22 +687,27 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     n = g.n_nodes
     n_dom = int(bounds[-1])
 
-    G = _tangent_map(geo)
+    G, N, P = _tangent_map(geo), _normal_map(geo), _class_map(geo)
     dH = g.gradient(g.analyze(geo.H))
-    P = _class_map(geo)
     a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
     a, c = np.reshape(a, (-1, 1)), np.reshape(c, (-1, 1))
     lin = None if conformal is None else LinearizedLiouville(conformal)
+    if lin is None:
+        # nothing reads gamma' but the class part: the kernels form the
+        # class part with the composed maps, one product per column
+        G, N = P @ G, (P @ N[..., None])[..., 0]
     out = np.empty((len(cut.codomain), n_dom))
-    # the panel buffers, reused: gamma' (lent to the ring DFTs once the
-    # class part is formed), the class part and the blended slot
+    # the panel buffers, reused: the folded class part, the blended slot
+    # and a work buffer for the ring DFTs, which first holds gamma' where
+    # the linearized Liouville solve reads it
     width = min(_PANEL, n_dom)
-    gp_buf, crp_buf = np.empty((2, n * 4 * width))
+    crp_buf = np.empty(n * 3 * width)
+    work_buf = np.empty(n * G.shape[1] * width)
     hp_buf = np.empty(n * width)
     for first in range(0, n_dom, width):
         b = min(width, n_dom - first)
-        gp = gp_buf[:n * 4 * b].reshape(n, 4, b)
-        crp = crp_buf[:n * 4 * b].reshape(n, 4, b)
+        crp = crp_buf[:n * 3 * b].reshape(n, 3, b)
+        gp = crp if lin is None else work_buf[:n * 4 * b].reshape(n, 4, b)
         Hp = hp_buf[:n * b].reshape(n, b)
         for lo, hi, jets in sources:
             start, stop = max(lo, first), min(hi, first + b)
@@ -673,7 +716,7 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
             cols, src = (slice(start - first, stop - first),
                          slice(start - lo, stop - lo))
             if jets is None:
-                _normal_prime(geo, forms, Y[:, src], S[:, src],
+                _normal_prime(N, geo, forms, Y[:, src], S[:, src],
                               gp[..., cols], Hp[:, cols])
             else:
                 _tangential_prime(G, dH, jets[..., src], gp[..., cols],
@@ -682,8 +725,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
         Hp *= c
         if lin is not None:
             Hp += a * lin.solve_batch(gp.reshape(n, 2, 2, b))[1]
-        np.matmul(P, gp, out=crp)
-        _project(g, crp, Hp, cut, gp, out[:, first:first + b])
+            np.matmul(P, gp, out=crp)
+        _project(g, crp, Hp, cut, work_buf, out[:, first:first + b])
     return OperatorMatrix(out, epsilon, variant, cut.domain, cut.codomain)
 
 

@@ -34,13 +34,14 @@ its sum against the nodes of one ring is a sum over that ring's longitude
 DFT at |m| < L + 1, the Nyquist frequency of the 2L+2 longitudes.
 synthesize and analyze run by frequency (the transform method): synthesis
 multiplies each |m|'s Legendre ring profiles by that |m|'s coefficients,
-then takes one inverse ring DFT; analysis takes the ring DFTs, then pairs
-each |m| with its quadrature-weighted ring profiles.  These are the
-quadrature sums of the dense node tables, regrouped, so no approximation
-enters.  Both take one field or a batch of them along a trailing axis.
-node_matrix builds the dense (n_nodes, n_coeffs) tables from the same
-Legendre evaluation, for the Galerkin forms and the basis tables that
-multiply many columns at once.
+then takes one inverse ring DFT; analysis, its adjoint for any chart
+derivative, takes the ring DFTs, then pairs each |m| with its
+quadrature-weighted ring profiles.  These are the quadrature sums of the
+dense node tables, regrouped, so no approximation enters.  Both take one
+field or a batch of them along a trailing axis.  node_matrix builds the
+dense (n_nodes, n_coeffs) tables from the same Legendre evaluation, for
+the basis tables, the Galerkin mass matrix and the linearized Liouville
+solve.
 """
 
 from __future__ import annotations
@@ -247,13 +248,14 @@ class SphereGrid:
             return (2 * np.abs(ms) + (ms < 0)) * (self.L + 1) + ls
         return self.cached("frequency_slots", build)
 
-    def _analysis_rings(self) -> np.ndarray:
-        """Quadrature-weighted ring profiles (L+1, L+1, n_theta): [m, l, r]."""
+    def _analysis_rings(self, dth: int = 0) -> np.ndarray:
+        """Quadrature-weighted ring profiles (L+1, L+1, n_theta): [m, l, r],
+        of the dth-th colatitude derivative."""
         def build():
             w = self.weights.reshape(self.n_theta, self.n_phi)[:, 0]
             return np.ascontiguousarray(
-                self._legendre()[0].transpose(0, 2, 1) * w)
-        return self.cached("analysis_rings", build)
+                self._legendre()[dth].transpose(0, 2, 1) * w)
+        return self.cached(("analysis_rings", dth), build)
 
     def _check(self, values: np.ndarray, size: int, what: str) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -270,30 +272,37 @@ class SphereGrid:
         coeffs is (n_coeffs,) or a batch (n_coeffs, B); the result is
         (n_nodes,) or (n_nodes, B).  Each |m|'s ring profiles multiply its
         coefficients (one batched product over the degree-padded layout of
-        _frequency_slots), and one inverse ring DFT, with the dph
-        longitude derivatives in its rows, gives the node values.
+        _frequency_slots), and the inverse ring DFT of each ring, with the
+        dph longitude derivatives in its rows, gives the node values in
+        their order, so no transposed copy is made.
         """
         c = self._check(coeffs, self.n_coeffs, "coefficients")
         M, b = self.L + 1, c.size // self.n_coeffs
         padded = np.zeros((M * 2 * M, b))
         padded[self._frequency_slots()] = c.reshape(-1, b)
         amp = self._legendre()[dth][:, None] @ padded.reshape(M, 2, M, b)
-        out = amp.reshape(2 * M, -1).T @ self._longitude_rows(dph)
-        return out.reshape(self.n_theta, b, self.n_phi).transpose(0, 2, 1).reshape(
-            (self.n_nodes,) + c.shape[1:])
+        out = self._longitude_rows(dph).T @ amp.reshape(
+            2 * M, self.n_theta, b).transpose(1, 0, 2)
+        return out.reshape((self.n_nodes,) + c.shape[1:])
 
-    def analyze(self, samples: np.ndarray) -> np.ndarray:
-        """Quadrature L2 projection of node samples onto the basis.
+    def analyze(self, samples: np.ndarray, dth: int = 0, dph: int = 0
+                ) -> np.ndarray:
+        """Quadrature pairing of node samples with a chart derivative of the
+        basis: node_matrix(dth, dph).T @ (weights * samples).
 
-        samples is (n_nodes,) or a batch (n_nodes, B); the result is
-        (n_coeffs,) or (n_coeffs, B).  Each ring is transformed once
-        (_ring_dft), and each |m| pairs its two frequency rows with the
-        quadrature-weighted ring profiles.
+        It is the adjoint of synthesize(., dth, dph) in the quadrature
+        inner product; at dth = dph = 0 it is the L2 projection of the
+        samples onto the basis.  samples is (n_nodes,) or a batch
+        (n_nodes, B); the result is (n_coeffs,) or (n_coeffs, B).  Each
+        ring is transformed once (_ring_dft, the dph longitude derivatives
+        in its rows), and each |m| pairs its two frequency rows with the
+        quadrature-weighted ring profiles of the dth colatitude derivative.
         """
         f = self._check(samples, self.n_nodes, "samples")
         M, b = self.L + 1, f.size // self.n_nodes
-        spec = _ring_dft(self, f, np.empty(f.shape))
-        out = self._analysis_rings()[:, None] @ spec.reshape(M, 2, self.n_theta, b)
+        spec = _ring_dft(self, f, np.empty(f.shape), dph)
+        out = self._analysis_rings(dth)[:, None] @ spec.reshape(
+            M, 2, self.n_theta, b)
         return out.reshape(-1, b)[self._frequency_slots()].reshape(
             (self.n_coeffs,) + f.shape[1:])
 
@@ -312,31 +321,34 @@ class SphereGrid:
         return np.reshape(-ls * (ls + 1.0), (-1,) + (1,) * (c.ndim - 1)) * c
 
 
-def _ring_dft(g: SphereGrid, values: np.ndarray, out: np.ndarray
-              ) -> np.ndarray:
+def _ring_dft(g: SphereGrid, values: np.ndarray, out: np.ndarray,
+             dph: int = 0) -> np.ndarray:
     """Longitude DFT of every ring of node values (n, ...), by frequency.
 
-    Returns (n_phi, n_theta, rest), row 2m + t of longitude_dft on ring r
-    at [2m + t, r], so the rows of one frequency are contiguous.  It is
-    written into the leading values.size entries of out, a C-contiguous
-    array at least that large.
+    Returns (n_phi, n_theta, rest), row 2m + t of longitude_dft (of its
+    dph-th longitude derivative, _longitude_rows) on ring r at [2m + t, r],
+    so the rows of one frequency are contiguous.  It is written into the
+    leading values.size entries of out, a C-contiguous array at least that
+    large.
     """
     spec = out.reshape(-1)[:values.size].reshape(g.n_phi, g.n_theta, -1)
-    np.matmul(g.longitude_dft(), values.reshape(g.n_theta, g.n_phi, -1),
+    np.matmul(g._longitude_rows(dph), values.reshape(g.n_theta, g.n_phi, -1),
               out=spec.transpose(1, 0, 2))
     return spec
 
 
 def _frequency_tables(g: SphereGrid, weighted: np.ndarray, freq: np.ndarray,
-                      degree: np.ndarray) -> tuple[tuple, tuple]:
+                      degree: np.ndarray, components=slice(None)
+                      ) -> tuple[tuple, tuple]:
     """Per-|m| amplitude tables of node fields of one longitude frequency.
 
     weighted (n, k, c) holds c fields of k components; in each component,
     field j is a ring profile times cos(freq[j] ph) or sin(freq[j] ph),
-    freq[j] <= L.  Returns (tables, modes), one entry for each m = 0..L:
+    freq[j] <= L.  The tables keep the components that components selects,
+    k' of them.  Returns (tables, modes), one entry for each m = 0..L:
     modes[m] lists the fields of frequency m by degree, and tables[m]
-    (len(modes[m]), 2 n_theta k) their amplitudes of cos(m ph) (t = 0)
-    and sin(m ph) (t = 1), entry [i, (t n_theta + r) k + comp] on ring r:
+    (len(modes[m]), 2 n_theta k') their amplitudes of cos(m ph) (t = 0)
+    and sin(m ph) (t = 1), entry [i, (t n_theta + r) k' + comp] on ring r:
     the layout of _ring_dft's rows 2m, 2m + 1.
 
     Each m lies below the Nyquist frequency L + 1 of the 2L + 2
@@ -353,8 +365,9 @@ def _frequency_tables(g: SphereGrid, weighted: np.ndarray, freq: np.ndarray,
     for m in range(g.L + 1):
         cols = np.flatnonzero(freq == m)
         cols = cols[np.argsort(degree[cols], kind="stable")]
-        table = np.ascontiguousarray(spec[m][..., cols].reshape(
-            -1, cols.size).T) * ((1.0 if m == 0 else 2.0) / g.n_phi)
+        table = np.ascontiguousarray(spec[m][:, :, components][..., cols]
+                                     .reshape(-1, cols.size).T)
+        table *= (1.0 if m == 0 else 2.0) / g.n_phi
         for a in (table, cols):
             a.setflags(write=False)
         tables.append(table)

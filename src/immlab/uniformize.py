@@ -11,7 +11,10 @@ harmonic basis.  The weak form never touches Christoffel symbols or chart
 components of gamma near the poles: the stiffness form integrates
 gamma^{ij} d_i phi d_j psi against the metric volume element, and every
 integrand that appears is a smooth scalar times sin(theta) from the volume
-factor, so Gauss-Legendre quadrature applies cleanly.
+factor, so Gauss-Legendre quadrature applies cleanly.  The stiffness
+form's quadrature sums run by longitude frequency (SphereGrid.analyze),
+and so does the synthesis of the Galerkin Laplacian; the mass matrix is
+one BLAS product.
 
 Solutions are unique only up to the Moebius group; the gauge adopted here
 pins the three degree-one coefficients of phi to zero.  The reduced
@@ -37,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
-from scipy.linalg.blas import dsyrk
 
 from .errors import (ConvergenceError, DegreeMismatchError,
                      ImmersionRegularityError)
@@ -176,6 +178,14 @@ class _WeakForms:
     class (operators._class_harmonics); by default they run over all of
     them.  The forms record them: coefficient vectors and Galerkin
     matrices are over those modes, in their order.
+
+    The stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv is the
+    quadrature sum, taken by longitude frequency: the nodal fields
+    q gamma^{ij} d_j Y_c, with q the volume weights, are paired with the
+    d_i derivatives of the basis by SphereGrid.analyze, the adjoint of the
+    synthesis.  The mass matrix stays one GEMM of the node table, since
+    the Liouville Jacobian forms it on every Gauss-Newton step, and the
+    Galerkin Laplacian synthesizes its mass-matrix solve.
     """
 
     def __init__(self, metric: MetricData, modes=_EVERY_MODE):
@@ -184,23 +194,20 @@ class _WeakForms:
         self.modes = modes
         self.Y = g.node_matrix(0, 0)[:, modes]
         self.dY = (g.node_matrix(1, 0)[:, modes], g.node_matrix(0, 1)[:, modes])
-        # stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv = (A^T A)[k, c]
-        # with A = [a dY_th + b dY_ph; c dY_ph], [[a, 0], [b, c]] the
-        # Cholesky factor of q gamma^{ij} at each node: one symmetric rank-k
-        # update, its upper triangle mirrored
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore"):
             self.q = metric.vol_weights
-            Q = self.q[:, None, None] * metric.inv_gamma
-            a = np.sqrt(Q[:, 0, 0])
-            b = Q[:, 0, 1] / a
-            c = np.sqrt(Q[:, 1, 1] - b * b)
-        if not np.all(c > 0.0):
+            # q gamma^{ij} over the grid weights, which analyze applies
+            Q = (self.q / g.weights)[:, None, None] * metric.inv_gamma
+        det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
+        if not np.all((Q[:, 0, 0] > 0.0) & (det > 0.0)):
             raise ImmersionRegularityError(
                 "metric must be positive definite at every node")
-        A = np.concatenate([a[:, None] * self.dY[0] + b[:, None] * self.dY[1],
-                            c[:, None] * self.dY[1]])
-        S = dsyrk(1.0, A.T)
-        self.S = np.triu(S) + np.triu(S, 1).T
+        S = sum(g.analyze(Q[:, i, 0, None] * self.dY[0]
+                          + Q[:, i, 1, None] * self.dY[1], *d)[modes]
+                for i, d in enumerate(((1, 0), (0, 1))))
+        # S[k, c] and S[c, k] regroup one quadrature sum differently; their
+        # mean is exactly symmetric
+        self.S = 0.5 * (S + S.T)
 
     def mass(self, density: np.ndarray) -> np.ndarray:
         return self.Y.T @ ((self.q * density)[:, None] * self.Y)
@@ -222,9 +229,16 @@ class _WeakForms:
         rhs = S @ c (columns (nc, B)) gives Delta_gamma of the fields with
         coefficients c; rhs = S gives it for every basis function.  Exact
         for band-limited inputs when the metric is round.  M is factored
-        on the first call and the factor kept for the next ones.
+        on the first call and the factor kept for the next ones; the
+        solution, scattered into the coefficients of every harmonic, is
+        synthesized at the nodes.
         """
-        return self.Y @ cho_solve(self._mass_factor, -rhs)
+        g = self.metric.grid
+        x = cho_solve(self._mass_factor, -rhs)
+        if self.modes is not _EVERY_MODE:
+            x, sub = np.zeros((g.n_coeffs,) + x.shape[1:]), x
+            x[self.modes] = sub
+        return g.synthesize(x)
 
     @cached_property
     def _mass_factor(self) -> tuple:

@@ -160,7 +160,7 @@ def test_tensor_basis_stores_per_frequency_tables_only():
 def test_tensor_basis_build_peak_live_memory(live_peak):
     # the weighted fields are built in one array and their ring DFTs in a
     # second, so the build's live peak is about two (n, 4, n_ten) arrays:
-    # measured 2.07 at L = 16, against 4.14 when the Hessians, the even
+    # measured 2.10 at L = 16, against 4.14 when the Hessians, the even
     # and odd families, their concatenation and the raised copy were
     # separate arrays
     g = SphereGrid.build(16)

@@ -8,13 +8,15 @@ import pytest
 
 from scipy.linalg import qr
 
+from immlab import fredholm
 from immlab.bases import (_weighted_tensor_fields, tensor_basis,
                           vector_basis)
 from immlab.fredholm import (_SVD, _classes, _detect_rank,
                              based_report, degree_one_families,
                              kernel_vs_epsilon, killing_modes, svd_report)
-from immlab.operators import (_mode_cut, _scalar_labels, _sign_classes,
-                              assemble_linearization, domain_labels)
+from immlab.operators import (_SIGN_CLASS_NAMES, _mode_cut, _scalar_labels,
+                              _sign_classes, assemble_linearization,
+                              domain_labels)
 from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
                            sphere_immersion)
 from immlab.spectral import grid
@@ -68,11 +70,12 @@ def test_singular_value_tail_sorted():
 def test_report_survives_gesdd_failure(report, fail_gesdd):
     # gesdd's divide and conquer can fail to converge on a well-conditioned
     # matrix (seen on L = 20 round-sphere linearizations); the report then
-    # redoes the SVD with gesvd and must say the same
+    # redoes the SVD with gesvd and must say the same.  The reports keep
+    # M's factorization, so the second report takes a fresh instance
     M = round_matrix(8)
     ref = report(M)
     failures = fail_gesdd()
-    r = report(M)
+    r = report(dataclasses.replace(M))
     assert failures
     assert (r.kernel_dim, r.cokernel_dim, r.index, r.reliable) == \
         (ref.kernel_dim, ref.cokernel_dim, ref.index, ref.reliable)
@@ -198,6 +201,23 @@ def test_right_mode_labels_degree_one():
     assert "rotation" in kinds and "conformal" in kinds
 
 
+def test_right_mode_labels_do_not_depend_on_the_kernel_basis():
+    # the round sphere's kernel is degenerate, so the SVD may return any
+    # basis of it; the labels are those of the degree-one family modes in
+    # any basis, here the SVD's and a random rotation of it
+    M = round_matrix(8)
+    f = _SVD(M.matrix, classes=_classes(M))
+    rank = _detect_rank(f.s, 1e3)[0]
+    V = f.right(range(rank, M.matrix.shape[1]))
+    Q = qr(np.random.default_rng(4).standard_normal((9, 9)))[0]
+    for basis in (V, V @ Q):
+        labels = fredholm._label_right_modes(basis, M.domain_basis)
+        assert sorted(lab["label"] for lab in labels) == sorted(
+            ["rotation", "conformal", "eigenfunction"] * 3)
+        for lab in labels:
+            assert lab["overlap_" + lab["label"]] >= 1.0 - 1e-12
+
+
 def test_left_mode_labels_scalar_degree_one():
     r = svd_report(round_matrix(12))
     labels = r.mode_labels["left"]
@@ -261,6 +281,50 @@ def test_class_counts_at_half():
     r = svd_report(round_matrix(12, eps=0.5))
     assert r.class_counts["+++"] == (1, 1)
     assert (r.kernel_dim, r.cokernel_dim) == (10, 4)
+
+
+@pytest.mark.parametrize("sign_class", _SIGN_CLASS_NAMES)
+def test_svd_report_on_each_sign_class_block(sign_class):
+    # a class block holds the grad and normal modes of one degree-one
+    # (1, m), one rotation, or neither: its right modes read translation
+    # overlaps from the pairs it holds, and its counts are those of its
+    # class in the full report.  The based report needs all six
+    # candidates, so it still refuses a class block
+    F = ellipsoid_immersion(grid(8), 1.0, 1.05, 0.95)
+    full = svd_report(assemble_linearization(F, 1.0))
+    M = assemble_linearization(F, 1.0, sign_class=sign_class)
+    r = svd_report(M)
+    assert (r.kernel_dim, r.cokernel_dim) == full.class_counts[sign_class]
+    degree_one = {kind for kind, l, _ in M.domain_basis if l == 1}
+    pair = {"grad", "normal"} <= degree_one
+    assert not (pair and "curl" in degree_one)
+    for lab in r.mode_labels["right"]:
+        assert ("overlap_translation" in lab) == pair
+    with pytest.raises(ValueError, match="three degree-one families"):
+        based_report(M)
+
+
+def test_reports_share_one_factorization(monkeypatch):
+    # based_report takes svd_report's split and keeps the factors of every
+    # block without a Killing candidate: at the round sphere 6 blocks are
+    # factored again, each holding one rotation or one translation
+    M = round_matrix(8)
+    splits, svds = [], []
+    split, svd = fredholm._class_blocks, np.linalg.svd
+    monkeypatch.setattr(fredholm, "_class_blocks",
+                        lambda *a: splits.append(1) or split(*a))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svds.append(1) or svd(*a, **k))
+    r = svd_report(M)
+    n_blocks = len(svds)
+    assert n_blocks > 8 and len(splits) == 1
+    b = based_report(M)
+    assert len(splits) == 1 and len(svds) == n_blocks + 6
+    # the values of reports that factor on their own
+    for report, ref in ((svd_report, r), (based_report, b)):
+        fresh = report(dataclasses.replace(M))
+        assert np.array_equal(fresh.singular_values, ref.singular_values)
+    assert len(splits) == 3
 
 
 def _ellipsoid_matrix(L):

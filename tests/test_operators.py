@@ -417,8 +417,9 @@ def test_projection_matches_dense_quadrature(L, cut, batch):
         # only the cut's rows are formed; the "+++" fields are not
         # symmetric, so its class rows are still those rows of the full
         # projection
-        rows = operators._project(g, class_part, blended, mode_cut,
-                                  np.empty(class_part.shape))
+        folded = operators._fold(class_part.reshape(g.n_nodes, 4, batch))
+        rows = operators._project(g, folded, blended, mode_cut,
+                                  np.empty(folded.shape))
     npt.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
@@ -435,6 +436,9 @@ def test_assembly_projection_matches_dense_quadrature(eps, variant,
     assert np.abs(M[rows[:, None] != cols]).max() > 1e-3 * np.abs(M).max()
 
     def dense(g, c, b, cut, work, out):
+        # the folded class part (00, 01 + 10, 11) as a tensor with that
+        # sum in its 01 component
+        c = np.stack([c[:, 0], c[:, 1], np.zeros_like(c[:, 1]), c[:, 2]], 1)
         out[...] = _dense_projection(g, c, b)[cut.codomain_mask]
         return out
     monkeypatch.setattr(operators, "_project", dense)
@@ -572,11 +576,11 @@ def _warm_assembly_peak(live_peak, eps, variant, cut, L=12):
 # peak live memory of one warm assembly at L = 12, in (n, 4, B) double
 # arrays, as tracemalloc counts numpy's allocations (so not the heap that
 # the allocator retains).  The columns run in panels of operators._PANEL,
-# 4 (full) and 3 (degree L - 2) of them here; measured 1.18 and 1.37 at
-# eps = 1, where one panel's gamma', class part and H', the forms and the
-# result are live.  A full-width (n, 4, B) temporary fails the eps = 1
-# bound; 4.75 at eps = 0.5 is the looser bound that an assembly keeping
-# the linearized Liouville solve's work arrays live still meets.
+# 4 (full) and 3 (degree L - 2) of them here; measured 1.19 and 1.35 at
+# eps = 1, where one panel's class part, H' and work buffer, the forms
+# and the result are live.  A full-width (n, 4, B) temporary fails the
+# eps = 1 bound; 4.75 at eps = 0.5 is the looser bound that an assembly
+# keeping the linearized Liouville solve's work arrays live still meets.
 @pytest.mark.parametrize("cut,eps,variant,bound", [
     pytest.param(None, 1.0, "additive", 1.5, id="None"),
     pytest.param(2, 1.0, "additive", 1.5, id="2"),
@@ -590,7 +594,7 @@ def test_assembly_peak_live_memory(cut, eps, variant, bound, live_peak):
     assert peak <= bound * unit, peak / unit
 
 
-# measured 1.50 (full) and 1.84 (degree L - 2) at eps = 0.5, where the
+# measured 1.44 (full) and 1.76 (degree L - 2) at eps = 0.5, where the
 # linearized Liouville solve's (n, 6, b) test-jet weights of one panel
 # are live too
 @pytest.mark.parametrize("cut", [None, 2])
@@ -600,7 +604,7 @@ def test_assembly_peak_live_memory_liouville(cut, live_peak):
 
 
 def test_assembly_peak_live_memory_many_panels(live_peak):
-    # at L = 20 the 1321 columns make 11 panels: measured 27.2 MiB, of
+    # at L = 20 the 1321 columns make 11 panels: measured 28.4 MiB, of
     # which the result is 13.3 MiB, against 95.7 MiB (2.69 (n, 4, B)
     # arrays) when every column was formed at once
     peak, _ = _warm_assembly_peak(live_peak, 1.0, "additive", None, L=20)

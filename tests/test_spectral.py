@@ -157,6 +157,30 @@ def test_transforms_match_dense_node_tables(L):
         npt.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("dth,dph", DERIVATIVES)
+def test_analysis_is_the_adjoint_of_synthesis(L, dth, dph):
+    # analyze(f, dth, dph) pairs the samples with the (dth, dph) chart
+    # derivative of every basis function by quadrature, the dense
+    # node_matrix(dth, dph).T @ (weights * f), one field or a batch
+    g = grid(L)
+    rng = np.random.default_rng(10 * L + 3 * dth + dph)
+    f = rng.standard_normal((g.n_nodes, 5))
+    ref = g.node_matrix(dth, dph).T @ (g.weights[:, None] * f)
+    atol = 1e-13 * np.abs(ref).max()
+    got = g.analyze(f, dth, dph)
+    assert got.shape == (g.n_coeffs, 5)
+    npt.assert_allclose(got, ref, rtol=0, atol=atol)
+    one = g.analyze(f[:, 1], dth, dph)
+    assert one.shape == (g.n_coeffs,)
+    npt.assert_allclose(one, ref[:, 1], rtol=0, atol=atol)
+    # the adjoint identity <synthesize(c), f>_w = <c, analyze(f)>
+    c = rng.standard_normal(g.n_coeffs)
+    lhs = g.synthesize(c, dth, dph) @ (g.weights * f[:, 0])
+    npt.assert_allclose(lhs, c @ got[:, 0], rtol=0,
+                        atol=1e-13 * (np.abs(c) @ np.abs(got[:, 0])))
+
+
 @pytest.mark.parametrize("bad", [lambda g: (g.n_coeffs + 1,),
                                  lambda g: (g.n_coeffs, 3, 1),
                                  lambda g: (g.n_nodes,)])

@@ -59,9 +59,10 @@ def _with_inverse(metric, gamma):
 
 @pytest.mark.parametrize("L", [8, 12])
 def test_stiffness_matches_quadrature(L):
-    # the stiffness form is built as one symmetric rank-k update from the
-    # per-node Cholesky factors of q gamma^{ij}; against the quadrature sum
-    # of q gamma^{ij} d_i Y d_j Y it measured 2.7e-15 of the largest entry
+    # the stiffness form is built by longitude frequency, the analyses of
+    # q gamma^{ij} d_j Y paired with d_i Y, and symmetrized; against the
+    # quadrature sum of q gamma^{ij} d_i Y d_j Y it measured 2.5e-15
+    # (L = 8) and 4.8e-15 (L = 12) of the largest entry
     g = grid(L)
     metric = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.2, 0.8))
     forms = uniformize._WeakForms(metric)
@@ -69,6 +70,44 @@ def test_stiffness_matches_quadrature(L):
     ref = np.einsum("nic,nij,njk->kc", dY,
                     metric.vol_weights[:, None, None] * metric.inv_gamma, dY)
     npt.assert_allclose(forms.S, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+    assert np.array_equal(forms.S, forms.S.T)
+
+
+def _dense_forms(metric, modes):
+    """The forms' stiffness and the Galerkin Laplacian of every basis
+    function as dense node-table products: S = A^T A, A stacking the
+    per-node Cholesky factors of q gamma^{ij} times the chart gradients,
+    and Y M^{-1} (-S) with the mass M = Y^T diag(q) Y."""
+    g = metric.grid
+    Y = g.node_matrix(0, 0)[:, modes]
+    dth, dph = g.node_matrix(1, 0)[:, modes], g.node_matrix(0, 1)[:, modes]
+    Q = metric.vol_weights[:, None, None] * metric.inv_gamma
+    a = np.sqrt(Q[:, 0, 0])
+    b = Q[:, 0, 1] / a
+    c = np.sqrt(Q[:, 1, 1] - b * b)
+    A = np.concatenate([a[:, None] * dth + b[:, None] * dph,
+                        c[:, None] * dph])
+    S = A.T @ A
+    M = Y.T @ (metric.vol_weights[:, None] * Y)
+    return S, Y @ np.linalg.solve(M, -S)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("sign_class", [None, "+++"])
+def test_weak_forms_match_dense_products(L, sign_class):
+    # the stiffness by longitude frequency and the synthesized Laplacian
+    # against the dense node-table products they replace, over every
+    # harmonic and over the fully symmetric class's
+    g = grid(L)
+    metric = MetricData.from_immersion(ellipsoid_immersion(g, 1.0, 1.2, 0.8))
+    modes = _class_harmonics(g, sign_class)
+    forms = uniformize._WeakForms(metric, modes)
+    S, lap = _dense_forms(metric, modes)
+    for got, ref in ((forms.S, S), (forms.laplacian(forms.S), lap),
+                     (forms.laplacian(forms.S[:, 3]), lap[:, 3]),
+                     (forms.laplacian(forms.S[:, 2:9]), lap[:, 2:9])):
+        assert got.shape == ref.shape
+        npt.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
     assert np.array_equal(forms.S, forms.S.T)
 
 
