@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ImmersionRegularityError
+from .errors import (ConvergenceError, DegreeMismatchError,
+                     ImmersionRegularityError)
 from .fredholm import _OFF_CLASS_MAX, GAP_MIN, _SVD, _detect_rank
 from .geometry import ImmersionMap
 from .operators import (EpsilonData, _blend, _mode_cut, _scalar_labels,
@@ -225,7 +226,8 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     history so far on failure: status "diverged" when no candidate step
     descends (every candidate has halved its step _MAX_BACKTRACKS + 1
     times by then), "stalled" when _MAX_ITER iterations end above tol.
-    Raises ValueError unless epsilon > 0 and 0 < tol < inf.
+    Raises ValueError unless epsilon > 0 and 0 < tol < inf, and
+    DegreeMismatchError unless the target's node arrays are on F0's grid.
     """
     F, history, status = _newton(F0, target, tol)
     if status == "diverged":
@@ -253,6 +255,12 @@ def _newton(F0: ImmersionMap, target: TargetData, tol: float
     if not 0.0 < tol < np.inf:
         raise ValueError(f"newton_solve needs 0 < tol < inf, got {tol}")
     g = F0.grid
+    if (target.class_rep.shape, target.blended.shape) != (
+            (g.n_nodes, 2, 2), (g.n_nodes,)):
+        raise DegreeMismatchError(
+            f"target arrays of shapes {target.class_rep.shape} and "
+            f"{target.blended.shape}; F0's grid (L = {g.L}) has "
+            f"{g.n_nodes} nodes")
     det_floor = 1e-4 * F0.geometry.det_gamma.min()
     degree = g.L - _DEALIAS
     rows = _mode_cut(g, degree).codomain_mask

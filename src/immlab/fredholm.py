@@ -187,7 +187,7 @@ def _label_left_modes(U_null: np.ndarray, labels: list) -> list:
     return out
 
 
-# The block path's certificate: a split of a block into diagonal sub-blocks
+# The SVD's certificate (_SVD): a split of a block into diagonal sub-blocks
 # holds when the part E between them has ||E||_F <= _OFF_CLASS_MAX ||B||_F
 _OFF_CLASS_MAX = 1e-12
 
@@ -218,130 +218,114 @@ def _split(block: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return None
 
 
-def _class_blocks(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """The diagonal blocks of matrix over the block keys rows and cols.
+def _class_blocks(matrix: np.ndarray, classes: tuple | None) -> list:
+    """The diagonal blocks of matrix over the block keys classes.
 
-    The keys (operators._block_keys) hold the sign class, key % 8, and
-    |m|, key // 8.  _split splits the matrix by sign class, then each
-    class block by |m|; a split that does not hold leaves its block
-    whole.  Returns (class, row indices, column indices, block) per block,
-    class None where the class split failed; None when nothing split or
-    the keys do not match the shape.
+    classes is the pair (row keys, column keys) of operators._block_keys,
+    which hold the sign class, key % 8, and |m|, key // 8.  _split splits
+    the matrix by sign class, then each class block by |m|; a split that
+    does not hold leaves its block whole.  Returns (class, row indices,
+    column indices, block) per block, class None where the class split
+    failed.  A matrix without keys, with keys that do not match its
+    shape, or that no split divides is one block: (None, all rows, all
+    columns, the matrix itself).
     """
-    if (len(rows), len(cols)) != matrix.shape:
-        return None
-    whole = [(None, np.arange(len(rows)), np.arange(len(cols)), matrix)]
+    m, n = matrix.shape
+    whole = [(None, np.arange(m), np.arange(n), matrix)]
+    if classes is None or (len(classes[0]), len(classes[1])) != (m, n):
+        return whole
+    rows, cols = classes
     blocks = []
     for k, r, c, block in _split(matrix, rows % 8, cols % 8) or whole:
         for _, rm, cm, sub in (_split(block, rows[r] // 8, cols[c] // 8)
                                or [(None, slice(None), slice(None), block)]):
             blocks.append((k, r[rm], c[cm], sub))
-    return blocks if len(blocks) > 1 else None
+    return blocks
+
+
+def _factor(block: np.ndarray, compute_uv: bool) -> tuple:
+    """(s, U, V) of one block, U and V None without compute_uv.
+
+    np.linalg.svd (LAPACK gesdd) with full_matrices=True, so U (V) holds
+    the block's null directions past min(m, n).  gesdd's divide and
+    conquer can fail to converge on a well-conditioned matrix (on the
+    clustered spectra of dense L = 20 round-sphere linearizations that
+    hinged on the last bits of the input), and np.linalg.svd then raises
+    LinAlgError.  The SVD is redone with LAPACK's gesvd (QR iteration),
+    which at L = 20 takes about 20 times as long.  A block with a
+    non-finite entry raises ValueError.
+    """
+    if not np.isfinite(block).all():
+        # gesdd would return NaN values for an infinite entry
+        raise ValueError("the matrix has non-finite entries")
+    try:
+        out = np.linalg.svd(block, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = svd(block, compute_uv=compute_uv, lapack_driver="gesvd")
+    if not compute_uv:
+        return out, None, None
+    u, s, vt = out
+    return s, u, vt.T
 
 
 class _SVD:
-    """SVD of a dense matrix, one diagonal block at a time where it can be.
+    """SVD of a matrix, one diagonal block at a time.
 
-    The dense path is np.linalg.svd (LAPACK gesdd) with full_matrices=True,
-    so a left (right) index at or beyond min(m, n) gives a null direction
-    of the full U (V).  gesdd's divide and conquer can fail to converge on
-    a well-conditioned matrix (on the clustered spectra of dense L = 20
-    round-sphere linearizations that hinged on the last bits of the
-    input), and np.linalg.svd then raises LinAlgError.  The SVD is redone
-    with LAPACK's gesvd (QR iteration), which at L = 20 takes about 20
-    times as long.  A matrix with a non-finite entry raises ValueError.
+    blocks is a list of blocks as _class_blocks lists them, each given as
+    its matrix or as its factors already computed (_factor's (s, U, V)),
+    or a dense matrix, which _class_blocks splits over classes: the pair
+    (row keys, column keys) of the block keys of its labels
+    (operators._block_keys: reflection sign class and |m|).  At an
+    immersion with the three coordinate reflection symmetries, or a rigid
+    motion of one, the linearization maps each sign class to itself, and
+    at a surface of revolution about the z axis each |m| to itself.
+    Where the entries between them are round-off, each diagonal block is
+    factored on its own (_factor): at L = 20 a round sphere's 84 blocks
+    take 6 ms, its 8 class blocks 25 ms, one dense factorization 0.9 s
+    (one BLAS thread).  The blocks are the SVD of A - E, E the part off
+    the blocks; each split bounds its part by _OFF_CLASS_MAX times the
+    block it splits, so ||E||_F <= sqrt(2) _OFF_CLASS_MAX ||A||_F, and by
+    Weyl's inequality each singular value of A lies within ||E||_F of
+    A - E's.  A matrix that does not split is one block, so its values
+    and vectors are _factor's.
 
-    classes, when given, is the pair (row keys, column keys) of the block
-    keys of the matrix's labels (operators._block_keys: reflection sign
-    class and |m|).  At an immersion with the three coordinate reflection
-    symmetries, or a rigid motion of one, the linearization maps each
-    sign class to itself, and at a surface of revolution about the z axis
-    each |m| to itself.  Where the entries between them are round-off
-    (_class_blocks), each diagonal block is factored on its own as above,
-    fallback and all: at L = 20 a round sphere's 84 blocks take 6 ms, its
-    8 class blocks 25 ms, one dense factorization 0.9 s (one BLAS
-    thread).  The blocks are the SVD of A - E, E the part off the blocks;
-    each split bounds its part by _OFF_CLASS_MAX times the block it
-    splits, so ||E||_F <= sqrt(2) _OFF_CLASS_MAX ||A||_F, and by Weyl's
-    inequality each singular value of A lies within ||E||_F of A - E's.
     The block values are merged in descending order, ties in block order,
     and padded with exact zeros to min(m, n) entries.  Index j of left
     and right is the j-th merged value's vector in its block, and indices
     past the block values give the blocks' null directions, block by
-    block; solve(b, k) keeps the k largest merged values.  Any other
-    matrix takes the dense path.
+    block; solve(b, k) keeps the k largest merged values.
     """
 
-    def __init__(self, matrix: np.ndarray, compute_uv: bool = True,
-                 classes=None):
-        self.shape = matrix.shape
-        blocks = None if classes is None else _class_blocks(matrix, *classes)
-        self._blocks = self.parts = None
-        if blocks is not None:
-            self._merge(blocks, compute_uv)
-            return
-        if not np.isfinite(matrix).all():
-            # gesdd would return NaN values for an infinite entry
-            raise ValueError("the matrix has non-finite entries")
-        try:
-            out = np.linalg.svd(matrix, compute_uv=compute_uv)
-        except np.linalg.LinAlgError:
-            out = svd(matrix, compute_uv=compute_uv, lapack_driver="gesvd")
-        if compute_uv:
-            self._u, self.s, vt = out
-            self._v = vt.T
-        else:
-            self.s = out
-
-    @classmethod
-    def from_blocks(cls, shape: tuple, blocks: list,
-                    compute_uv: bool = True) -> "_SVD":
-        """The block path on blocks already split, as _class_blocks lists
-        them, of a matrix of the given shape.  A block given as an _SVD is
-        taken as its factorization."""
-        f = cls.__new__(cls)
-        f.shape = shape
-        f._merge(blocks, compute_uv)
-        return f
-
-    def _merge(self, blocks: list, compute_uv: bool) -> None:
-        # parts keeps the blocks as split, for based_report
-        self.parts = blocks
-        self._blocks = [(k, r, c, b if isinstance(b, _SVD)
-                         else _SVD(b, compute_uv)) for k, r, c, b in blocks]
-        sizes = [f.s.size for *_, f in self._blocks]
-        values = np.concatenate([f.s for *_, f in self._blocks])
-        order = np.argsort(-values, kind="stable")
+    def __init__(self, blocks, compute_uv: bool = True, classes=None):
+        if isinstance(blocks, np.ndarray):
+            blocks = _class_blocks(blocks, classes)
+        # (class, rows, columns, block matrix or None, factors)
+        self._blocks = [(k, r, c, b, _factor(b, compute_uv))
+                        if isinstance(b, np.ndarray) else (k, r, c, None, b)
+                        for k, r, c, b in blocks]
+        self.shape = (sum(r.size for _, r, *_ in self._blocks),
+                      sum(c.size for _, _, c, *_ in self._blocks))
+        sizes = [f[0].size for *_, f in self._blocks]
+        values = np.concatenate([f[0] for *_, f in self._blocks])
+        self._order = np.argsort(-values, kind="stable")
         self.s = np.zeros(min(self.shape))
-        self.s[:values.size] = values[order]
-        owner = np.repeat(np.arange(len(sizes)), sizes)[order]
-        local = np.concatenate([np.arange(p) for p in sizes])[order]
-        # (block, local index) of each left and each right index: the
-        # merged values, then each block's null directions
-        self._index = []
-        for dims in ([r.size for _, r, _, _ in blocks],
-                     [c.size for _, _, c, _ in blocks]):
-            pairs = list(enumerate(zip(dims, sizes)))
-            self._index.append(np.stack([
-                np.concatenate([owner, *(np.full(d - p, b)
-                                         for b, (d, p) in pairs)]),
-                np.concatenate([local, *(np.arange(p, d)
-                                         for _, (d, p) in pairs)])]))
+        self.s[:values.size] = values[self._order]
+        # the block of each merged value
+        self._owner = np.repeat(np.arange(len(sizes)), sizes)[self._order]
 
     def _ranks(self, k: int) -> np.ndarray:
         """How many of the k largest merged values each block holds: a
         prefix of its own values, since the merge keeps their order."""
-        return np.bincount(self._index[0][0, :k],
-                           minlength=len(self._blocks))
+        return np.bincount(self._owner[:k], minlength=len(self._blocks))
 
     def class_counts(self, rank: int) -> dict | None:
         """(kernel, cokernel) counts of each sign class, by name, summed
         over its blocks, when the rank largest merged values are kept; None
         unless the blocks follow the sign classes."""
-        if self._blocks is None or self._blocks[0][0] is None:
+        if self._blocks[0][0] is None:
             return None
         counts = {}
-        for (k, r, c, _), n in zip(self._blocks, self._ranks(rank)):
+        for (k, r, c, *_), n in zip(self._blocks, self._ranks(rank)):
             ker, coker = counts.get(_SIGN_CLASS_NAMES[k], (0, 0))
             counts[_SIGN_CLASS_NAMES[k]] = (ker + c.size - int(n),
                                             coker + r.size - int(n))
@@ -349,36 +333,40 @@ class _SVD:
 
     def left(self, idx) -> np.ndarray:
         """Left singular vectors as columns, for the indices idx."""
-        if self._blocks is not None:
-            return self._gather(idx, 0)
-        return self._u[:, np.asarray(idx, dtype=int)]
+        return self._gather(idx, 0)
 
     def right(self, idx) -> np.ndarray:
         """Right singular vectors as columns, for the indices idx."""
-        if self._blocks is not None:
-            return self._gather(idx, 1)
-        return self._v[:, np.asarray(idx, dtype=int)]
+        return self._gather(idx, 1)
 
     def solve(self, b: np.ndarray, k: int) -> np.ndarray:
         """V_k S_k^-1 U_k^T b: the rank-k truncated pseudo-inverse of b."""
-        if self._blocks is not None:
-            x = np.zeros(self.shape[1])
-            for (_, r, c, f), kb in zip(self._blocks, self._ranks(k)):
-                if kb:
-                    x[c] = f.solve(b[r], int(kb))
-            return x
-        return self._v[:, :k] @ ((self._u[:, :k].T @ b) / self.s[:k])
+        x = np.zeros(self.shape[1])
+        for (_, r, c, _, (s, u, v)), kb in zip(self._blocks, self._ranks(k)):
+            if kb:
+                x[c] = v[:, :kb] @ ((u[:, :kb].T @ b[r]) / s[:kb])
+        return x
 
     def _gather(self, idx, side: int) -> np.ndarray:
-        """Block path of left (side 0) and right (side 1): each block's
-        vectors, placed at its rows or columns."""
-        owner, local = self._index[side][:, np.asarray(idx, dtype=int)]
-        out = np.zeros((self.shape[side], owner.size))
+        """left (side 0) and right (side 1): each block's vectors, placed
+        at its rows or columns."""
+        sizes = [f[0].size for *_, f in self._blocks]
+        dims = [(c if side else r).size for _, r, c, _, _ in self._blocks]
+        # (block, local index) of each index: the merged values, then
+        # each block's null directions
+        owner = np.concatenate([self._owner, *(
+            np.full(d - p, b) for b, (d, p) in enumerate(zip(dims, sizes)))])
+        local = np.concatenate([
+            self._order - np.cumsum([0] + sizes[:-1])[self._owner],
+            *(np.arange(p, d) for d, p in zip(dims, sizes))])
+        idx = np.asarray(idx, dtype=int)
+        owner, local = owner[idx], local[idx]
+        out = np.zeros((self.shape[side], idx.size))
         for b in np.unique(owner):
-            _, r, c, f = self._blocks[b]
+            _, r, c, _, (_, u, v) = self._blocks[b]
             sel = np.flatnonzero(owner == b)
-            vectors = f.right if side else f.left
-            out[np.ix_(c if side else r, sel)] = vectors(local[sel])
+            out[np.ix_(c if side else r, sel)] = \
+                (v if side else u)[:, local[sel]]
         return out
 
 
@@ -431,67 +419,56 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
     Killing candidates, not by numerical null-space detection.  Raises if the
     candidate block is rank-deficient (misidentified modes).  Each
     candidate lies in one sign class and one |m| (a rotation in its curl
-    mode's, a translation in its grad and normal modes'), so in one
-    column group of the SVD's blocks (_class_blocks; one group on the
-    dense path), and the complement is built group by group: with
-    K_k = Q_k R_k the candidates of group k over its columns, Q_k's last
-    columns span the complement there.  The based matrix is the matrix
-    times each Q_k, less its first columns, and a based null vector maps
-    back through each Q_k [0; v_k].  Q_k is applied as Householder
-    reflectors, to transposed columns.  On the block path they are
-    applied to the diagonal blocks and the based matrix is never formed;
-    the split is svd_report's (_factorization), and a block without
-    candidates keeps its factorization from there.
+    mode's, a translation in its grad and normal modes'), so in the
+    columns of one of the SVD's blocks (_class_blocks; of the one block
+    of a matrix that does not split), and the complement is built block
+    by block: with K_k = Q_k R_k the candidates of block k over its
+    columns, Q_k's last columns span the complement there.  The based
+    matrix is each block times its Q_k, less its first columns, and a
+    based null vector maps back through each Q_k [0; v_k].  Q_k is
+    applied as Householder reflectors, to transposed columns.  The split
+    is svd_report's (_factorization), and a block without candidates
+    keeps its factorization from there.
     """
     Kb = killing_modes(M.domain_basis)
     if Kb.shape[1] != 6 or np.linalg.matrix_rank(Kb, tol=1e-10) != 6:
         raise ValueError("ambient-isometry candidate block is not rank 6")
-    n_cod, n_dom = M.matrix.shape
-    unbased = _factorization(M)
-    blocks = unbased.parts
-    parts = ([np.arange(n_dom)] if blocks is None else
-             [c for _, _, c, _ in blocks])
-    # per group: its columns, their based positions, its candidate count
-    # and Q_k's reflectors (None without candidates)
-    groups = []
-    start = 0
-    for idx in parts:
-        K = Kb[idx]
-        K = K[:, K.any(axis=0)]
-        width = idx.size - K.shape[1]
-        groups.append((idx, np.arange(start, start + width), K.shape[1],
-                       qr(K, mode="raw")[0] if K.shape[1] else None))
-        start += width
 
     def apply_q(reflectors, trans, c):
-        if reflectors is None:
-            return c
         h, tau = reflectors
         # a workspace query neither reads nor writes c
         lwork = dormqr("L", trans, h, tau, c, -1, overwrite_c=True)[1][0]
         return dormqr("L", trans, h, tau, c, int(lwork))[0]
 
-    def complement(i, columns):
-        # columns (transposed, over group i's columns) times Q_k, less the
-        # candidates' columns
-        _, _, n_cand, reflectors = groups[i]
-        return apply_q(reflectors, "T", columns)[n_cand:].T
+    # the based blocks; per block, the columns that hold v_k in [0; v_k];
+    # and per block with candidates, its columns and Q_k's reflectors
+    blocks, kept, groups = [], [], []
+    start = 0
+    for k, r, c, block, factors in _factorization(M)._blocks:
+        K = Kb[c]
+        K = K[:, K.any(axis=0)]
+        n_cand = K.shape[1]
+        pos = np.arange(start, start + c.size - n_cand)
+        start += pos.size
+        kept.append(c[n_cand:])
+        if n_cand:
+            reflectors = qr(K, mode="raw")[0]
+            groups.append((c, reflectors))
+            blocks.append((k, r, pos,
+                           apply_q(reflectors, "T", block.T)[n_cand:].T))
+        else:
+            blocks.append((k, r, pos, factors))
+    kept = np.concatenate(kept)
 
     def restore(V):
-        out = np.zeros((n_dom, V.shape[1]))
-        for idx, pos, n_cand, reflectors in groups:
-            out[idx] = apply_q(reflectors, "N", np.vstack(
-                [np.zeros((n_cand, V.shape[1])), V[pos]]))
+        out = np.zeros((M.matrix.shape[1], V.shape[1]))
+        out[kept] = V
+        for c, reflectors in groups:
+            out[c] = apply_q(reflectors, "N", out[c])
         return out
 
-    if blocks is None:
-        f = _SVD(complement(0, M.matrix.T))
-    else:
-        f = _SVD.from_blocks((n_cod, start), [
-            (k, r, groups[i][1], complement(i, block.T) if groups[i][2]
-             else unbased._blocks[i][3])
-            for i, (k, r, _, block) in enumerate(blocks)])
-    return _report(f, M, gap_min, domain_restriction=restore, based=True)
+    return _report(_SVD(blocks), M, gap_min, domain_restriction=restore,
+                   based=True)
 
 
 def kernel_vs_epsilon(F: ImmersionMap, eps_grid,

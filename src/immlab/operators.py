@@ -628,8 +628,9 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     say); it is used as is instead of uniformizing again, and
     liouville_tol is then ignored.  Its epsilon and variant must match the
     arguments and its H must be F's own (ValueError otherwise).  Its
-    conformal factor must be solved over every harmonic or over sign_class
-    (apply_phi's sign_class); data over another class raise ValueError.
+    conformal factor must be solved over the harmonics of sign_class
+    (apply_phi with the same sign_class; every harmonic when it is None);
+    data over other harmonics raise ValueError.
 
     degree, when given, restricts both bases to the modes of degree
     <= degree: only those columns and rows are computed, and the labels
@@ -646,9 +647,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     scalar harmonics alone, and the entries are those of the full
     matrix's class block up to rounding.  At other immersions the classes
     couple and the result is not a block of the full matrix.  At eps < 1
-    the linearized Liouville solve runs over the class's harmonics too:
-    on the forms of data over the class, or on class forms built from the
-    metric of data over every harmonic.
+    the linearized Liouville solve runs over the class's harmonics too,
+    on the forms of the data's solve over them.
     """
     g = F.grid
     geo = F.geometry
@@ -672,11 +672,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     else:
         forms = conformal.forms
         if forms.modes is not modes:
-            if forms.modes is not _EVERY_MODE:
-                raise ValueError("data was uniformized over another sign "
-                                 f"class than {sign_class!r}")
-            forms = _WeakForms(conformal.metric, modes)
-            conformal = dataclasses.replace(conformal, forms=forms)
+            raise ValueError("data was uniformized over another sign "
+                             f"class than {sign_class!r}")
     Y, S = forms.Y[:, cut.scalar], forms.S[:, cut.scalar]
     # the column sources in domain order, as (first column, end, jet
     # table): each jet table of the cut's vector columns, then the normal

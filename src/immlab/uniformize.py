@@ -310,7 +310,8 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     alone and phi's other coefficients are zero.  At a metric with the
     three coordinate reflection symmetries phi lies in the fully
     symmetric class, and the solve over it is the full solve's block.
-    By default every harmonic is used.
+    By default every harmonic is used.  initial, when given, holds
+    coefficients over every harmonic (DegreeMismatchError otherwise).
 
     Each Newton step is the least-squares solution of the gauge-reduced
     system (degree-one columns dropped), taken by economic QR and a
@@ -326,7 +327,11 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
         phi0 = -0.25 * np.log(metric.det_gamma / np.sin(g.theta) ** 2)
         coeffs = g.analyze(phi0)[modes]
     else:
-        coeffs = np.array(initial, dtype=float)[modes]
+        coeffs = np.array(initial, dtype=float)
+        if coeffs.shape != (g.n_coeffs,):
+            raise DegreeMismatchError(f"expected {g.n_coeffs} initial "
+                                      f"coefficients, got {coeffs.shape}")
+        coeffs = coeffs[modes]
     coeffs[~keep] = 0.0
 
     r = forms.residual(coeffs)

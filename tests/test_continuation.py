@@ -10,7 +10,7 @@ from immlab import continuation
 from immlab.continuation import (ContinuationTrace, TargetData,
                                  default_schedule, epsilon_continuation,
                                  newton_solve, procrustes_align)
-from immlab.errors import ConvergenceError
+from immlab.errors import ConvergenceError, DegreeMismatchError
 from immlab.operators import _mode_cut, apply_phi, assemble_linearization
 from immlab.shapes import (ellipsoid_immersion, perturbed_sphere_immersion,
                            sphere_immersion)
@@ -322,6 +322,12 @@ def test_newton_rejects_degenerate_epsilon():
     t0 = TargetData.from_immersion(F, 0.0, liouville_tol=None)
     with pytest.raises(ValueError):
         newton_solve(F, t0)
+
+
+def test_newton_rejects_target_on_another_grid():
+    target = TargetData.from_immersion(sphere_immersion(grid(12)), 1.0)
+    with pytest.raises(DegreeMismatchError, match="L = 8"):
+        newton_solve(sphere_immersion(grid(8)), target)
 
 
 def test_target_data_validates_class_rep():

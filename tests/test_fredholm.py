@@ -374,23 +374,52 @@ def test_class_blocks_match_dense_svd(name, retry, request):
     assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 1e-6])
-def test_asymmetric_matrix_takes_dense_path(amplitude):
-    F = perturbed_sphere_immersion(grid(8), 1.0, [
+def _asymmetric_sphere(amplitude=1.0):
+    return perturbed_sphere_immersion(grid(8), 1.0, [
         (3, 2, 0.05 * amplitude), (2, -1, 0.04 * amplitude),
         (3, -3, 0.03 * amplitude)])
-    M = assemble_linearization(F, 1.0, liouville_tol=None)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-6])
+def test_asymmetric_matrix_takes_dense_path(amplitude):
+    M = assemble_linearization(_asymmetric_sphere(amplitude), 1.0,
+                               liouville_tol=None)
     A = M.matrix
     m, n = A.shape
     dense, f = _SVD(A), _SVD(A, classes=_classes(M))
-    assert f._blocks is None
+    # no split holds, so the one block is the whole matrix, without a class
+    [(k, r, c, block, _)] = f._blocks
+    assert k is None and block is A
+    assert np.array_equal(r, np.arange(m)) and np.array_equal(c, np.arange(n))
     assert np.array_equal(f.s, dense.s)
     assert np.array_equal(f.right(range(n)), dense.right(range(n)))
     assert np.array_equal(f.left(range(m)), dense.left(range(m)))
     b = np.random.default_rng(2).standard_normal(m)
     assert np.array_equal(f.solve(b, m - 3), dense.solve(b, m - 3))
+    # the one block's factors are numpy's SVD of the matrix, unpermuted
+    U, s, Vt = np.linalg.svd(A)
+    assert np.array_equal(f.s, s)
+    assert np.array_equal(f.right(range(n)), Vt.T)
+    assert np.array_equal(f.left(range(m)), U)
     assert svd_report(M).class_counts is None
     assert based_report(M).class_counts is None
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.2])
+def test_based_report_of_one_block_matches_explicit_complement(eps):
+    # the asymmetric sphere's matrix does not split, so based_report
+    # complements its one block: against the based matrix's own SVD
+    M = assemble_linearization(_asymmetric_sphere(), eps, liouville_tol=None)
+    A = M.matrix
+    assert len(fredholm._factorization(M)._blocks) == 1
+    comp = qr(killing_modes(M.domain_basis), mode="full")[0][:, 6:]
+    s = np.linalg.svd(A @ comp, compute_uv=False)
+    b = based_report(M)
+    npt.assert_allclose(b.singular_values, s, rtol=0,
+                        atol=1e-12 * svd_report(M).singular_values[0])
+    rank = _detect_rank(s, 1e3)[0]
+    assert (b.kernel_dim, b.cokernel_dim) == (A.shape[1] - 6 - rank,
+                                              A.shape[0] - rank)
 
 
 def _reflected_nodes(g, bit):
@@ -445,7 +474,7 @@ def _rotation(seed):
 @pytest.mark.parametrize("shape", ["sphere", "ellipsoid"])
 def test_rotated_symmetric_shapes_take_block_path(shape):
     # the classes are intrinsic, so a rigid motion keeps the blocks; a
-    # silent fall back to the dense path fails here
+    # silent fall back to one whole-matrix block fails here
     g = grid(8)
     F = (sphere_immersion(g) if shape == "sphere" else
          ellipsoid_immersion(g, 1.0, 1.05, 0.95)).rotated(_rotation(5))
@@ -515,7 +544,7 @@ def test_surfaces_of_revolution_split_by_frequency(shape, eps, variant):
     m0 = {"sphere": (3, 1), "spheroid": (2, 0)}.get(shape)
     if m0 is not None:
         ker = coker = 0
-        for (_, r, c, _), kept in zip(f._blocks, f._ranks(rank)):
+        for (_, r, c, *_), kept in zip(f._blocks, f._ranks(rank)):
             if rows[r[0]] < 8:
                 ker, coker = ker + c.size - kept, coker + r.size - kept
         assert (ker, coker) == m0

@@ -338,7 +338,9 @@ def test_class_assembly_is_the_full_block(L, eps, variant, cut):
     degree = None if cut is None else L - cut
     data = apply_phi(F, eps, variant, liouville_tol=None)
     full = assemble_linearization(F, eps, variant, data=data)
-    M = assemble_linearization(F, eps, variant, data=data, degree=degree,
+    # uniformized over the "+++" harmonics, as Newton's residual is
+    M = assemble_linearization(F, eps, variant, data=None,
+                               liouville_tol=None, degree=degree,
                                sign_class="+++")
     block_cut = operators._mode_cut(g, degree, "+++")
     keep, rows = block_cut.domain_mask, block_cut.codomain_mask
@@ -367,9 +369,9 @@ def test_class_assembly_rejects_unknown_class():
 @pytest.mark.parametrize("L", [8, 16])
 @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
 def test_class_assembly_takes_full_or_class_data(L, variant):
-    # data uniformized over "+++" (apply_phi's sign_class) and over every
-    # harmonic give the same "+++" block: class forms built from the full
-    # data's metric stand in for the class solve's forms
+    # the "+++" block takes data uniformized over "+++" (apply_phi's
+    # sign_class), as it uniformizes itself without data, and refuses
+    # data over every harmonic
     g = grid(L)
     F = ellipsoid_immersion(g, 1.03, 0.97, 1.02)
     full = apply_phi(F, 0.2, variant, liouville_tol=None)
@@ -377,9 +379,11 @@ def test_class_assembly_takes_full_or_class_data(L, variant):
     assert cls.conformal.forms.modes is operators._class_harmonics(g, "+++")
     M = assemble_linearization(F, 0.2, variant, data=cls, degree=L - 2,
                                sign_class="+++").matrix
-    ref = assemble_linearization(F, 0.2, variant, data=full, degree=L - 2,
-                                 sign_class="+++").matrix
+    ref = assemble_linearization(F, 0.2, variant, liouville_tol=None,
+                                 degree=L - 2, sign_class="+++").matrix
     npt.assert_allclose(M, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    with pytest.raises(ValueError, match="sign class"):
+        assemble_linearization(F, 0.2, variant, data=full, sign_class="+++")
     # data over one class have no block at another, nor at every class
     for other in ("+-+", None):
         with pytest.raises(ValueError, match="sign class"):

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from immlab import uniformize
-from immlab.errors import ConvergenceError, ImmersionRegularityError
+from immlab.errors import (ConvergenceError, DegreeMismatchError,
+                           ImmersionRegularityError)
 from immlab.geometry import ImmersionMap
 from immlab.operators import VariationField, _class_harmonics, delta_star
 from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
@@ -457,3 +458,12 @@ def test_strong_residual_is_computed_on_read(modes):
               + np.exp(2.0 * conf.phi.samples))
     assert conf.strong_residual == float(np.max(np.abs(strong)))
     assert "strong_residual" in vars(conf)
+
+
+def test_initial_of_wrong_shape_raises():
+    g = grid(8)
+    metric = MetricData.from_immersion(sphere_immersion(g))
+    n = g.n_coeffs
+    for initial in (np.zeros(n - 1), np.zeros(n + 3), np.zeros((n, 2))):
+        with pytest.raises(DegreeMismatchError, match="initial coefficients"):
+            solve_liouville(metric, initial=initial)
