@@ -375,8 +375,9 @@ def epsilon_continuation(target_metric: MetricData, eps_schedule=None,
     """
     schedule = list(default_schedule() if eps_schedule is None else eps_schedule)
     eps_arr = np.array(schedule, dtype=float)
-    if len(eps_arr) == 0 or np.any(np.diff(eps_arr) >= 0.0) or \
-            eps_arr[0] > 1.0 or eps_arr[-1] <= 0.0:
+    # every comparison with NaN is false, so a NaN point fails the check
+    if len(eps_arr) == 0 or not (np.all(np.diff(eps_arr) < 0.0)
+                                 and eps_arr[0] <= 1.0 and eps_arr[-1] > 0.0):
         raise ValueError("eps_schedule must decrease strictly within (0, 1]")
 
     lam2_star = solve_liouville(target_metric, tol=liouville_tol).lambda2

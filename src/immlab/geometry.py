@@ -92,7 +92,6 @@ class SurfaceGeometry:
     H: np.ndarray          # (n,) mean curvature, trace of gamma^{-1} A
     K: np.ndarray          # (n,) Gauss curvature, det of gamma^{-1} A
     norm_A_sq: np.ndarray  # (n,) |A|^2_gamma
-    tau: np.ndarray        # (n, 2, 2) A - H gamma
     christoffel: np.ndarray  # (n, 2, 2, 2) Gamma^k_ij, index order [k, i, j]
     metric_gradient: np.ndarray  # (n, 2, 2, 2) d_k gamma_ij, index order [k, i, j]
 
@@ -135,14 +134,13 @@ class SurfaceGeometry:
         H = np.trace(shape_op, axis1=1, axis2=2)
         K = shape_op[:, 0, 0] * shape_op[:, 1, 1] - shape_op[:, 0, 1] * shape_op[:, 1, 0]
         norm_A_sq = np.einsum("nij,nji->n", shape_op, shape_op)
-        tau = A - H[:, None, None] * gamma
         T = (d2F.reshape(n, 4, 3) @ dFt).reshape(n, 2, 2, 2)  # [i, j, l]
         christoffel = (inv @ T.reshape(n, 4, 2).transpose(0, 2, 1)).reshape(
             n, 2, 2, 2)
         metric_gradient = T + T.transpose(0, 1, 3, 2)
 
         return cls(g, F, dF, d2F, gamma, inv, det, normal, A, H, K,
-                   norm_A_sq, tau, christoffel, metric_gradient)
+                   norm_A_sq, christoffel, metric_gradient)
 
 
 # ---------------------------------------------------------------------------

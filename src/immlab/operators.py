@@ -67,8 +67,7 @@ from scipy.linalg import cholesky
 from .bases import tensor_basis, vector_basis
 from .errors import DegreeMismatchError, ImmersionRegularityError
 from .geometry import ImmersionMap, SurfaceGeometry
-from .spectral import (SphereGrid, _frequency_tables, _ring_dft,
-                       coeff_degrees)
+from .spectral import SphereGrid, _ring_dft, coeff_degrees
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
                          _EVERY_MODE, _WeakForms, conformal_class,
                          solve_liouville)
@@ -420,14 +419,15 @@ def project_codomain(g: SphereGrid, class_part: np.ndarray,
     Rows are round L2 pairings by quadrature, of the class part with the
     tensor harmonics and of the blended part with the scalar harmonics.
     The class part is folded to its components (00, 01 + 10, 11) (_fold),
-    all that the symmetric tensor harmonics read.  Each part is
-    transformed ring by ring (SphereGrid.longitude_dft), and each |m|
-    takes one product with its cached table (TensorBasis,
-    _blended_tables).  A harmonic has the one longitude frequency
-    |m| <= L, below the Nyquist frequency L + 1, so its sum against a
-    ring of node values is the pairing of the two ring DFTs at |m|: the
-    same quadrature sums, in another order.  Every codomain row is
-    formed; the assembly forms only its degree cut's rows (_project).
+    all that the symmetric tensor harmonics read; it is transformed ring
+    by ring (SphereGrid.longitude_dft), and each |m| takes one product
+    with its cached table (TensorBasis).  A harmonic has the one longitude
+    frequency |m| <= L, below the Nyquist frequency L + 1, so its sum
+    against a ring of node values is the pairing of the two ring DFTs at
+    |m|: the same quadrature sums, in another order.  The blended part is
+    analyzed by SphereGrid.analyze, the same pairing for the scalar
+    harmonics.  Every codomain row is formed; the assembly forms only its
+    degree cut's rows (_project).
     """
     single = class_part.ndim == 3
     if single:
@@ -448,16 +448,16 @@ def _project(g: SphereGrid, class_part: np.ndarray, blended_part: np.ndarray,
     Only the rows that cut keeps are formed, in codomain order, into out
     (n_rows, B) when it is given, a column slice of a larger matrix say,
     and else into a new array; returns it.  work, a C-contiguous array at
-    least class_part's size, receives the longitude DFTs of both parts, so
-    that the caller can lend it a buffer it no longer needs.
+    least class_part's size, receives the longitude DFTs of the class
+    part, so that the caller can lend it a buffer it no longer needs.
     """
     b = class_part.shape[-1]
     if out is None:
         out = np.empty((len(cut.codomain), b))
-    for part, blocks in ((class_part, cut.tensor), (blended_part, cut.blended)):
-        spec = _ring_dft(g, part, work)
-        for m, table, rows in blocks:
-            out[rows] = table @ spec[2 * m:2 * m + 2].reshape(-1, b)
+    spec = _ring_dft(g, class_part, work)
+    for m, table, rows in cut.tensor:
+        out[rows] = table @ spec[2 * m:2 * m + 2].reshape(-1, b)
+    out[len(out) - len(cut.blended):] = g.analyze(blended_part)[cut.blended]
     return out
 
 
@@ -508,22 +508,24 @@ class _ModeCut:
     (l, m) order, so a cut by degree alone keeps a prefix of every family:
     its tables are views of the prefixes, adjacent ones merged, so that
     with nothing cut there is one view of the whole table.  A cut by class
-    keeps scattered columns, gathered once into one table.  scalar lists
-    the kept normal-speed modes as positions among the scalar harmonics
-    of the cut's class (_class_harmonics), which the Galerkin Laplacian of
-    those speeds runs over.  tensor holds (m, kept rows of the |m| table,
-    their rows in the result), and blended the same for the scalar tables
-    of the blended rows; a table lists its modes by degree, so a cut by
-    degree alone keeps a prefix of its rows.  The masks select the kept
+    keeps scattered columns, gathered once into one table.  The kept
+    normal-speed columns and the kept blended rows are the same scalar
+    harmonics: those of the cut's class (_class_harmonics, which the
+    Galerkin Laplacian of those speeds runs over) of degree <= degree, in
+    (l, m) order a prefix of them.  scalar is that prefix, as a slice of
+    the class's harmonics, and blended the same harmonics as positions
+    among all of them.  tensor holds (m, kept rows of the |m| table,
+    their rows in the result); a table lists its modes by degree, so a cut
+    by degree alone keeps a prefix of its rows.  The masks select the kept
     columns and rows of the full matrix, and classes gives the block key
     (_block_keys: sign class and |m|) of each kept row and column, the row
     keys first, as the SVD kernel takes them; these arrays are read-only.
     """
 
     jets: tuple          # (n, 6, k) jet tables of the kept vector columns
-    scalar: slice | np.ndarray    # normal-speed modes among the harmonics
+    scalar: slice        # normal-speed modes among the class's harmonics
     tensor: tuple        # (m, table rows, result rows) per |m| kept
-    blended: tuple       # the same for the blended rows
+    blended: np.ndarray  # blended rows among all scalar harmonics
     domain: tuple        # labels of the kept columns
     codomain: tuple      # labels of the kept rows
     domain_mask: np.ndarray     # (n_dom,) bool over domain_labels
@@ -572,16 +574,16 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
         edges = np.flatnonzero(np.diff(np.concatenate([[0], keep, [0]])))
         return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
-    def by_frequency(keep, tables, modes, first):
+    def by_frequency(keep, tables, modes):
         # the kept rows of each |m| table, and their rows in the result
         result_row = np.cumsum(keep) - 1
         out = []
         for m, (table, cols) in enumerate(zip(tables, modes)):
-            rows = np.flatnonzero(keep[first + cols])
+            rows = np.flatnonzero(keep[cols])
             if rows.size:
                 part = (table[:rows.size] if rows[-1] == rows.size - 1
                         else frozen(table[rows]))
-                out.append((m, part, frozen(result_row[first + cols[rows]])))
+                out.append((m, part, frozen(result_row[cols[rows]])))
         return tuple(out)
 
     def build():
@@ -589,19 +591,16 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
         labels = domain_labels(g)
         targets = tb.labels + _scalar_labels(g)
         cols, rows = kept(labels), kept(targets)
-        vec, normal = cols[:vb.size], cols[vb.size:]
+        vec, n_scalar = cols[:vb.size], int(cols[vb.size:].sum())
         if code is None:
             jets = tuple(vb.jets[..., s] for s in runs(vec))
-            scalar, = runs(normal)
         else:
             jets = (frozen(vb.jets[..., vec]),)
-            scalar = frozen(np.flatnonzero(normal[harmonics]))
         domain = tuple(lab for lab, k in zip(labels, cols) if k)
         codomain = tuple(lab for lab, k in zip(targets, rows) if k)
         return _ModeCut(
-            jets, scalar,
-            by_frequency(rows, tb.tables, tb.modes, 0),
-            by_frequency(rows, *_blended_tables(g), tb.size), domain,
+            jets, slice(n_scalar), by_frequency(rows, tb.tables, tb.modes),
+            frozen(np.arange(g.n_coeffs)[harmonics][:n_scalar]), domain,
             codomain, cols, rows,
             (frozen(_block_keys(codomain)), frozen(_block_keys(domain))))
     return g.cached(("mode_cut", degree, sign_class), build)
@@ -725,19 +724,6 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
             np.matmul(P, gp, out=crp)
         _project(g, crp, Hp, cut, work_buf, out[:, first:first + b])
     return OperatorMatrix(out, epsilon, variant, cut.domain, cut.codomain)
-
-
-def _blended_tables(g: SphereGrid) -> tuple[tuple, tuple]:
-    """Per-|m| tables (_frequency_tables) of the weighted scalar harmonics.
-
-    They pair a nodal blended slot with the scalar harmonics, rows
-    indexed like _scalar_labels.
-    """
-    def build():
-        ls, ms = coeff_degrees(g.L)
-        weighted = g.weights[:, None] * g.node_matrix(0, 0)
-        return _frequency_tables(g, weighted[:, None], np.abs(ms), ls)
-    return g.cached("blended_tables", build)
 
 
 def _scalar_labels(g: SphereGrid) -> tuple:

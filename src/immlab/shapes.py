@@ -107,13 +107,13 @@ def load_immersion(path: str, g: SphereGrid | None = None) -> ImmersionMap:
         if comp.shape != (nc,):
             raise ShapeSpecError(f"component {key!r} must have {nc} coefficients")
         arr[i] = comp
-    gfile = grid(L)
-    F = ImmersionMap(gfile, arr)
     if g is not None and g.L != L:
         # resample onto the requested grid; exact when g.L >= L
-        F = ImmersionMap.from_samples(g, g.synthesize(_pad(arr.T, L, g.L)))
-    elif g is not None:
-        F = ImmersionMap(g, arr)
+        return ImmersionMap.from_samples(g, g.synthesize(_pad(arr.T, L, g.L)))
+    F = ImmersionMap(grid(L) if g is None else g, arr)
+    # a degenerate immersion raises ImmersionRegularityError here, as it
+    # does on every other path (from_samples)
+    F.geometry
     return F
 
 

@@ -46,11 +46,9 @@ ARRAYS = {
     "cut tensor rows": lambda g: _mode_cut(g, g.L - 2).tensor[2][2],
     "class jets": lambda g: _mode_cut(g, g.L - 2, "+++").jets[0],
     "class harmonics": lambda g: _class_harmonics(g, "+++"),
-    "class scalar": lambda g: _mode_cut(g, g.L - 2, "+++").scalar,
     "class tensor table": lambda g: _mode_cut(g, g.L - 2, "+++").tensor[1][1],
     "class tensor rows": lambda g: _mode_cut(g, g.L - 2, "+++").tensor[1][2],
-    "class blended table":
-        lambda g: _mode_cut(g, g.L - 2, "+++").blended[2][1],
+    "class blended": lambda g: _mode_cut(g, g.L - 2, "+++").blended,
     "class masks": lambda g: _mode_cut(g, g.L - 2, "+++").domain_mask,
     "class row classes": lambda g: _mode_cut(g, g.L - 2, "+++").classes[0],
     "node matrix": lambda g: g.node_matrix(0, 2),
@@ -99,6 +97,32 @@ def test_vector_basis_stores_one_jet_table():
     stored = sum(a.size for f in dataclasses.fields(vb)
                  for a in _arrays(getattr(vb, f.name)) if a.dtype.kind == "f")
     assert stored == 6 * n * n_vec
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("drop,sign_class", [
+    (None, None), (2, None), (None, "+++"), (2, "+++")])
+def test_mode_cut_keeps_one_scalar_prefix(L, drop, sign_class):
+    # a cut's normal-speed columns and blended rows are the same harmonics,
+    # a prefix of its class's in (l, m) order: the Galerkin forms over the
+    # class read them as one slice, and the blended rows as one index
+    # array into SphereGrid.analyze's output
+    g = grid(L)
+    cut = _mode_cut(g, None if drop is None else L - drop, sign_class)
+    normal = [lab[1:] for lab in cut.domain if lab[0] == "normal"]
+    blended = [lab[1:] for lab in cut.codomain if lab[0] == "scalar"]
+    assert normal == blended
+    k = len(normal)
+    assert cut.scalar == slice(k)
+    harmonics = np.arange(g.n_coeffs)[_class_harmonics(g, sign_class)]
+    npt.assert_array_equal(cut.blended, harmonics[:k])
+    labels = _scalar_labels(g)
+    assert [labels[i][1:] for i in cut.blended] == blended
+    if sign_class is None:
+        # the vector columns too are views, of the one jet table: a
+        # gathered copy raises the L = 20 index workload's peak memory
+        jets = vector_basis(g).jets
+        assert all(t.base is jets for t in cut.jets)
 
 
 @pytest.mark.parametrize("L", [8, 12, 16])

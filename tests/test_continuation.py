@@ -342,10 +342,12 @@ def test_target_data_validates_class_rep():
     [1.2, 0.5],
     [0.5, -0.1],
     [],
+    [0.3, np.nan],
+    [np.nan, 0.2],
 ])
 def test_continuation_rejects_bad_schedule(schedule):
     gamma = MetricData.round(grid(8), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps_schedule"):
         epsilon_continuation(gamma, schedule)
 
 

@@ -100,7 +100,6 @@ def test_scaling_law():
     npt.assert_allclose(geo_r.second, r * geo.second, atol=1e-10)
     npt.assert_allclose(geo_r.H, geo.H / r, atol=1e-10)
     npt.assert_allclose(geo_r.K, geo.K / r ** 2, atol=1e-10)
-    npt.assert_allclose(geo_r.tau, r * geo.tau, atol=1e-10)
 
 
 def test_pointwise_identities():
@@ -108,9 +107,9 @@ def test_pointwise_identities():
     geo = perturbed_sphere_immersion(g, 1.0, [(2, 2, 0.05), (3, 1, 0.02)]).geometry
     # principal curvatures are real: H^2 >= 4K
     assert np.all(geo.H ** 2 - 4.0 * geo.K >= -1e-9)
-    # tau = A - H gamma contracts to -H in dimension 2
-    tr_tau = np.einsum("nij,nij->n", geo.inv_gamma, geo.tau)
-    npt.assert_allclose(tr_tau, -geo.H, atol=1e-10)
+    # the trace of the shape operator gamma^-1 A is H
+    tr_A = np.einsum("nij,nij->n", geo.inv_gamma, geo.second)
+    npt.assert_allclose(tr_A, geo.H, atol=1e-10)
     nrm = np.linalg.norm(geo.normal, axis=1)
     npt.assert_allclose(nrm, 1.0, atol=1e-12)
     dots = np.einsum("nia,na->ni", geo.dF, geo.normal)

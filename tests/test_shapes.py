@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.errors import ShapeSpecError
+from immlab.errors import ImmersionRegularityError, ShapeSpecError
 from immlab.shapes import (ellipsoid_immersion, load_immersion,
                            parse_shape_spec, perturbed_sphere_immersion,
                            save_immersion, sphere_immersion)
@@ -64,6 +64,20 @@ def test_file_cannot_lower_band_limit(tmp_path):
     save_immersion(str(path), sphere_immersion(g12))
     with pytest.raises(ShapeSpecError):
         load_immersion(str(path), g8)
+
+
+@pytest.mark.parametrize("target_L", [None, 8, 10])
+def test_file_of_degenerate_immersion_raises(tmp_path, target_L):
+    # a well-formed file whose immersion collapses to a point: loading it
+    # onto its own grid, onto none or onto a finer one computes its
+    # geometry and raises, as the other shape kinds do
+    nc = grid(8).n_coeffs
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(
+        {"L": 8, "coeffs": {k: [0.0] * nc for k in "xyz"}}))
+    g = None if target_L is None else grid(target_L)
+    with pytest.raises(ImmersionRegularityError):
+        load_immersion(str(path), g)
 
 
 @pytest.mark.parametrize("spec", [
