@@ -53,7 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TargetData:
-    """Right-hand side for the inverse problem at one epsilon."""
+    """Right-hand side for the inverse problem at one epsilon.
+
+    Raises ValueError on a non-finite entry, or a class_rep whose
+    determinant is not 1 at every node.
+    """
 
     class_rep: np.ndarray      # (n, 2, 2), det = 1 per node
     blended: np.ndarray        # (n,)
@@ -61,6 +65,9 @@ class TargetData:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.class_rep).all()
+                and np.isfinite(self.blended).all()):
+            raise ValueError("target has non-finite entries")
         det = (self.class_rep[:, 0, 0] * self.class_rep[:, 1, 1]
                - self.class_rep[:, 0, 1] * self.class_rep[:, 1, 0])
         if np.abs(det - 1.0).max() > 1e-8:
@@ -225,16 +232,18 @@ def newton_solve(F0: ImmersionMap, target: TargetData, tol: float = 1e-10
     Returns (F, residual norm history); raises ConvergenceError with the
     history so far on failure: status "diverged" when no candidate step
     descends (every candidate has halved its step _MAX_BACKTRACKS + 1
-    times by then), "stalled" when _MAX_ITER iterations end above tol.
+    times by then) or when the starting residual norm is not finite,
+    "stalled" when _MAX_ITER iterations end above tol.
     Raises ValueError unless epsilon > 0 and 0 < tol < inf, and
     DegreeMismatchError unless the target's node arrays are on F0's grid.
     """
     F, history, status = _newton(F0, target, tol)
     if status == "diverged":
+        cause = ("no candidate step descends" if np.isfinite(history[-1])
+                 else "the starting residual is not finite")
         raise ConvergenceError(
             f"newton diverged at residual {history[-1]:.3e} "
-            f"(eps={target.epsilon}): no candidate step descends",
-            "diverged", history)
+            f"(eps={target.epsilon}): {cause}", "diverged", history)
     if status == "stalled":
         raise ConvergenceError(
             f"newton stalled at residual {history[-1]:.3e} > tol {tol:.1e} "
@@ -273,6 +282,9 @@ def _newton(F0: ImmersionMap, target: TargetData, tol: float
     F = F0
     r, data = _residual(F, target, sign_class)
     history = [float(np.linalg.norm(r[rows]))]
+    if not np.isfinite(history[0]):
+        # NaN compares false with tol: it must not pass as converged
+        return F, np.array(history), "diverged"
     while history[-1] > tol:
         if len(history) > _MAX_ITER:
             return F, np.array(history), "stalled"

@@ -56,16 +56,20 @@ class SpectralReport:
     follow the sign classes (see _SVD), and is None otherwise.  The counts
     sum to kernel_dim and cokernel_dim.
 
-    mode_labels["right"] labels each null vector by its largest overlap,
-    in a basis of the kernel that does not depend on the SVD's: the
-    kernel's projections of the degree-one family modes (curl, grad and
-    normal), largest first, orthonormalized.  At the round sphere the
-    kernel holds the span of grad and normal at each degree-one (1, m),
-    the translation among its directions, and the nine vectors read three
-    "rotation", three "conformal" and three "eigenfunction"; in the basis
-    the SVD returned, whether they read "translation", "conformal" or
-    "eigenfunction" (overlaps 0.38 to 0.67) moved with round-off.  The
-    whole kernel lies in degree one there, so overlap_degree1 reads 1.
+    mode_labels["left"] labels each cokernel vector in the order the SVD
+    returns them: block by block, in the order of its blocks (sign class,
+    then |m|; see _SVD.null), not in the order of their singular values,
+    which sit at round-off.  mode_labels["right"] labels each null vector
+    by its largest overlap, in a basis of the kernel that does not depend
+    on the SVD's: the kernel's projections of the degree-one family modes
+    (curl, grad and normal), largest first, orthonormalized.  At the round
+    sphere the kernel holds the span of grad and normal at each
+    degree-one (1, m), the translation among its directions, and the nine
+    vectors read three "rotation", three "conformal" and three
+    "eigenfunction"; in the basis the SVD returned, whether they read
+    "translation", "conformal" or "eigenfunction" (overlaps 0.38 to 0.67)
+    moved with round-off.  The whole kernel lies in degree one there, so
+    overlap_degree1 reads 1.
     """
 
     epsilon: float
@@ -289,11 +293,17 @@ class _SVD:
     A - E's.  A matrix that does not split is one block, so its values
     and vectors are _factor's.
 
-    The block values are merged in descending order, ties in block order,
-    and padded with exact zeros to min(m, n) entries.  Index j of left
-    and right is the j-th merged value's vector in its block, and indices
-    past the block values give the blocks' null directions, block by
-    block; solve(b, k) keeps the k largest merged values.
+    A block's domain dimension is the number of columns of its V (of its
+    matrix, when factored without vectors), which may be fewer than the
+    columns it covers: based_report's blocks keep their vectors mapped
+    back to them.  shape sums the blocks' rows and domain dimensions.  The block values are merged in descending
+    order, ties in block order, and padded with exact zeros to min(shape)
+    entries.  The k largest merged values hold a prefix of each block's
+    own (_ranks).  null(k) returns each block's singular vectors past its
+    prefix, including its structural null directions past min(m, n),
+    block by block in _class_blocks order (sign class, then |m|), and
+    solve(b, k) inverts the prefixes.  null and solve return vectors over
+    all the columns the blocks cover.
     """
 
     def __init__(self, blocks, compute_uv: bool = True, classes=None):
@@ -303,15 +313,18 @@ class _SVD:
         self._blocks = [(k, r, c, b, _factor(b, compute_uv))
                         if isinstance(b, np.ndarray) else (k, r, c, None, b)
                         for k, r, c, b in blocks]
-        self.shape = (sum(r.size for _, r, *_ in self._blocks),
-                      sum(c.size for _, _, c, *_ in self._blocks))
+        # (rows, domain dimension) of each block, and the columns covered
+        self._dims = [(r.size, c.size if v is None else v.shape[1])
+                      for _, r, c, _, (_, _, v) in self._blocks]
+        self.shape = tuple(map(sum, zip(*self._dims)))
+        self._columns = sum(c.size for _, _, c, *_ in self._blocks)
         sizes = [f[0].size for *_, f in self._blocks]
         values = np.concatenate([f[0] for *_, f in self._blocks])
-        self._order = np.argsort(-values, kind="stable")
+        order = np.argsort(-values, kind="stable")
         self.s = np.zeros(min(self.shape))
-        self.s[:values.size] = values[self._order]
+        self.s[:values.size] = values[order]
         # the block of each merged value
-        self._owner = np.repeat(np.arange(len(sizes)), sizes)[self._order]
+        self._owner = np.repeat(np.arange(len(sizes)), sizes)[order]
 
     def _ranks(self, k: int) -> np.ndarray:
         """How many of the k largest merged values each block holds: a
@@ -325,49 +338,35 @@ class _SVD:
         if self._blocks[0][0] is None:
             return None
         counts = {}
-        for (k, r, c, *_), n in zip(self._blocks, self._ranks(rank)):
+        for (k, *_), (m, n), kb in zip(self._blocks, self._dims,
+                                       self._ranks(rank)):
             ker, coker = counts.get(_SIGN_CLASS_NAMES[k], (0, 0))
-            counts[_SIGN_CLASS_NAMES[k]] = (ker + c.size - int(n),
-                                            coker + r.size - int(n))
+            counts[_SIGN_CLASS_NAMES[k]] = (ker + n - int(kb),
+                                            coker + m - int(kb))
         return counts
 
-    def left(self, idx) -> np.ndarray:
-        """Left singular vectors as columns, for the indices idx."""
-        return self._gather(idx, 0)
-
-    def right(self, idx) -> np.ndarray:
-        """Right singular vectors as columns, for the indices idx."""
-        return self._gather(idx, 1)
+    def null(self, rank: int) -> tuple:
+        """(U_null, V_null): each block's left and right singular vectors
+        past the rank largest merged values, placed at its rows and
+        columns, as columns block by block."""
+        U = np.zeros((self.shape[0], self.shape[0] - rank))
+        V = np.zeros((self._columns, self.shape[1] - rank))
+        i = j = 0
+        for (_, r, c, _, (_, u, v)), kb in zip(self._blocks,
+                                                self._ranks(rank)):
+            U[r, i:i + u.shape[1] - kb] = u[:, kb:]
+            V[c, j:j + v.shape[1] - kb] = v[:, kb:]
+            i += u.shape[1] - kb
+            j += v.shape[1] - kb
+        return U, V
 
     def solve(self, b: np.ndarray, k: int) -> np.ndarray:
         """V_k S_k^-1 U_k^T b: the rank-k truncated pseudo-inverse of b."""
-        x = np.zeros(self.shape[1])
+        x = np.zeros(self._columns)
         for (_, r, c, _, (s, u, v)), kb in zip(self._blocks, self._ranks(k)):
             if kb:
                 x[c] = v[:, :kb] @ ((u[:, :kb].T @ b[r]) / s[:kb])
         return x
-
-    def _gather(self, idx, side: int) -> np.ndarray:
-        """left (side 0) and right (side 1): each block's vectors, placed
-        at its rows or columns."""
-        sizes = [f[0].size for *_, f in self._blocks]
-        dims = [(c if side else r).size for _, r, c, _, _ in self._blocks]
-        # (block, local index) of each index: the merged values, then
-        # each block's null directions
-        owner = np.concatenate([self._owner, *(
-            np.full(d - p, b) for b, (d, p) in enumerate(zip(dims, sizes)))])
-        local = np.concatenate([
-            self._order - np.cumsum([0] + sizes[:-1])[self._owner],
-            *(np.arange(p, d) for d, p in zip(dims, sizes))])
-        idx = np.asarray(idx, dtype=int)
-        owner, local = owner[idx], local[idx]
-        out = np.zeros((self.shape[side], idx.size))
-        for b in np.unique(owner):
-            _, r, c, _, (_, u, v) = self._blocks[b]
-            sel = np.flatnonzero(owner == b)
-            out[np.ix_(c if side else r, sel)] = \
-                (v if side else u)[:, local[sel]]
-        return out
 
 
 def _classes(M: OperatorMatrix) -> tuple:
@@ -385,20 +384,14 @@ def _factorization(M: OperatorMatrix) -> _SVD:
 
 
 def _report(f: _SVD, M: OperatorMatrix, gap_min: float,
-            domain_restriction=None, based: bool = False) -> SpectralReport:
+            based: bool = False) -> SpectralReport:
     s = f.s
     rank, gap, reliable = _detect_rank(s, gap_min)
-    n_cod, n_dom = f.shape
-    kernel_dim = n_dom - rank
-    cokernel_dim = n_cod - rank
-
-    V_null = f.right(range(rank, n_dom))
-    if domain_restriction is not None:
-        V_null = domain_restriction(V_null)
+    U_null, V_null = f.null(rank)
+    kernel_dim, cokernel_dim = V_null.shape[1], U_null.shape[1]
     mode_labels = {
         "right": _label_right_modes(V_null, M.domain_basis),
-        "left": _label_left_modes(f.left(range(rank, n_cod)),
-                                  M.codomain_basis),
+        "left": _label_left_modes(U_null, M.codomain_basis),
     }
     return SpectralReport(M.epsilon, M.variant, s, kernel_dim, cokernel_dim,
                           kernel_dim - cokernel_dim, gap, reliable,
@@ -423,12 +416,12 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
     columns of one of the SVD's blocks (_class_blocks; of the one block
     of a matrix that does not split), and the complement is built block
     by block: with K_k = Q_k R_k the candidates of block k over its
-    columns, Q_k's last columns span the complement there.  The based
-    matrix is each block times its Q_k, less its first columns, and a
-    based null vector maps back through each Q_k [0; v_k].  Q_k is
-    applied as Householder reflectors, to transposed columns.  The split
-    is svd_report's (_factorization), and a block without candidates
-    keeps its factorization from there.
+    columns, Q_k's last columns span the complement there.  Such a block
+    is factored as its matrix times Q_k, less the first columns, and its
+    right vectors v are kept mapped back to the block's columns,
+    Q_k [0; v].  Q_k is applied as Householder reflectors, to transposed
+    columns.  The split is svd_report's (_factorization), and a block
+    without candidates keeps its factorization from there.
     """
     Kb = killing_modes(M.domain_basis)
     if Kb.shape[1] != 6 or np.linalg.matrix_rank(Kb, tol=1e-10) != 6:
@@ -440,35 +433,19 @@ def based_report(M: OperatorMatrix, gap_min: float = GAP_MIN
         lwork = dormqr("L", trans, h, tau, c, -1, overwrite_c=True)[1][0]
         return dormqr("L", trans, h, tau, c, int(lwork))[0]
 
-    # the based blocks; per block, the columns that hold v_k in [0; v_k];
-    # and per block with candidates, its columns and Q_k's reflectors
-    blocks, kept, groups = [], [], []
-    start = 0
+    blocks = []
     for k, r, c, block, factors in _factorization(M)._blocks:
         K = Kb[c]
         K = K[:, K.any(axis=0)]
         n_cand = K.shape[1]
-        pos = np.arange(start, start + c.size - n_cand)
-        start += pos.size
-        kept.append(c[n_cand:])
         if n_cand:
             reflectors = qr(K, mode="raw")[0]
-            groups.append((c, reflectors))
-            blocks.append((k, r, pos,
-                           apply_q(reflectors, "T", block.T)[n_cand:].T))
-        else:
-            blocks.append((k, r, pos, factors))
-    kept = np.concatenate(kept)
-
-    def restore(V):
-        out = np.zeros((M.matrix.shape[1], V.shape[1]))
-        out[kept] = V
-        for c, reflectors in groups:
-            out[c] = apply_q(reflectors, "N", out[c])
-        return out
-
-    return _report(_SVD(blocks), M, gap_min, domain_restriction=restore,
-                   based=True)
+            s, u, v = _factor(
+                apply_q(reflectors, "T", block.T)[n_cand:].T, True)
+            factors = s, u, apply_q(reflectors, "N",
+                                    np.pad(v, ((n_cand, 0), (0, 0))))
+        blocks.append((k, r, c, factors))
+    return _report(_SVD(blocks), M, gap_min, based=True)
 
 
 def kernel_vs_epsilon(F: ImmersionMap, eps_grid,

@@ -117,7 +117,8 @@ class SurfaceGeometry:
         dFt = dF.transpose(0, 2, 1)
         gamma = dF @ dFt
         det = gamma[:, 0, 0] * gamma[:, 1, 1] - gamma[:, 0, 1] ** 2
-        if det.min() < DET_FLOOR:
+        # written so that a NaN determinant fails it too
+        if not det.min() >= DET_FLOOR:
             raise ImmersionRegularityError(
                 f"metric determinant {det.min():.3e} below floor {DET_FLOOR:.1e}"
             )

@@ -7,10 +7,10 @@ Shape specification strings:
     perturbed:<r>;<l>,<m>,<amp>[;<l>,<m>,<amp>...]
     file:<path>
 
-The JSON immersion file format is
+Every number in a spec must be finite.  The JSON immersion file format is
 ``{"L": int, "coeffs": {"x": [...], "y": [...], "z": [...]}}`` with the
 coefficient lists in (l, m) lexicographic order.  Readers reject unknown
-fields.
+fields and non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -65,19 +65,19 @@ def parse_shape_spec(spec: str, g: SphereGrid) -> ImmersionMap:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "sphere":
-            return sphere_immersion(g, float(rest))
+            return sphere_immersion(g, _finite(rest))
         if kind == "ellipsoid":
-            a, b, c = (float(v) for v in rest.split(","))
+            a, b, c = (_finite(v) for v in rest.split(","))
             return ellipsoid_immersion(g, a, b, c)
         if kind == "perturbed":
             parts = rest.split(";")
-            radius = float(parts[0])
+            radius = _finite(parts[0])
             if len(parts) < 2:
                 raise ShapeSpecError("perturbed spec needs at least one mode")
             modes = []
             for part in parts[1:]:
                 l, m, amp = part.split(",")
-                modes.append((int(l), int(m), float(amp)))
+                modes.append((int(l), int(m), _finite(amp)))
             return perturbed_sphere_immersion(g, radius, modes)
         if kind == "file":
             return load_immersion(rest, g)
@@ -87,6 +87,14 @@ def parse_shape_spec(spec: str, g: SphereGrid) -> ImmersionMap:
     except (ValueError, OSError) as exc:
         raise ShapeSpecError(f"bad shape spec {spec!r}: {exc}") from exc
     raise ShapeSpecError(f"unknown shape kind {kind!r}")
+
+
+def _finite(text: str) -> float:
+    """A shape-spec number: ValueError unless it is finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def load_immersion(path: str, g: SphereGrid | None = None) -> ImmersionMap:
@@ -106,6 +114,8 @@ def load_immersion(path: str, g: SphereGrid | None = None) -> ImmersionMap:
         comp = np.asarray(coeffs[key], dtype=float)
         if comp.shape != (nc,):
             raise ShapeSpecError(f"component {key!r} must have {nc} coefficients")
+        if not np.isfinite(comp).all():
+            raise ShapeSpecError(f"component {key!r} has non-finite coefficients")
         arr[i] = comp
     if g is not None and g.L != L:
         # resample onto the requested grid; exact when g.L >= L

@@ -316,8 +316,12 @@ def solve_liouville(metric: MetricData, *, tol: float | None = 1e-9,
     Each Newton step is the least-squares solution of the gauge-reduced
     system (degree-one columns dropped), taken by economic QR and a
     triangular solve; a QR pivot |R_ii| at or below 1e-12 of the largest
-    counts as a degenerate reduced Jacobian.
+    counts as a degenerate reduced Jacobian.  Raises ValueError unless tol
+    is None or 0 < tol < inf.
     """
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ValueError(
+            f"solve_liouville needs tol None or 0 < tol < inf, got {tol}")
     g = metric.grid
     forms = _WeakForms(metric, modes)
     keep = _degree_one_mask(g)[modes]

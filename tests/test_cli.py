@@ -98,6 +98,22 @@ def test_index_report(tmp_path):
     assert b["based"] is True and b["reliable"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+def test_index_report_is_strict_json(tmp_path):
+    # a certified full-rank spectrum reports an infinite gap; strict JSON
+    # has no Infinity token, so the field is written as null
+    rc, _ = run("index", tmp_path, shape="ellipsoid:1,1.2,0.8", epsilon=1.0)
+    assert rc == 0
+    rep = json.loads((tmp_path / "report.json").read_text(),
+                     parse_constant=_reject_constant)
+    for key in ("report", "based_report"):
+        assert rep[key]["gap_ratio"] is None
+        assert isinstance(rep[key]["kernel_dim"], int)
+
+
 def test_kernel_sweep(tmp_path):
     rc, rep = run("kernel-sweep", tmp_path, shape="sphere:1")
     assert rc == 0
@@ -284,6 +300,15 @@ def test_bad_shape_exit_code(tmp_path, capsys):
     rc, rep = run("index", tmp_path, shape="blob:1")
     assert rc == 2
     assert rep["error"]["type"] == "ShapeSpecError"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape", ["sphere:nan", "ellipsoid:1,inf,1"])
+def test_non_finite_shape_is_a_usage_error(tmp_path, capsys, shape):
+    rc, rep = run("check-gauss", tmp_path, shape=shape)
+    assert rc == 2
+    assert rep["error"]["type"] == "ShapeSpecError"
+    assert "max_discrepancy" not in rep
     capsys.readouterr()
 
 

@@ -337,6 +337,39 @@ def test_target_data_validates_class_rep():
         dataclasses.replace(t, class_rep=2.0 * t.class_rep)
 
 
+@pytest.mark.parametrize("field", ["class_rep", "blended"])
+def test_target_data_rejects_non_finite_entries(field):
+    # a NaN passes the unit-determinant check, whose comparison is false
+    g = grid(8)
+    t = TargetData.from_immersion(ellipsoid_immersion(g, 1.0, 1.05, 0.95),
+                                  1.0)
+    bad = getattr(t, field).copy()
+    bad.flat[7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        dataclasses.replace(t, **{field: bad})
+
+
+def test_newton_does_not_converge_on_a_nan_residual(monkeypatch):
+    # a NaN residual norm is not below tol: it must fail, not converge
+    g = grid(8)
+    target = TargetData.from_immersion(ellipsoid_immersion(g, 1.0, 1.05, 0.95),
+                                       1.0)
+    residual = continuation._residual
+
+    def nan_residual(*args):
+        r, data = residual(*args)
+        return np.full_like(r, np.nan), data
+
+    monkeypatch.setattr(continuation, "_residual", nan_residual)
+    with pytest.raises(ConvergenceError) as exc:
+        newton_solve(sphere_immersion(g), target)
+    assert exc.value.status == "diverged"
+    assert np.isnan(exc.value.history).all()
+    assert "not finite" in str(exc.value)
+    _assert_message_names_status(exc.value)
+    _assert_core_returns_failure(sphere_immersion(g), target, exc.value)
+
+
 @pytest.mark.parametrize("schedule", [
     [0.5, 0.5],
     [1.2, 0.5],

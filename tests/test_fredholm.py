@@ -93,6 +93,22 @@ def _kernel_matrices():
             @ rng.standard_normal((25, 60))}
 
 
+def _assert_same_null_spaces(f, ref, rank, atol=1e-12):
+    """f.null(rank) spans the same left and right null spaces as ref, the
+    pair (U_null, V_null) of another factorization: equal projectors."""
+    for X, X0 in zip(f.null(rank), ref):
+        npt.assert_allclose(X @ X.T, X0 @ X0.T, rtol=0, atol=atol)
+
+
+def _assert_block_pairs(f, A):
+    """A v = s u for every singular pair of every block of f, on the
+    block's rows and columns of A."""
+    for _, r, c, _, (s, u, v) in f._blocks:
+        p = s.size
+        npt.assert_allclose(A[np.ix_(r, c)] @ v[:, :p], u[:, :p] * s,
+                            rtol=0, atol=1e-12 * np.abs(A).max())
+
+
 @pytest.mark.parametrize("retry", ["gesdd-steps", "gesvd"])
 @pytest.mark.parametrize("name", ["wide", "square", "tall", "rank-deficient"])
 def test_svd_kernel_matches_numpy(name, retry, request):
@@ -108,15 +124,11 @@ def test_svd_kernel_matches_numpy(name, retry, request):
     rank = _detect_rank(s, 1e3)[0]
     assert rank < min(m, n)
     # the null spaces, including the directions beyond min(m, n)
-    V0, U0 = f.right(range(rank, n)), f.left(range(rank, m))
-    npt.assert_allclose(V0 @ V0.T, Vt[rank:].T @ Vt[rank:], rtol=0,
-                        atol=1e-12)
-    npt.assert_allclose(U0 @ U0.T, U[:, rank:] @ U[:, rank:].T, rtol=0,
-                        atol=1e-12)
-    # singular pairs away from the null space
-    lead = [0, rank // 2, rank - 1]
-    npt.assert_allclose(A @ f.right(lead), f.left(lead) * s[lead], rtol=0,
-                        atol=1e-12 * s[0])
+    U0, V0 = f.null(rank)
+    assert (U0.shape, V0.shape) == ((m, m - rank), (n, n - rank))
+    _assert_same_null_spaces(f, (U[:, rank:], Vt[rank:].T), rank)
+    # the singular pairs, the null space's and the rest
+    _assert_block_pairs(f, A)
     b = np.random.default_rng(0).standard_normal(m)
     ref = Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
     x = f.solve(b, rank)
@@ -208,7 +220,7 @@ def test_right_mode_labels_do_not_depend_on_the_kernel_basis():
     M = round_matrix(8)
     f = _SVD(M.matrix, classes=_classes(M))
     rank = _detect_rank(f.s, 1e3)[0]
-    V = f.right(range(rank, M.matrix.shape[1]))
+    V = f.null(rank)[1]
     Q = qr(np.random.default_rng(4).standard_normal((9, 9)))[0]
     for basis in (V, V @ Q):
         labels = fredholm._label_right_modes(basis, M.domain_basis)
@@ -327,6 +339,27 @@ def test_reports_share_one_factorization(monkeypatch):
     assert len(splits) == 3
 
 
+@pytest.mark.parametrize("level", ["class", "frequency"])
+def test_split_needs_rows_and_columns_of_every_key(level):
+    # a matrix that is block diagonal over the keys, but key 2 has a row
+    # and no column: no split, so the class split (level "class") or the
+    # |m| split of the one class block (level "frequency") keeps it whole
+    rng = np.random.default_rng(6)
+    rows, cols = np.array([0, 0, 1, 2]), np.array([0, 0, 1])
+    A = np.zeros((4, 3))
+    A[:2, :2] = rng.standard_normal((2, 2))
+    A[2, 2] = 1.0
+    assert fredholm._split(A, rows, cols) is None
+    assert fredholm._split(A.T, cols, rows) is None
+    assert len(fredholm._split(A[:3], rows[:3], cols)) == 2
+    scale = 1 if level == "class" else 8
+    [(k, r, c, block)] = fredholm._class_blocks(A, (scale * rows,
+                                                    scale * cols))
+    assert k == (None if level == "class" else 0)
+    assert np.array_equal(r, np.arange(4)) and np.array_equal(c, np.arange(3))
+    assert np.array_equal(block, A)
+
+
 def _ellipsoid_matrix(L):
     return assemble_linearization(
         ellipsoid_immersion(grid(L), 1.0, 1.05, 0.95), 0.2,
@@ -347,7 +380,7 @@ SYMMETRIC = {"sphere-8": lambda: round_matrix(8),
 def test_class_blocks_match_dense_svd(name, retry, request):
     M = SYMMETRIC[name]()
     A = M.matrix
-    m, n = A.shape
+    m = A.shape[0]
     dense = _SVD(A)
     if retry == "gesvd":
         # every block's gesdd fails
@@ -365,10 +398,8 @@ def test_class_blocks_match_dense_svd(name, retry, request):
     npt.assert_allclose(f.s, dense.s, rtol=0, atol=1e-12 * s0)
     rank = _detect_rank(dense.s, 1e3)[0]
     assert _detect_rank(f.s, 1e3)[0] == rank
-    for side, k in (("right", n), ("left", m)):
-        V, V0 = getattr(f, side)(range(rank, k)), \
-            getattr(dense, side)(range(rank, k))
-        npt.assert_allclose(V @ V.T, V0 @ V0.T, rtol=0, atol=1e-12)
+    _assert_same_null_spaces(f, dense.null(rank), rank)
+    _assert_block_pairs(f, A)
     b = np.random.default_rng(1).standard_normal(m)
     x, x0 = f.solve(b, rank), dense.solve(b, rank)
     assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
@@ -388,38 +419,55 @@ def test_asymmetric_matrix_takes_dense_path(amplitude):
     m, n = A.shape
     dense, f = _SVD(A), _SVD(A, classes=_classes(M))
     # no split holds, so the one block is the whole matrix, without a class
-    [(k, r, c, block, _)] = f._blocks
+    [(k, r, c, block, factors)] = f._blocks
     assert k is None and block is A
     assert np.array_equal(r, np.arange(m)) and np.array_equal(c, np.arange(n))
     assert np.array_equal(f.s, dense.s)
-    assert np.array_equal(f.right(range(n)), dense.right(range(n)))
-    assert np.array_equal(f.left(range(m)), dense.left(range(m)))
     b = np.random.default_rng(2).standard_normal(m)
     assert np.array_equal(f.solve(b, m - 3), dense.solve(b, m - 3))
-    # the one block's factors are numpy's SVD of the matrix, unpermuted
+    # the one block's factors are numpy's SVD of the matrix, unpermuted,
+    # and so are the null vectors past no value and past the rank
     U, s, Vt = np.linalg.svd(A)
+    for got, want in zip(factors, (s, U, Vt.T)):
+        assert np.array_equal(got, want)
     assert np.array_equal(f.s, s)
-    assert np.array_equal(f.right(range(n)), Vt.T)
-    assert np.array_equal(f.left(range(m)), U)
+    rank = _detect_rank(s, 1e3)[0]
+    for kept, null in ((0, (U, Vt.T)), (rank, (U[:, rank:], Vt[rank:].T))):
+        for got, want in zip(f.null(kept), null):
+            assert np.array_equal(got, want)
     assert svd_report(M).class_counts is None
     assert based_report(M).class_counts is None
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.2])
-def test_based_report_of_one_block_matches_explicit_complement(eps):
-    # the asymmetric sphere's matrix does not split, so based_report
-    # complements its one block: against the based matrix's own SVD
-    M = assemble_linearization(_asymmetric_sphere(), eps, liouville_tol=None)
+def _assert_based_matches_explicit_complement(M, monkeypatch):
+    """based_report's values and null vectors against the SVD of A @ comp,
+    comp an explicit orthonormal complement of the Killing candidates:
+    its null vectors, mapped back through comp, span the same spaces."""
     A = M.matrix
-    assert len(fredholm._factorization(M)._blocks) == 1
     comp = qr(killing_modes(M.domain_basis), mode="full")[0][:, 6:]
-    s = np.linalg.svd(A @ comp, compute_uv=False)
+    U, s, Vt = np.linalg.svd(A @ comp)
+    based = []
+    report = fredholm._report
+    monkeypatch.setattr(fredholm, "_report", lambda f, *a, **k:
+                        based.append(f) or report(f, *a, **k))
     b = based_report(M)
     npt.assert_allclose(b.singular_values, s, rtol=0,
                         atol=1e-12 * svd_report(M).singular_values[0])
     rank = _detect_rank(s, 1e3)[0]
     assert (b.kernel_dim, b.cokernel_dim) == (A.shape[1] - 6 - rank,
                                               A.shape[0] - rank)
+    _assert_same_null_spaces(based[0], (U[:, rank:], comp @ Vt[rank:].T),
+                             rank, atol=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.2])
+def test_based_report_of_one_block_matches_explicit_complement(eps,
+                                                               monkeypatch):
+    # the asymmetric sphere's matrix does not split, so based_report
+    # complements its one block: against the based matrix's own SVD
+    M = assemble_linearization(_asymmetric_sphere(), eps, liouville_tol=None)
+    assert len(fredholm._factorization(M)._blocks) == 1
+    _assert_based_matches_explicit_complement(M, monkeypatch)
 
 
 def _reflected_nodes(g, bit):
@@ -507,11 +555,11 @@ REVOLUTION = {"sphere": sphere_immersion,
                                           (0.2, "additive"),
                                           (0.2, "multiplicative")])
 @pytest.mark.parametrize("shape", sorted(REVOLUTION))
-def test_surfaces_of_revolution_split_by_frequency(shape, eps, variant):
+def test_surfaces_of_revolution_split_by_frequency(shape, eps, variant,
+                                                   monkeypatch):
     M = assemble_linearization(REVOLUTION[shape](grid(12)), eps, variant,
                                liouville_tol=None)
     A = M.matrix
-    m, n = A.shape
     rows, cols = _classes(M)
     # the spheroid keeps the three reflections, so its blocks are the
     # (sign class, |m|) keys; the radial graph couples the classes and
@@ -529,15 +577,10 @@ def test_surfaces_of_revolution_split_by_frequency(shape, eps, variant):
     npt.assert_allclose(f.s, dense.s, rtol=0, atol=1e-12 * s0)
     rank = _detect_rank(dense.s, 1e3)[0]
     assert _detect_rank(f.s, 1e3)[0] == rank
-    for side, k in (("right", n), ("left", m)):
-        V, V0 = getattr(f, side)(range(rank, k)), \
-            getattr(dense, side)(range(rank, k))
-        npt.assert_allclose(V @ V.T, V0 @ V0.T, rtol=0, atol=1e-12)
+    _assert_same_null_spaces(f, dense.null(rank), rank)
+    _assert_block_pairs(f, A)
     # the based report on these blocks against the based matrix's own SVD
-    comp = qr(killing_modes(M.domain_basis), mode="full")[0][:, 6:]
-    npt.assert_allclose(based_report(M).singular_values,
-                        np.linalg.svd(A @ comp, compute_uv=False),
-                        rtol=0, atol=1e-12 * s0)
+    _assert_based_matches_explicit_complement(M, monkeypatch)
 
     # the m = 0 blocks' (kernel, cokernel): (3, 1) at the round sphere,
     # (2, 0) at the spheroid, index 2 on both

@@ -159,6 +159,16 @@ def test_degenerate_immersion_rejected():
         ImmersionMap.from_samples(g, flat)
 
 
+def test_nan_immersion_fails_the_regularity_check():
+    # every comparison with a NaN determinant is false, so the check must
+    # be one that NaN fails
+    g = grid(8)
+    coeffs = sphere_immersion(g).coeffs.copy()
+    coeffs[0, 3] = np.nan
+    with pytest.raises(ImmersionRegularityError):
+        ImmersionMap(g, coeffs).geometry
+
+
 @pytest.mark.parametrize("L", [8, 16])
 @pytest.mark.parametrize("shape", ["ellipsoid", "perturbed"])
 def test_christoffels_and_metric_gradient_against_einsum(L, shape):

@@ -668,6 +668,30 @@ def test_symbol_rejects_zero_covector():
         principal_symbol(F, 0, np.zeros(2), 0.5)
 
 
+@pytest.mark.parametrize("epsilon, variant", [(-0.1, "additive"),
+                                              (1.5, "additive"),
+                                              (np.nan, "additive"),
+                                              (0.5, "geometric")])
+def test_symbol_rejects_bad_epsilon_and_variant(epsilon, variant):
+    F = sphere_immersion(grid(8))
+    with pytest.raises(ValueError, match="epsilon|variant"):
+        principal_symbol(F, 0, np.array([1.0, 0.0]), epsilon, variant)
+
+
+def test_symbol_multiplicative_solves_liouville_without_data():
+    # without data the multiplicative eps < 1 symbol uniformizes F itself
+    # (apply_phi, whose 1e-9 certificate this L = 12 ellipsoid meets), and
+    # reads what it reads from the data it is given
+    F = ellipsoid_immersion(grid(12), 1.0, 1.02, 0.98)
+    xi = np.array([0.6, -0.8])
+    data = apply_phi(F, 0.4, "multiplicative")
+    for node in (3, 50):
+        S, smin = principal_symbol(F, node, xi, 0.4, "multiplicative")
+        S0, smin0 = principal_symbol(F, node, xi, 0.4, "multiplicative",
+                                     data=data)
+        assert np.array_equal(S, S0) and smin == smin0
+
+
 def test_symbol_multiplicative_endpoint():
     g = grid(8)
     F = sphere_immersion(g)

@@ -87,8 +87,13 @@ def test_file_of_degenerate_immersion_raises(tmp_path, target_L):
     "perturbed:1",
     "perturbed:1;2,1",
     "file:/nonexistent/path.json",
+    "sphere:nan",
+    "sphere:inf",
+    "ellipsoid:1,nan,1",
+    "perturbed:1;2,0,nan",
 ])
 def test_bad_specs_raise(spec):
+    # non-finite numbers are refused before any synthesis
     with pytest.raises(ShapeSpecError):
         parse_shape_spec(spec, grid(8))
 
@@ -113,6 +118,8 @@ def _valid_payload(g):
     lambda d: d["coeffs"].update(w=[0.0]),
     lambda d: d["coeffs"].pop("z"),
     lambda d: d["coeffs"].update(x=d["coeffs"]["x"][:-1]),
+    # Python's json writes and reads NaN
+    lambda d: d["coeffs"]["x"].__setitem__(3, float("nan")),
 ])
 def test_file_rejects_malformed_payloads(tmp_path, mutate):
     g = grid(8)

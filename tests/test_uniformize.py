@@ -10,7 +10,9 @@ from immlab import uniformize
 from immlab.errors import (ConvergenceError, DegreeMismatchError,
                            ImmersionRegularityError)
 from immlab.geometry import ImmersionMap
-from immlab.operators import VariationField, _class_harmonics, delta_star
+from immlab.continuation import epsilon_continuation
+from immlab.operators import (VariationField, _class_harmonics, apply_phi,
+                              assemble_linearization, delta_star)
 from immlab.shapes import (ellipsoid_immersion, parse_shape_spec,
                            sphere_immersion)
 from immlab.spectral import HarmonicField, coeff_index, grid
@@ -272,6 +274,23 @@ def test_liouville_rank_guard(monkeypatch):
         solve_liouville(m, initial=np.zeros(g.n_coeffs))
 
 
+@pytest.mark.parametrize("call", [
+    lambda F, tol: solve_liouville(MetricData.from_immersion(F), tol=tol),
+    lambda F, tol: apply_phi(F, 0.5, liouville_tol=tol),
+    lambda F, tol: assemble_linearization(F, 0.5, liouville_tol=tol),
+    lambda F, tol: epsilon_continuation(MetricData.from_immersion(F),
+                                        liouville_tol=tol),
+], ids=["solve_liouville", "apply_phi", "assemble_linearization",
+        "epsilon_continuation"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_liouville_tol_must_be_none_or_positive_finite(call, tol):
+    # NaN and inf would skip the certificate, and 0 or -1 would fail it
+    # with advice to raise the band limit: a usage error, raised first
+    F = ellipsoid_immersion(grid(8), 1.0, 1.05, 0.95)
+    with pytest.raises(ValueError, match="0 < tol < inf"):
+        call(F, tol)
+
+
 def test_linearized_factor_pure_scaling():
     g = grid(12)
     m = MetricData.round(g)
@@ -279,6 +298,16 @@ def test_linearized_factor_pure_scaling():
     lin = LinearizedLiouville(conf)
     _, l2p = lin.solve(0.37 * m.gamma)
     npt.assert_allclose(l2p, 0.37, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2, 3), (None, 2, 2),
+                                   (None, 2, 3, 3)])
+def test_linearized_batch_rejects_a_batch_of_another_shape(shape):
+    g = grid(8)
+    lin = LinearizedLiouville(solve_liouville(MetricData.round(g)))
+    h = np.zeros(tuple(g.n_nodes if n is None else n for n in shape))
+    with pytest.raises(DegreeMismatchError, match="batch shape"):
+        lin.solve_batch(h)
 
 
 def test_linearized_batch_matches_single_solves():
