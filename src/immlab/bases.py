@@ -25,8 +25,11 @@ chart derivatives, filled in place; the tensor basis keeps only its
 per-|m| tables, the ones that project a tensor field onto it, over the
 three components 00, 01 and 11 of a symmetric tensor.  They are cut from
 the ring DFTs of the weighted basis tensors, which are built in one array
-(_weighted_tensor_fields), so that the build holds about two (n, 4, n_ten)
-arrays at its peak; component 10 is left out only as the tables are cut.
+(_weighted_tensor_fields) and transformed one frequency at a time, so that
+the build holds about one (n, 4, n_ten) array at its peak; component 10 is
+left out only as the tables are cut.  The same per-|m| amplitudes of the
+vector jets and of the scalar harmonics (_frequency_jets) serve the
+assembly at surfaces of revolution; they are built on its first use.
 """
 
 from dataclasses import dataclass
@@ -76,6 +79,31 @@ class VectorBasis:
 
 def vector_basis(g: SphereGrid) -> VectorBasis:
     return g.cached("vector_basis", lambda: _build_vector_basis(g))
+
+
+def _frequency_jets(g: SphereGrid) -> tuple:
+    """Per-|m| ring amplitudes of the first jets of the vector basis and
+    of the scalar harmonics, built once per grid: (jet tables, jet modes,
+    harmonic tables, harmonic modes).
+
+    Each is a pair of spectral._frequency_tables: per m, the modes of
+    frequency m by degree (vector-basis label indices; coefficient
+    indices) and their amplitudes of cos(m ph) and sin(m ph) on each ring,
+    of the six jet rows of VectorBasis.jets, and of a harmonic's value, d_th
+    and d_ph.  The assembly at a geometry that is constant along the rings
+    runs its kernels on them (operators._assemble_by_frequency).
+    """
+    def build():
+        ls, ms = coeff_degrees(g.L)
+        h_tables, h_modes = _frequency_tables(
+            g, np.stack([g.node_matrix(0, 0), g.node_matrix(1, 0),
+                         g.node_matrix(0, 1)], axis=1), np.abs(ms), ls)
+        sel = ls >= 1
+        j_tables, j_modes = _frequency_tables(
+            g, vector_basis(g).jets, np.tile(np.abs(ms[sel]), 2),
+            np.tile(ls[sel], 2))
+        return j_tables, j_modes, h_tables, h_modes
+    return g.cached("frequency_jets", build)
 
 
 def _build_vector_basis(g: SphereGrid) -> VectorBasis:

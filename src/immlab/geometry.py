@@ -248,10 +248,15 @@ def darboux_residual(F: ImmersionMap, e: np.ndarray) -> DarbouxCheck:
 
     Checks det(D2_gamma u) = K det(gamma) (1 - |grad_gamma u|^2) with the
     gamma-Hessian D2u_ij = d2_ij u - Gamma^k_ij d_k u built from stencil
-    derivatives of the metric.
+    derivatives of the metric.  e is normalized first; raises ValueError
+    unless it is a 3-vector of finite entries and nonzero length.
     """
     e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
+    norm = np.linalg.norm(e) if e.shape == (3,) else np.nan
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError("darboux_residual needs a direction e of shape (3,) "
+                         f"with finite entries and nonzero length, got {e!r}")
+    e = e / norm
     geo = F.geometry
     du = np.einsum("nia,a->ni", geo.dF, e)          # exact chart gradient
     d2u = np.einsum("nija,a->nij", geo.d2F, e)

@@ -47,6 +47,17 @@ slot in scalar harmonics, both with round quadrature weights.  With degrees
 up to L this gives 3(L+1)^2 - 2 domain modes and 3(L+1)^2 - 8 codomain
 slots; the structural difference 6 mirrors the continuum index.
 
+At eps = 1 the linearization reads only gamma, A and H, and where these
+(and the blend's slope) are constant along every ring of the grid to
+round-off (_ring_deviation, _RING_MAX) -- a surface of revolution about
+the chart's polar axis, the round sphere in any position among them --
+the maps per node are ring profiles, and the assembly runs one longitude
+frequency |m| at a time (_assemble_by_frequency): the same kernels act
+on the cos/sin ring amplitudes of the basis fields of that |m|
+(bases._frequency_jets), each |m|'s Galerkin forms are small blocks, and
+the entries between different |m| are exact zeros.  Every other assembly,
+and every one at eps < 1, runs on the nodes in panels.
+
 Finite differences of apply_phi probe coefficient perturbations of the
 immersion, so they see a basis field only through its degree-L ambient
 analysis.  A field of degree l pushed through dF and N has ambient degree
@@ -62,15 +73,15 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
-from .bases import tensor_basis, vector_basis
+from .bases import _frequency_jets, tensor_basis, vector_basis
 from .errors import DegreeMismatchError, ImmersionRegularityError
 from .geometry import ImmersionMap, SurfaceGeometry
 from .spectral import SphereGrid, _ring_dft, coeff_degrees
 from .uniformize import (ConformalData, LinearizedLiouville, MetricData,
-                         _EVERY_MODE, _WeakForms, conformal_class,
-                         solve_liouville)
+                         _EVERY_MODE, _form_weights, _mass, _stiffness,
+                         _WeakForms, conformal_class, solve_liouville)
 
 __all__ = [
     "EpsilonData",
@@ -286,7 +297,7 @@ def _tangential_prime(G: np.ndarray, dH: np.ndarray, jets: np.ndarray,
     np.matmul(dH[:, None], jets[:, :2], out=Hp[:, None])
 
 
-def _normal_prime(N: np.ndarray, geo: SurfaceGeometry, forms: _WeakForms,
+def _normal_prime(N: np.ndarray, norm_A_sq: np.ndarray, laplacian,
                   nu: np.ndarray, Sc: np.ndarray, gp: np.ndarray,
                   Hp: np.ndarray) -> None:
     """First variation along normal speeds, written into gp and Hp.
@@ -294,13 +305,13 @@ def _normal_prime(N: np.ndarray, geo: SurfaceGeometry, forms: _WeakForms,
     For nodal speeds nu (n, B) with coefficients c and Galerkin right-hand
     side Sc = forms.S @ c (nc, B): gamma' = 2 nu A, with N = _normal_map
     (geo), components flattened into gp (n, 4, B), and H' = -Delta nu -
-    |A|^2 nu, with the Galerkin Laplacian of forms.  As for
-    _tangential_prime, N may be composed with a linear map of gamma'
-    (n, k): with the class map's, P N, gp (n, k, B) receives the folded
-    class part.
+    |A|^2 nu, with the Galerkin Laplacian laplacian (_WeakForms.laplacian)
+    and norm_A_sq = |A|^2 per node.  As for _tangential_prime, N may be
+    composed with a linear map of gamma' (n, k): with the class map's,
+    P N, gp (n, k, B) receives the folded class part.
     """
     np.multiply(N[..., None], nu[:, None], out=gp)
-    np.subtract(-forms.laplacian(Sc), geo.norm_A_sq[:, None] * nu, out=Hp)
+    np.subtract(-laplacian(Sc), norm_A_sq[:, None] * nu, out=Hp)
 
 
 def _first_variation(F: ImmersionMap, V: VariationField
@@ -314,8 +325,8 @@ def _first_variation(F: ImmersionMap, V: VariationField
                       V.jets[..., None], gp[0], Hp[0])
     forms = _WeakForms(MetricData.from_immersion(F))
     Sc = forms.S @ g.analyze(V.nu)[:, None]
-    _normal_prime(_normal_map(geo), geo, forms, V.nu[:, None], Sc, gp[1],
-                  Hp[1])
+    _normal_prime(_normal_map(geo), geo.norm_A_sq, forms.laplacian,
+                  V.nu[:, None], Sc, gp[1], Hp[1])
     return gp.sum(axis=0).reshape(n, 2, 2), Hp.sum(axis=0)[:, 0]
 
 
@@ -551,6 +562,20 @@ def _class_harmonics(g: SphereGrid, sign_class: str | None):
         _sign_classes(_scalar_labels(g)) == code))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _table_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows (ascending) of a read-only table that lists its modes by
+    degree: a view when they are a prefix, as a cut by degree alone
+    keeps, and else a read-only copy."""
+    if rows.size == 0 or rows[-1] == rows.size - 1:
+        return table[:rows.size]
+    return _frozen(table[rows])
+
+
 def _mode_cut(g: SphereGrid, degree: int | None = None,
               sign_class: str | None = None) -> _ModeCut:
     """The cut at degree and at the sign class of that name
@@ -559,15 +584,11 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
     harmonics = _class_harmonics(g, sign_class)
     code = None if sign_class is None else _SIGN_CLASS_NAMES.index(sign_class)
 
-    def frozen(a):
-        a.setflags(write=False)
-        return a
-
     def kept(labels):
         keep = np.array([degree is None or l <= degree for _, l, _ in labels])
         if code is not None:
             keep &= _sign_classes(labels) == code
-        return frozen(keep)
+        return _frozen(keep)
 
     def runs(keep):
         # the kept positions as slices of consecutive ones
@@ -581,9 +602,8 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
         for m, (table, cols) in enumerate(zip(tables, modes)):
             rows = np.flatnonzero(keep[cols])
             if rows.size:
-                part = (table[:rows.size] if rows[-1] == rows.size - 1
-                        else frozen(table[rows]))
-                out.append((m, part, frozen(result_row[cols[rows]])))
+                out.append((m, _table_rows(table, rows),
+                            _frozen(result_row[cols[rows]])))
         return tuple(out)
 
     def build():
@@ -595,14 +615,14 @@ def _mode_cut(g: SphereGrid, degree: int | None = None,
         if code is None:
             jets = tuple(vb.jets[..., s] for s in runs(vec))
         else:
-            jets = (frozen(vb.jets[..., vec]),)
+            jets = (_frozen(vb.jets[..., vec]),)
         domain = tuple(lab for lab, k in zip(labels, cols) if k)
         codomain = tuple(lab for lab, k in zip(targets, rows) if k)
         return _ModeCut(
             jets, slice(n_scalar), by_frequency(rows, tb.tables, tb.modes),
-            frozen(np.arange(g.n_coeffs)[harmonics][:n_scalar]), domain,
+            _frozen(np.arange(g.n_coeffs)[harmonics][:n_scalar]), domain,
             codomain, cols, rows,
-            (frozen(_block_keys(codomain)), frozen(_block_keys(domain))))
+            (_frozen(_block_keys(codomain)), _frozen(_block_keys(domain))))
     return g.cached(("mode_cut", degree, sign_class), build)
 
 
@@ -648,6 +668,16 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     couple and the result is not a block of the full matrix.  At eps < 1
     the linearized Liouville solve runs over the class's harmonics too,
     on the forms of the data's solve over them.
+
+    At eps = 1, when gamma, A, H and the blend's slope are constant along
+    every ring to round-off (_ring_deviation at most _RING_MAX: the
+    surfaces of revolution about the chart's polar axis, the round sphere
+    in any position among them), the columns are formed one longitude
+    frequency |m| at a time on ring amplitudes (_assemble_by_frequency),
+    with any degree and sign_class cut; the entries between different |m|
+    are then exact zeros, and the others agree with the node path's to
+    round-off.  Every other geometry, and every eps < 1, runs the node
+    path in column panels.
     """
     g = F.grid
     geo = F.geometry
@@ -666,13 +696,28 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
     # workload's peak RSS at 240 MB against 235 MB, in 10 of 10 runs
     cut = _mode_cut(g, degree, sign_class)
     conformal = data.conformal
+    if conformal is not None and conformal.forms.modes is not modes:
+        raise ValueError("data was uniformized over another sign "
+                         f"class than {sign_class!r}")
+    G, N, P = _tangent_map(geo), _normal_map(geo), _class_map(geo)
+    dH = g.gradient(g.analyze(geo.H))
+    a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
+    a, c = np.reshape(a, (-1, 1)), np.reshape(c, (-1, 1))
     if conformal is None:
-        forms = _WeakForms(MetricData.from_immersion(F), modes)
+        # nothing reads gamma' but the class part: the kernels form the
+        # class part with the composed maps, one product per column
+        G, N = P @ G, (P @ N[..., None])[..., 0]
+        metric = MetricData.from_immersion(F)
+        c = np.broadcast_to(c, (g.n_nodes, 1))
+        if _ring_deviation(g, geo.gamma, geo.second, geo.H, c) <= _RING_MAX:
+            out = np.zeros((len(cut.codomain), len(cut.domain)))
+            _assemble_by_frequency(g, _frequency_cut(g, degree, sign_class),
+                                   metric, (G, N, dH, geo.norm_A_sq, c), out)
+            return OperatorMatrix(out, epsilon, variant, cut.domain,
+                                  cut.codomain)
+        forms, lin = _WeakForms(metric, modes), None
     else:
-        forms = conformal.forms
-        if forms.modes is not modes:
-            raise ValueError("data was uniformized over another sign "
-                             f"class than {sign_class!r}")
+        forms, lin = conformal.forms, LinearizedLiouville(conformal)
     Y, S = forms.Y[:, cut.scalar], forms.S[:, cut.scalar]
     # the column sources in domain order, as (first column, end, jet
     # table): each jet table of the cut's vector columns, then the normal
@@ -682,16 +727,6 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
                        cut.jets + (None,)))
     n = g.n_nodes
     n_dom = int(bounds[-1])
-
-    G, N, P = _tangent_map(geo), _normal_map(geo), _class_map(geo)
-    dH = g.gradient(g.analyze(geo.H))
-    a, c = _blend_slopes(data.lambda2, geo.H, epsilon, variant)
-    a, c = np.reshape(a, (-1, 1)), np.reshape(c, (-1, 1))
-    lin = None if conformal is None else LinearizedLiouville(conformal)
-    if lin is None:
-        # nothing reads gamma' but the class part: the kernels form the
-        # class part with the composed maps, one product per column
-        G, N = P @ G, (P @ N[..., None])[..., 0]
     out = np.empty((len(cut.codomain), n_dom))
     # the panel buffers, reused: the folded class part, the blended slot
     # and a work buffer for the ring DFTs, which first holds gamma' where
@@ -712,8 +747,8 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
             cols, src = (slice(start - first, stop - first),
                          slice(start - lo, stop - lo))
             if jets is None:
-                _normal_prime(N, geo, forms, Y[:, src], S[:, src],
-                              gp[..., cols], Hp[:, cols])
+                _normal_prime(N, geo.norm_A_sq, forms.laplacian, Y[:, src],
+                              S[:, src], gp[..., cols], Hp[:, cols])
             else:
                 _tangential_prime(G, dH, jets[..., src], gp[..., cols],
                                   Hp[:, cols])
@@ -724,6 +759,144 @@ def assemble_linearization(F: ImmersionMap, epsilon: float,
             np.matmul(P, gp, out=crp)
         _project(g, crp, Hp, cut, work_buf, out[:, first:first + b])
     return OperatorMatrix(out, epsilon, variant, cut.domain, cut.codomain)
+
+
+# The ring test of the frequency path (_assemble_by_frequency): the
+# largest _ring_deviation of gamma, A, H and the blend's slope at which an
+# eps = 1 assembly runs by |m|.  The frequency path drops the entries
+# between different |m|, so they must stay within the SVD's certificate
+# for a split (fredholm._OFF_CLASS_MAX, 1e-12 of the Frobenius norm).
+# Measured on the spheroids 1, 1, 0.6, 0.8 and 1.3, the round sphere and
+# a radial graph of revolution, each moved off revolution by 1e-9 times a
+# radial or tangential Y_lm field (m = 1, l/2 and l; l up to 8, 12, 12,
+# 14, 10 and 4), both variants: that part is at most 0.95, 1.03, 1.07,
+# 1.17, 1.26 and 1.37 times the deviation at L = 8, 12, 16, 20, 24 and
+# 32, so this bound keeps it under 9.6e-13.  (Without the slope, which
+# is -1/H^2 in the multiplicative variant, the factor reaches 1.77.)
+# Rotated round spheres read round-off deviations of 1.6e-14, 1.1e-13,
+# 1.8e-13, 4.5e-13, 7.4e-13 and 1.4e-12 at L = 8, 12, 16, 20, 24 and 32,
+# so they take the frequency path up to L = 20 (the index workload's
+# inputs read at most 4.50e-13, with one BLAS thread and with two).
+_RING_MAX = 7e-13
+
+
+def _ring_deviation(g: SphereGrid, *fields: np.ndarray) -> float:
+    """How far node fields (n, ...) are from constant along every ring:
+    the largest ||f - ring mean of f||_F / ||f||_F over them, a ring
+    being one colatitude row of the grid's nodes."""
+    worst = 0.0
+    for f in fields:
+        rings = f.reshape(g.n_theta, g.n_phi, -1)
+        worst = max(worst, np.linalg.norm(
+            rings - rings.mean(axis=1, keepdims=True)) / np.linalg.norm(rings))
+    return worst
+
+
+def _ring_profile(g: SphereGrid, x: np.ndarray) -> np.ndarray:
+    """The ring means of node values x (n, ...), on the 2 n_theta rows
+    (t, ring) of the amplitude layout: one profile for t = 0 and 1."""
+    mean = x.reshape(g.n_theta, g.n_phi, *x.shape[1:]).mean(axis=1)
+    return np.concatenate([mean, mean])
+
+
+@dataclass(frozen=True)
+class _Frequency:
+    """The part of a mode cut at one longitude frequency m, over the ring
+    amplitudes of bases._frequency_jets.
+
+    jets holds the amplitude rows of the kept vector columns, harmonics
+    those of the scalar harmonics of frequency m that the Galerkin forms
+    run over (the cut's class's, _class_harmonics, by degree); the first
+    n_scalar of them are the kept normal-speed columns and blended rows.
+    tensor holds the kept rows of TensorBasis.tables[m].  cols lists the
+    result columns of the vector then the normal-speed columns, rows the
+    result rows of the class then the blended rows.  kappa is the ring
+    sum of cos^2(m ph) (and of sin^2): n_phi for m = 0, n_phi / 2 else.
+    """
+
+    kappa: float
+    jets: np.ndarray          # (k_vec, 2 n_theta 6)
+    harmonics: np.ndarray     # (k_forms, 2 n_theta 3)
+    n_scalar: int
+    tensor: np.ndarray        # (k_ten, 2 n_theta 3)
+    cols: np.ndarray
+    rows: np.ndarray
+
+
+def _frequency_cut(g: SphereGrid, degree: int | None,
+                   sign_class: str | None) -> tuple:
+    """The _Frequency parts of _mode_cut(g, degree, sign_class), for each
+    m with a kept row or column, built once per grid."""
+    def build():
+        cut = _mode_cut(g, degree, sign_class)
+        j_tables, j_modes, h_tables, h_modes = _frequency_jets(g)
+        n_vec, n_ten = vector_basis(g).size, tensor_basis(g).size
+        col = np.cumsum(cut.domain_mask) - 1
+        row = np.cumsum(cut.codomain_mask) - 1
+        in_class = np.zeros(g.n_coeffs, dtype=bool)
+        in_class[_class_harmonics(g, sign_class)] = True
+        tensor = {m: (part, rows) for m, part, rows in cut.tensor}
+        empty = np.empty((0, 6 * g.n_theta))
+        out = []
+        for m in range(g.L + 1):
+            vec = cut.domain_mask[j_modes[m]]
+            forms = in_class[h_modes[m]]
+            scalar = h_modes[m][forms]
+            k = int(np.sum(cut.domain_mask[n_vec + scalar]))
+            part, t_rows = tensor.get(m, (empty, np.empty(0, dtype=int)))
+            cols = np.concatenate([col[j_modes[m][vec]],
+                                   col[n_vec + scalar[:k]]])
+            rows = np.concatenate([t_rows, row[n_ten + scalar[:k]]])
+            if cols.size and rows.size:
+                out.append(_Frequency(
+                    g.n_phi / (1 if m == 0 else 2),
+                    _table_rows(j_tables[m], np.flatnonzero(vec)),
+                    _table_rows(h_tables[m], np.flatnonzero(forms)), k, part,
+                    _frozen(cols), _frozen(rows)))
+        return tuple(out)
+    return g.cached(("frequency_cut", degree, sign_class), build)
+
+
+def _assemble_by_frequency(g: SphereGrid, parts: tuple, metric: MetricData,
+                           maps: tuple, out: np.ndarray) -> None:
+    """The eps = 1 linearization at a geometry constant along the rings,
+    one longitude frequency at a time.
+
+    maps are the node maps of assemble_linearization's columns: the
+    composed class maps P G and P N, dH, |A|^2 and the blend's slope c.
+    A field of one frequency m has on each ring the values a cos(m ph) +
+    b sin(m ph); maps constant along the rings send its amplitudes
+    (a, b) to amplitudes of m, so the kernels (_tangential_prime,
+    _normal_prime) run on the ring profiles (_ring_profile) of the maps
+    and on the amplitude tables of each m's columns (parts,
+    _frequency_cut), and every entry between different |m| is zero.  The
+    ring sum of two fields of frequency m is kappa (a a' + b b'), so a
+    quadrature pairing is kappa times the amplitudes' pairing with the
+    ring weights: each m's Galerkin mass and stiffness over its harmonics
+    (_mass, _stiffness, factored by Cholesky), its class rows (the tensor
+    tables) and its blended rows.  The blocks are written into out, whose
+    other entries are left as they are.
+    """
+    G, N, dH, norm_A_sq, c = (_ring_profile(g, x) for x in maps)
+    q, Q = (_ring_profile(g, x) for x in _form_weights(metric))
+    w = _ring_profile(g, g.weights)[:, None]
+    rows_per = 2 * g.n_theta
+    for p in parts:
+        kappa, k_vec, k = p.kappa, p.jets.shape[0], p.n_scalar
+        Y, *dY = p.harmonics.T.reshape(rows_per, 3, -1).transpose(1, 0, 2)
+        b = k_vec + k
+        gp, Hp = np.empty((rows_per, 3, b)), np.empty((rows_per, b))
+        _tangential_prime(G, dH, p.jets.T.reshape(rows_per, 6, k_vec),
+                          gp[..., :k_vec], Hp[:, :k_vec])
+        if k:
+            factor = cho_factor(_mass(Y, kappa * q))
+            S = _stiffness(Q, dY, lambda f, i: kappa * dY[i].T @ (w * f))
+            _normal_prime(N, norm_A_sq,
+                          lambda rhs: Y @ cho_solve(factor, -rhs), Y[:, :k],
+                          S[:, :k], gp[..., k_vec:], Hp[:, k_vec:])
+        Hp *= c
+        out[np.ix_(p.rows, p.cols)] = kappa * np.concatenate(
+            [p.tensor @ gp.reshape(-1, b), Y[:, :k].T @ (w * Hp)])
 
 
 def _scalar_labels(g: SphereGrid) -> tuple:
@@ -751,7 +924,10 @@ def principal_symbol(F: ImmersionMap, node: int, xi: np.ndarray,
     The blended row is (a xhat, c), with the slopes (a, c) of the blend in
     lambda^2 and H that the assembly uses (_blend_slopes).  The
     multiplicative variant at eps < 1 needs the conformal factor (pass
-    data to avoid re-solving Liouville per call).
+    data to avoid re-solving Liouville per call).  Without data it
+    uniformizes with liouville_tol=None, as Newton and the continuation
+    do: the strong-residual certificate is skipped, so a coarse grid whose
+    residual carries a truncation tail still gives the symbol.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,) or not np.any(xi != 0.0):
@@ -772,7 +948,7 @@ def principal_symbol(F: ImmersionMap, node: int, xi: np.ndarray,
     lambda2 = None
     if variant == "multiplicative" and epsilon < 1.0:
         if data is None:
-            data = apply_phi(F, epsilon, variant)
+            data = apply_phi(F, epsilon, variant, liouville_tol=None)
         lambda2 = data.lambda2[node]
     a, c = _blend_slopes(lambda2, F.geometry.H[node], epsilon, variant)
     S[2, :2] = a * xhat

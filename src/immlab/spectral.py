@@ -356,16 +356,19 @@ def _frequency_tables(g: SphereGrid, weighted: np.ndarray, freq: np.ndarray,
     amplitude is the field's ring DFT at m times 1/n_phi for m = 0 and
     2/n_phi otherwise.  The sum over a ring's longitudes of field j times
     any node field f is then its amplitudes paired with f's ring DFT at
-    m.  The tables are read-only.
+    m.  The fields of one frequency are transformed at a time, so that
+    the transient arrays are one frequency's share of weighted, not its
+    size.  The tables are read-only.
     """
-    k, c = weighted.shape[1:]
-    spec = _ring_dft(g, weighted, np.empty(weighted.shape))
-    spec = spec.reshape(g.L + 1, 2, g.n_theta, k, c)
+    k = weighted.shape[1]
     tables, modes = [], []
     for m in range(g.L + 1):
         cols = np.flatnonzero(freq == m)
         cols = cols[np.argsort(degree[cols], kind="stable")]
-        table = np.ascontiguousarray(spec[m][:, :, components][..., cols]
+        part = weighted[..., cols]
+        spec = _ring_dft(g, part, np.empty(part.shape)).reshape(
+            g.L + 1, 2, g.n_theta, k, cols.size)
+        table = np.ascontiguousarray(spec[m][:, :, components]
                                      .reshape(-1, cols.size).T)
         table *= (1.0 if m == 0 else 2.0) / g.n_phi
         for a in (table, cols):

@@ -170,6 +170,43 @@ def _degree_one_mask(g: SphereGrid) -> np.ndarray:
     return keep
 
 
+def _form_weights(metric: MetricData) -> tuple:
+    """The weights of the weak forms' integrands at the nodes: the volume
+    weights q (MetricData.vol_weights) and Q = q gamma^{ij} over the grid
+    weights, (n, 2, 2), which the quadrature pairing applies.  Raises
+    ImmersionRegularityError unless Q is positive definite at every node.
+    """
+    g = metric.grid
+    with np.errstate(invalid="ignore"):
+        q = metric.vol_weights
+        Q = (q / g.weights)[:, None, None] * metric.inv_gamma
+    det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
+    if not np.all((Q[:, 0, 0] > 0.0) & (det > 0.0)):
+        raise ImmersionRegularityError(
+            "metric must be positive definite at every node")
+    return q, Q
+
+
+def _stiffness(Q: np.ndarray, dY: tuple, pair) -> np.ndarray:
+    """The stiffness S[k, c] = int gamma^{ij} d_i Y_c d_j Y_k dv.
+
+    dY holds the test functions' chart derivatives d_th Y and d_ph Y as
+    columns over rows of samples, with Q (_form_weights) on the same rows;
+    pair(f, i) is the quadrature pairing of sampled fields f (rows, B)
+    with d_i Y.  The fields Q_ij d_j Y_c are paired once per i.
+    """
+    S = sum(pair(Q[:, i, 0, None] * dY[0] + Q[:, i, 1, None] * dY[1], i)
+            for i in range(2))
+    # S[k, c] and S[c, k] regroup one quadrature sum differently; their
+    # mean is exactly symmetric
+    return 0.5 * (S + S.T)
+
+
+def _mass(Y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The mass form Y^T diag(weights) Y of test functions sampled on rows."""
+    return Y.T @ (weights[:, None] * Y)
+
+
 class _WeakForms:
     """Shared Galerkin matrices for a fixed metric.
 
@@ -194,23 +231,12 @@ class _WeakForms:
         self.modes = modes
         self.Y = g.node_matrix(0, 0)[:, modes]
         self.dY = (g.node_matrix(1, 0)[:, modes], g.node_matrix(0, 1)[:, modes])
-        with np.errstate(invalid="ignore"):
-            self.q = metric.vol_weights
-            # q gamma^{ij} over the grid weights, which analyze applies
-            Q = (self.q / g.weights)[:, None, None] * metric.inv_gamma
-        det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
-        if not np.all((Q[:, 0, 0] > 0.0) & (det > 0.0)):
-            raise ImmersionRegularityError(
-                "metric must be positive definite at every node")
-        S = sum(g.analyze(Q[:, i, 0, None] * self.dY[0]
-                          + Q[:, i, 1, None] * self.dY[1], *d)[modes]
-                for i, d in enumerate(((1, 0), (0, 1))))
-        # S[k, c] and S[c, k] regroup one quadrature sum differently; their
-        # mean is exactly symmetric
-        self.S = 0.5 * (S + S.T)
+        self.q, Q = _form_weights(metric)
+        self.S = _stiffness(Q, self.dY, lambda f, i: g.analyze(
+            f, *((1, 0), (0, 1))[i])[modes])
 
     def mass(self, density: np.ndarray) -> np.ndarray:
-        return self.Y.T @ ((self.q * density)[:, None] * self.Y)
+        return _mass(self.Y, self.q * density)
 
     def residual(self, phi_coeffs: np.ndarray) -> np.ndarray:
         # weak form of Delta phi - K + e^{2 phi} = 0 tested against Y_k:

@@ -6,12 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from immlab.bases import (_weighted_tensor_fields, tensor_basis,
-                          vector_basis)
+from immlab.bases import (_frequency_jets, _weighted_tensor_fields,
+                          tensor_basis, vector_basis)
 from immlab.continuation import TargetData, newton_solve
-from immlab.operators import (_class_harmonics, _mode_cut, _scalar_labels,
-                              assemble_linearization, domain_labels,
-                              project_codomain)
+from immlab.operators import (_class_harmonics, _frequency_cut, _mode_cut,
+                              _scalar_labels, assemble_linearization,
+                              domain_labels, project_codomain)
 from immlab.shapes import ellipsoid_immersion, sphere_immersion
 from immlab.spectral import SphereGrid, grid
 
@@ -23,6 +23,8 @@ TABLES = {
     "degree_cut": lambda g: _mode_cut(g, g.L - 2),
     "class_cut": lambda g: _mode_cut(g, g.L - 2, "+++"),
     "node_matrix": lambda g: g.node_matrix(1, 1),
+    "frequency_jets": _frequency_jets,
+    "frequency_cut": lambda g: _frequency_cut(g, g.L - 2, "+++"),
 }
 
 
@@ -52,6 +54,17 @@ ARRAYS = {
     "class masks": lambda g: _mode_cut(g, g.L - 2, "+++").domain_mask,
     "class row classes": lambda g: _mode_cut(g, g.L - 2, "+++").classes[0],
     "node matrix": lambda g: g.node_matrix(0, 2),
+    "jet amplitudes": lambda g: _frequency_jets(g)[0][2],
+    "jet amplitude modes": lambda g: _frequency_jets(g)[1][2],
+    "harmonic amplitudes": lambda g: _frequency_jets(g)[2][2],
+    "harmonic amplitude modes": lambda g: _frequency_jets(g)[3][2],
+    "frequency cut jets": lambda g: _frequency_cut(g, g.L - 2, None)[2].jets,
+    "frequency class jets": lambda g: _frequency_cut(g, None, "+++")[2].jets,
+    "frequency class harmonics":
+        lambda g: _frequency_cut(g, None, "+++")[2].harmonics,
+    "frequency class tensor": lambda g: _frequency_cut(g, None, "+++")[2].tensor,
+    "frequency cut columns": lambda g: _frequency_cut(g, g.L - 2, None)[2].cols,
+    "frequency cut rows": lambda g: _frequency_cut(g, g.L - 2, None)[2].rows,
 }
 
 
@@ -125,6 +138,29 @@ def test_mode_cut_keeps_one_scalar_prefix(L, drop, sign_class):
         assert all(t.base is jets for t in cut.jets)
 
 
+@pytest.mark.parametrize("L", [8, 12])
+def test_amplitude_tables_resynthesize_the_node_tables(L):
+    # on each ring, a cos(m ph) + b sin(m ph) of the tables' amplitudes
+    # (a, b) gives back the jets of the vector basis and the harmonics with
+    # their first chart derivatives at every node
+    g = grid(L)
+    jets, jet_modes, harm, harm_modes = _frequency_jets(g)
+    nodes = {6: vector_basis(g).jets,
+             3: np.stack([g.node_matrix(0, 0), g.node_matrix(1, 0),
+                          g.node_matrix(0, 1)], axis=1)}
+    for tables, modes in ((jets, jet_modes), (harm, harm_modes)):
+        assert sorted(np.concatenate(modes)) == list(range(sum(
+            len(c) for c in modes)))
+        for m, (table, cols) in enumerate(zip(tables, modes)):
+            k = table.shape[1] // (2 * g.n_theta)
+            amp = table.reshape(-1, 2, g.n_theta, k)
+            trig = np.stack([np.cos(m * g.phi_nodes), np.sin(m * g.phi_nodes)])
+            values = np.einsum("itrc,tj->rjci", amp, trig)
+            ref = nodes[k][..., cols].reshape(values.shape)
+            npt.assert_allclose(values, ref, rtol=0,
+                                atol=1e-13 * np.abs(nodes[k]).max())
+
+
 @pytest.mark.parametrize("L", [8, 12, 16])
 def test_vector_basis_is_orthonormal(L):
     # the round L2 pairing of the contravariant fields by quadrature,
@@ -182,17 +218,18 @@ def test_tensor_basis_stores_per_frequency_tables_only():
 
 
 def test_tensor_basis_build_peak_live_memory(live_peak):
-    # the weighted fields are built in one array and their ring DFTs in a
-    # second, so the build's live peak is about two (n, 4, n_ten) arrays:
-    # measured 2.10 at L = 16, against 4.14 when the Hessians, the even
-    # and odd families, their concatenation and the raised copy were
-    # separate arrays
+    # the weighted fields are built in one array and their ring DFTs taken
+    # one frequency's fields at a time, so the build's live peak is about
+    # one (n, 4, n_ten) array and its (n, n_ten) temporaries: measured
+    # 1.52 at L = 16, against 2.10 when the DFTs of every field were one
+    # second array and 4.14 when the Hessians, the even and odd families,
+    # their concatenation and the raised copy were separate arrays
     g = SphereGrid.build(16)
     for d in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)):
         g.node_matrix(*d)
     tb, peak = live_peak(lambda: tensor_basis(g))
     units = peak / (g.n_nodes * 4 * tb.size * 8)
-    assert units <= 2.2, units
+    assert units <= 1.6, units
 
 
 @pytest.mark.parametrize("eps,variant", [(1.0, "additive"),

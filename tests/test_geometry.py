@@ -135,6 +135,15 @@ def test_darboux_identity_sphere_exact():
     assert res.max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("e", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0],
+                               [0.0, 1.0]], ids=["zero", "nan", "length-2"])
+def test_darboux_residual_rejects_degenerate_direction(e):
+    # a zero or NaN direction normalized to NaN and returned max_residual
+    # NaN with only a RuntimeWarning; a length-2 one failed inside einsum
+    with pytest.raises(ValueError, match="direction e of shape"):
+        darboux_residual(sphere_immersion(grid(8)), np.array(e))
+
+
 def test_darboux_identity_ellipsoid_decay():
     e = np.array([0.0, 0.0, 1.0])
     r16 = darboux_residual(ellipsoid_immersion(grid(16), 1.0, 1.2, 0.8), e)

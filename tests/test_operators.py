@@ -6,6 +6,7 @@ import pytest
 
 from immlab import operators
 from immlab.bases import _weighted_tensor_fields, vector_basis
+from immlab.continuation import TargetData, newton_solve
 from immlab.errors import ImmersionRegularityError
 from immlab.fredholm import killing_modes
 from immlab.geometry import ImmersionMap
@@ -615,6 +616,117 @@ def test_assembly_peak_live_memory_many_panels(live_peak):
     assert peak <= 30 * 2**20, peak / 2**20
 
 
+# -- surfaces of revolution: the eps = 1 assembly by longitude frequency ----
+
+def _rotated_sphere(g):
+    q, r = np.linalg.qr(np.random.default_rng(g.L).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return sphere_immersion(g, 1.1).rotated(q * np.sign(np.linalg.det(q)))
+
+
+def _off_revolution(g, a, b, c, l=2, m=2, amp=1e-9):
+    # the ellipsoid a, b, c moved radially by amp Y_lm
+    E = ellipsoid_immersion(g, a, b, c)
+    Y = g.synthesize(np.eye(g.n_coeffs)[coeff_index(l, m)])
+    return ImmersionMap(g, E.coeffs + amp * g.analyze(E.positions * Y[:, None]).T)
+
+
+REVOLUTION = {
+    "sphere": _rotated_sphere,
+    "spheroid": lambda g: ellipsoid_immersion(g, 1.0, 1.0, 0.8),
+    "radial": lambda g: perturbed_sphere_immersion(
+        g, 1.0, [(2, 0, 0.1), (3, 0, 0.05)]),
+}
+
+
+def _frequencies(M):
+    return (np.abs([m for _, _, m in M.codomain_basis])[:, None],
+            np.abs([m for _, _, m in M.domain_basis]))
+
+
+# the radial graph is odd under z -> -z, so its sign classes couple and
+# it has no "+++" block
+@pytest.mark.parametrize("shape,L,cut", [
+    (shape, L, cut)
+    for shape, Ls in (("sphere", (8, 12, 20)), ("spheroid", (8, 12)),
+                      ("radial", (8, 12)))
+    for L in Ls for cut in (None, "degree", "+++")
+    if not (shape == "radial" and cut == "+++")])
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_frequency_path_matches_node_path(shape, L, cut, variant,
+                                          monkeypatch):
+    # measured within 4.8e-13 of the largest entry (the multiplicative
+    # L = 20 sphere; every additive case within 2.1e-14)
+    g = grid(L)
+    F = REVOLUTION[shape](g)
+    kw = {None: {}, "degree": {"degree": L - 2},
+          "+++": {"sign_class": "+++"}}[cut]
+    M = assemble_linearization(F, 1.0, variant, **kw)
+    rows, cols = _frequencies(M)
+    assert np.all(M.matrix[rows != cols] == 0.0)
+    monkeypatch.setattr(operators, "_ring_deviation", lambda *a: np.inf)
+    ref = assemble_linearization(F, 1.0, variant, **kw)
+    assert ref.domain_basis == M.domain_basis
+    assert ref.codomain_basis == M.codomain_basis
+    assert np.any(ref.matrix[rows != cols] != 0.0)
+    npt.assert_allclose(M.matrix, ref.matrix, rtol=0,
+                        atol=1e-12 * np.abs(ref.matrix).max())
+
+
+@pytest.mark.parametrize("shape", ["ellipsoid", "spheroid+Y22", "spheroid-y"])
+@pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+def test_ring_test_refuses_shapes_off_revolution(shape, variant,
+                                                 monkeypatch):
+    # a triaxial ellipsoid, a spheroid moved by 1e-9 Y_22 (ring deviation
+    # 1.2e-9) and a spheroid whose axis lies along y are not surfaces of
+    # revolution about the chart's polar axis: they keep the node path
+    g = grid(12)
+    F = {"ellipsoid": lambda: ellipsoid_immersion(g, 1.0, 1.02, 0.98),
+         "spheroid+Y22": lambda: _off_revolution(g, 1.0, 1.0, 0.8),
+         "spheroid-y": lambda: ellipsoid_immersion(g, 1.0, 0.8, 1.0)}[shape]()
+    geo = F.geometry
+    c = operators._blend_slopes(None, geo.H, 1.0, variant)[1]
+    assert operators._ring_deviation(
+        g, geo.gamma, geo.second, geo.H,
+        np.broadcast_to(c, geo.H.shape)) > operators._RING_MAX
+    ref = assemble_linearization(F, 1.0, variant).matrix
+    calls = []
+    monkeypatch.setattr(operators, "_assemble_by_frequency",
+                        lambda *a: calls.append(a))
+    assert np.array_equal(assemble_linearization(F, 1.0, variant).matrix, ref)
+    assert not calls
+
+
+def test_newton_takes_the_frequency_path_at_the_round_sphere(monkeypatch):
+    # Newton's first step from the round sphere assembles its "+++" block
+    # by frequency; the iterates after it are off revolution
+    g = grid(8)
+    target = TargetData.from_immersion(ellipsoid_immersion(g, 1.02, 0.98,
+                                                           1.01), 1.0)
+    calls = []
+    by_frequency = operators._assemble_by_frequency
+
+    def counted(*args):
+        calls.append(args)
+        return by_frequency(*args)
+    monkeypatch.setattr(operators, "_assemble_by_frequency", counted)
+    _, hist = newton_solve(sphere_immersion(g), target)
+    assert len(hist) > 2 and len(calls) == 1
+
+
+def test_frequency_path_peak_live_memory(live_peak):
+    # a warm L = 20 round-sphere assembly holds the result (13.3 MiB) and
+    # one frequency's small blocks: within the node path's 30 MiB bound
+    # (test_assembly_peak_live_memory_many_panels)
+    g = grid(20)
+    F = _rotated_sphere(g)
+    assemble_linearization(F, 1.0)
+    M, peak = live_peak(lambda: assemble_linearization(F, 1.0))
+    rows, cols = _frequencies(M)
+    assert np.all(M.matrix[rows != cols] == 0.0)
+    assert peak <= 30 * 2**20, peak / 2**20
+
+
 def test_operator_matrix_metadata():
     g = grid(8)
     M = assemble_linearization(sphere_immersion(g), 0.5, liouville_tol=None)
@@ -680,8 +792,8 @@ def test_symbol_rejects_bad_epsilon_and_variant(epsilon, variant):
 
 def test_symbol_multiplicative_solves_liouville_without_data():
     # without data the multiplicative eps < 1 symbol uniformizes F itself
-    # (apply_phi, whose 1e-9 certificate this L = 12 ellipsoid meets), and
-    # reads what it reads from the data it is given
+    # (apply_phi with liouville_tol=None, whose solve is the certified
+    # one's), and reads what it reads from the data it is given
     F = ellipsoid_immersion(grid(12), 1.0, 1.02, 0.98)
     xi = np.array([0.6, -0.8])
     data = apply_phi(F, 0.4, "multiplicative")
@@ -690,6 +802,18 @@ def test_symbol_multiplicative_solves_liouville_without_data():
         S0, smin0 = principal_symbol(F, node, xi, 0.4, "multiplicative",
                                      data=data)
         assert np.array_equal(S, S0) and smin == smin0
+
+
+def test_symbol_multiplicative_without_data_on_a_coarse_grid():
+    # the L = 8 ellipsoid's strong Liouville residual, 5.9e-5, fails the
+    # default 1e-9 certificate, which the symbol applied without data and
+    # so raised ConvergenceError; it uniformizes as Newton does
+    F = ellipsoid_immersion(grid(8), 1.0, 1.1, 0.9)
+    xi = np.array([0.6, -0.8])
+    data = apply_phi(F, 0.4, "multiplicative", liouville_tol=None)
+    S, smin = principal_symbol(F, 3, xi, 0.4, "multiplicative")
+    S0, smin0 = principal_symbol(F, 3, xi, 0.4, "multiplicative", data=data)
+    assert np.array_equal(S, S0) and smin == smin0 > 0.0
 
 
 def test_symbol_multiplicative_endpoint():
